@@ -40,6 +40,7 @@ from .errors import (
     CrossIntError,
     DomainError,
     IntegrityError,
+    ResumeMismatchError,
     UsageError,
 )
 from .families import (
@@ -61,7 +62,7 @@ from .gensets import (
     upset_k,
     write_genset,
 )
-from .inequalities import VerificationRecord, sweep
+from .inequalities import VerificationRecord, point_chain, sweep
 from .search import (
     MainTheoremReport,
     SearchResult,
@@ -98,21 +99,6 @@ _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 
 # ---------------------------------------------------------------------------
 # Record-stream digestion and summary emission
-
-
-@dataclass
-class Campaign:
-    """A resumable record-producing run: command, ranges, sink, marker.
-
-    The resume marker is the canonical (t, k, n, s, i) tuple of the last
-    complete record already on disk, recovered by parsing the stream itself
-    (never a byte offset), so partially written tails are trimmed instead of
-    corrupting a resumed run."""
-
-    command: str
-    params: dict[str, int]
-    out_path: str
-    resume_marker: tuple[int, int, int, int, int] | None = None
 
 
 @dataclass
@@ -280,17 +266,23 @@ def _say(message: str) -> None:
 # sweep-inequalities
 
 
-def _trim_to_last_record(path: str, digest: RecordDigest) -> tuple | None:
+def _trim_to_last_record(
+    path: str, digest: RecordDigest
+) -> tuple[tuple | None, tuple[int, int], list[str] | None]:
     """Recover the resume marker from an existing record stream.
 
     Complete leading records are digested and kept; a partial or unparsable
-    final line (an interrupted write) is trimmed away.  Damage anywhere else
-    is an integrity error: silently resuming over it would corrupt the
-    stream.  Returns the canonical tuple of the last intact record."""
+    final line (an interrupted write) is to be trimmed away.  Damage anywhere
+    else is an integrity error: silently resuming over it would corrupt the
+    stream.  Returns the canonical tuple of the last intact record, the
+    (count, point_chain) of the intact records, and the lines to rewrite
+    the file with, or None when nothing needs trimming.  The file itself is
+    left alone, so that a resume refused later leaves it untouched."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     keep: list[str] = []
     marker: tuple | None = None
+    chain = 0
     for lineno, raw in enumerate(lines, start=1):
         final = lineno == len(lines)
         line = raw.strip()
@@ -312,11 +304,9 @@ def _trim_to_last_record(path: str, digest: RecordDigest) -> tuple | None:
             )
         digest.absorb(record)
         marker = record.point
+        chain = point_chain(chain, marker)
         keep.append(record_to_line(record) + "\n")
-    if len(keep) != len(lines):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(keep)
-    return marker
+    return marker, (len(keep), chain), None if len(keep) == len(lines) else keep
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -324,42 +314,49 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and out == "-":
         raise UsageError("--resume needs --out pointing at a file")
     digest = RecordDigest()
-    marker = None
+    marker = prefix = rewrite = None
     if args.resume and os.path.exists(out):
-        marker = _trim_to_last_record(out, digest)
-    campaign = Campaign(
-        command="sweep-inequalities",
-        params={
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-            "k_span": args.k_span,
-            "n_span": args.n_span,
-        },
-        out_path=out,
-        resume_marker=marker,
-    )
+        marker, prefix, rewrite = _trim_to_last_record(out, digest)
     if marker is not None:
         _say(f"resuming after canonical point (t,k,n,s,i) = {marker}")
 
-    if out == "-":
-        fh: TextIO = sys.stdout
-    else:
-        fh = open(out, "a" if marker is not None else "w", encoding="utf-8")
+    # The file is opened at the first record, or after the sweep if there
+    # is none: sweep() checks the resumed prefix against the grid first.
+    fh: TextIO | None = sys.stdout if out == "-" else None
+
+    def stream() -> TextIO:
+        nonlocal fh, rewrite
+        if fh is None:
+            if rewrite is not None:
+                with open(out, "w", encoding="utf-8") as trimmed:
+                    trimmed.writelines(rewrite)
+                rewrite = None
+            fh = open(out, "a" if marker is not None else "w", encoding="utf-8")
+        return fh
+
     try:
         def sink(record: VerificationRecord) -> None:
             digest.absorb(record)
-            fh.write(record_to_line(record) + "\n")
+            stream().write(record_to_line(record) + "\n")
 
-        sweep(
-            t_lo=campaign.params["t_min"],
-            t_hi=campaign.params["t_max"],
-            k_span=campaign.params["k_span"],
-            n_span=campaign.params["n_span"],
-            sink=sink,
-            resume_after=marker,
-        )
+        try:
+            sweep(
+                t_lo=args.t_min,
+                t_hi=args.t_max,
+                k_span=args.k_span,
+                n_span=args.n_span,
+                sink=sink,
+                resume_after=marker,
+                resume_prefix=prefix,
+            )
+        except ResumeMismatchError as exc:
+            raise UsageError(
+                f"--resume refused, {out} left unchanged: {exc}; were the grid "
+                "flags changed since the stream was written?"
+            ) from None
+        stream()
     finally:
-        if fh is not sys.stdout:
+        if fh is not None and fh is not sys.stdout:
             fh.close()
 
     csv_text = digest.to_csv()

@@ -40,5 +40,13 @@ class IntegrityError(CrossIntError):
     """Two routes to the same exact value disagreed; indicates a defect."""
 
 
+class ResumeMismatchError(IntegrityError):
+    """A stream's records are not the grid points a resumed sweep would skip.
+
+    Raised before anything is written; the CLI reports it as a usage error,
+    since its usual cause is resuming with different grid flags.
+    """
+
+
 class OutOfScopeError(DomainError):
     """Parameters are valid but outside the regime the operation classifies."""

@@ -14,10 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import OutOfScopeError, UsageError
-from .families import UniformFamily, mask_of
-from .errors import CapacityError
-from .families import WORD_CAP
+from .errors import CapacityError, OutOfScopeError, UsageError
+from .families import WORD_CAP, UniformFamily, mask_of
 
 
 @dataclass(frozen=True)

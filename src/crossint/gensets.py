@@ -276,21 +276,61 @@ def size_from_genset(genset: GenSet, validate: str | bool = "auto") -> int:
     return total
 
 
+def _periodic_bitmap(s: int, block: int, period: int) -> int:
+    """Bitmap over 2^[s] repeating ``block`` every ``period`` indices."""
+    return ((1 << (1 << s)) - 1) // ((1 << period) - 1) * block
+
+
+def _close_up(reach: int, s: int) -> int:
+    for b in range(s):
+        step = 1 << b
+        # indices whose bit b is clear gain it
+        reach |= (reach & _periodic_bitmap(s, (1 << step) - 1, 2 * step)) << step
+    return reach
+
+
 def upset_closure_bitmap(elements, s: int) -> int:
     """Bitmap over 2^[s] (index = trace word) of the up-closure of the given
     element words: bit x set iff x contains some element."""
     reach = 0
     for m in elements:
         reach |= 1 << m
-    width = 1 << s
-    all_ones = (1 << width) - 1
+    return _close_up(reach, s)
+
+
+def downset_closure_bitmap(bitmap: int, s: int) -> int:
+    """Bitmap over 2^[s] of every subset of a set in ``bitmap``."""
     for b in range(s):
         step = 1 << b
-        period = step << 1
-        # ones exactly at indices whose bit b is clear
-        pattern = (all_ones // ((1 << period) - 1)) * ((1 << step) - 1)
-        reach |= (reach & pattern) << step
-    return reach
+        # indices whose bit b is set lose it
+        bitmap |= (bitmap & _periodic_bitmap(s, ((1 << step) - 1) << step, 2 * step)) >> step
+    return bitmap
+
+
+def shift_upset_bitmaps(elements, s: int) -> list[int]:
+    """Each element's up-set in the shift order, as a bitmap over 2^[s].
+
+    f >= e when |f| >= |e| and the i-th smallest element of f is at most
+    that of e for every i <= |e|: f contains a same-size left shift of e.
+    Moving position b to a free b-1 maps every index with bit b set and bit
+    b-1 clear down by 2^(b-1) in one big-integer operation; repeating the
+    moves until nothing changes gives the left shifts without a pairwise
+    test over 2^[s], and their inclusion up-closure is the up-set.  The
+    shifted up-sets of 2^[s] are exactly the unions of these.
+    """
+    moves = [
+        (_periodic_bitmap(s, ((1 << (1 << (b - 1))) - 1) << (1 << b), 2 << b), 1 << (b - 1))
+        for b in range(s - 1, 0, -1)
+    ]
+    ups = []
+    for e in elements:
+        reach, previous = 1 << e, 0
+        while reach != previous:
+            previous = reach
+            for pattern, step in moves:
+                reach |= (reach & pattern) >> step
+        ups.append(_close_up(reach, s))
+    return ups
 
 
 def profile_counts(reach: int, s: int) -> list[int]:

@@ -28,13 +28,14 @@ in reported ratios.  Nothing here is floating point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 from numbers import Rational
 from typing import Callable, Iterator
 
-from .errors import DomainError, IntegrityError, UsageError
+from .errors import DomainError, IntegrityError, ResumeMismatchError, UsageError
 
 EXCLUDED_TRIPLE = (6, 4, 3)
 
@@ -518,6 +519,14 @@ class SweepSummary:
         }
 
 
+def point_chain(chain: int, point: tuple[int, int, int, int, int]) -> int:
+    """Fold one more canonical point into an order-sensitive running hash.
+
+    Start from 0.  Equal chains over equal counts mean, short of a hash
+    collision, the same points in the same order, without keeping them."""
+    return hash((chain, point))
+
+
 def sweep(
     t_lo: int = 3,
     t_hi: int = 8,
@@ -525,19 +534,33 @@ def sweep(
     n_span: int = 40,
     sink: Callable[[VerificationRecord], None] | None = None,
     resume_after: tuple[int, int, int, int, int] | None = None,
+    resume_prefix: tuple[int, int] | None = None,
 ) -> SweepSummary:
     """Evaluate every grid point in canonical order, feeding records to sink.
 
     resume_after skips all points up to and including the given canonical
-    (t, k, n, s, i) tuple, so a resumed run continues the same stream."""
+    (t, k, n, s, i) tuple, so a resumed run continues the same stream.
+    resume_prefix is the (count, point_chain) of the records already
+    written; unless the skipped points give the same pair, a
+    ResumeMismatchError is raised before any point is evaluated."""
     summary = SweepSummary()
-    skipping = resume_after is not None
-    for p in iter_grid(t_lo, t_hi, k_span, n_span):
-        point = (p.t, p.k, p.n, p.s, p.i)
-        if skipping:
-            if point <= resume_after:
-                continue
-            skipping = False
+    grid = iter_grid(t_lo, t_hi, k_span, n_span)
+    first = None
+    if resume_after is not None:
+        skipped = chain = 0
+        for p in grid:
+            point = (p.t, p.k, p.n, p.s, p.i)
+            if point > resume_after:
+                first = p
+                break
+            skipped += 1
+            chain = point_chain(chain, point)
+        if resume_prefix is not None and resume_prefix != (skipped, chain):
+            raise ResumeMismatchError(
+                f"the {resume_prefix[0]} records up to {resume_after} are not "
+                f"the {skipped} grid points up to it"
+            )
+    for p in grid if first is None else itertools.chain((first,), grid):
         record = evaluate_point(p)
         summary.absorb(record)
         if sink is not None:

@@ -18,8 +18,12 @@ Two exhaustive maximizers and two verification drivers:
   only if every pair of generators meets in at least t points (two k-sets can
   always be pushed apart to an intersection of max(|E cap F|, 2k-n)), so the
   partner of a partial antichain is read off a precomputed compatibility
-  matrix.  For n <= 2k-t any two k-sets meet in >= t points and the full
-  layer paired with itself is the trivial optimum.
+  matrix.  Joint left compression keeps both sizes and cross-t-intersection,
+  so only shifted pairs are scanned: the A side runs over antichains in the
+  order "inclusion plus left shift", whose up-sets are exactly the shifted
+  trace sets, and its partner is shifted too.  For n <= 2k-t any two k-sets
+  meet in >= t points and the full layer paired with itself is the trivial
+  optimum.
 
 * ``verify_section4_constructions`` instantiates the explicit generating-set
   pairs used in the extremal analysis (layer-vs-block, star-with-fringe,
@@ -32,10 +36,10 @@ Two exhaustive maximizers and two verification drivers:
 
 * ``verify_main_theorem_small`` runs the genset search (cross-checked against
   brute force when the layer is small), compares the optimum against the
-  star-pair bound C(n-t,k-t)^2, and classifies the maximizing pairs after
-  joint left-compression: strictly above the threshold n = (t+1)(k-t+1) the
-  only structure is the twin star, at the threshold the twin window
-  {A : |A cap [t+2]| >= t+1} ties with it.
+  star-pair bound C(n-t,k-t)^2, and classifies the maximizing pairs, which
+  the scan finds jointly left-compressed: strictly above the threshold
+  n = (t+1)(k-t+1) the only structure is the twin star, at the threshold the
+  twin window {A : |A cap [t+2]| >= t+1} ties with it.
 """
 
 from __future__ import annotations
@@ -58,11 +62,12 @@ from .gensets import (
     EXPAND_CAP,
     GenSet,
     compact,
+    downset_closure_bitmap,
     genset_cross_t,
     minimal_genset,
     perturb_pair,
+    shift_upset_bitmaps,
     size_from_genset,
-    upset_closure_bitmap,
     upset_k,
     upset_size,
 )
@@ -291,47 +296,23 @@ def brute_force_best(
 # Genset search
 
 
-def _bitmap_minimal_elements(bitmap: int, s: int) -> list[int]:
+def _bitmap_indices(bitmap: int) -> list[int]:
+    """Indices of the set bits of a bitmap, ascending."""
+    out = []
+    while bitmap:
+        low = bitmap & -bitmap
+        out.append(low.bit_length() - 1)
+        bitmap ^= low
+    return out
+
+
+def _bitmap_minimal_elements(bitmap: int) -> list[int]:
     """Minimal sets (as masks) of an up-closed subset of 2^[s]."""
-    mins = []
-    x = bitmap
-    while x:
-        low = x & -x
-        pos = low.bit_length() - 1
-        minimal = True
-        probe = pos
-        while probe:
-            bit = probe & -probe
-            if bitmap >> (pos ^ bit) & 1:
-                minimal = False
-                break
-            probe ^= bit
-        if minimal:
-            mins.append(pos)
-        x ^= low
-    return mins
-
-
-def _left_compress_pair(
-    fam_a: UniformFamily, fam_b: UniformFamily
-) -> tuple[UniformFamily, UniformFamily]:
-    """Joint left compression: every shift is applied to both families.
-
-    Simultaneous shifting preserves cross-t-intersection of the pair, which
-    independent compression of each side would not guarantee.
-    """
-    n = fam_a.n
-    changed = True
-    while changed:
-        changed = False
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                shifted_a = shift_family(fam_a, i, j)
-                shifted_b = shift_family(fam_b, i, j)
-                if shifted_a.members != fam_a.members or shifted_b.members != fam_b.members:
-                    fam_a, fam_b = shifted_a, shifted_b
-                    changed = True
-    return fam_a, fam_b
+    return [
+        x
+        for x in _bitmap_indices(bitmap)
+        if not any(bitmap >> (x ^ 1 << p) & 1 for p in _bitmap_indices(x))
+    ]
 
 
 def _trivial_full_pair(n: int, k: int, t: int) -> SearchResult:
@@ -369,13 +350,30 @@ def genset_search_best_product(
     live on a window [s] with s <= s_max (default 2k-t, the bound forced on
     maximal left-compressed pairs by the trace-pairing lemma: paired
     generator slices have sizes i and s+t-i, both at most k).  Every
-    generator has size between t and k; for a fixed antichain the optimal
+    generator has size between t and k; for a fixed A side the optimal
     partner is generated by all compatible candidates, so only one side is
     enumerated.  For n <= 2k-t any two k-sets meet in >= t points and the
     doubled full layer is returned directly.
 
-    Exceeding ``node_cap`` raises a capacity error whose ``partial_best``
-    carries the best result found so far.
+    Only shifted A sides are enumerated, which is exact.  A family generated
+    on [s] is {X : X cap [s] in T} for an up-set T of 2^[s]; a shift d_ij
+    with i < j <= s acts on T alone and one with j > s fixes the family, so
+    joint left compression keeps both sides generated on [s], both sizes
+    and cross-t-intersection: some optimal pair is shifted, and the
+    trace-pairing bound s <= 2k-t applies to it.  T is shifted exactly when
+    it is an up-set in the order "inclusion plus left shift"
+    (``shift_upset_bitmaps``), so the scan runs over the antichains of that
+    order.  The t-closure of a shifted A is shifted (for Y' = Y - j + i, i < j, and
+    X in A with j in X, i not in X: |Y' cap X| = |Y cap (X - j + i)| >= t),
+    so the partner is generated by the candidates meeting the whole shift
+    up-set of every chosen generator.  That compatibility is symmetric (both
+    directions say the two shift up-sets cross-t-intersect), so the
+    ceilings below carry over, and every visited pair is already jointly
+    left-compressed.
+
+    ``stats`` counts nodes, ties, incumbent improvements and the cuts of
+    each prune rule.  Exceeding ``node_cap`` raises a capacity error whose
+    ``partial_best`` carries the best result found so far.
     """
     if not 1 <= t <= k <= n:
         raise DomainError(f"need 1 <= t <= k <= n, got t = {t}, k = {k}, n = {n}")
@@ -401,7 +399,7 @@ def genset_search_best_product(
             f"{m_count} candidate generators exceed the cap {GENSET_CANDIDATE_CAP}"
         )
 
-    up = [upset_closure_bitmap([e], s) for e in cands]
+    up = shift_upset_bitmaps(cands, s)
     buckets = [0] * (s + 1)
     for x in range(1 << s):
         buckets[x.bit_count()] |= 1 << x
@@ -411,18 +409,30 @@ def genset_search_best_product(
     def fam_size(bitmap: int) -> int:
         return sum(w * (bitmap & bucket).bit_count() for bucket, w in active)
 
+    def union_up(mask: int) -> int:
+        bitmap = 0
+        for i in _bitmap_indices(mask):
+            bitmap |= up[i]
+        return bitmap
+
+    # above[i]: the candidates in the shift up-set of cands[i], itself
+    # included; below[i]: those whose up-set holds cands[i].  compat[i]: the
+    # candidates meeting all of above[i] in >= t points.
+    index_of = {c: i for i, c in enumerate(cands)}
+    cand_bitmap = sum(1 << c for c in cands)
+    above = [sum(1 << index_of[x] for x in _bitmap_indices(u & cand_bitmap)) for u in up]
+    meets = [
+        sum(1 << j for j, b in enumerate(cands) if (a & b).bit_count() >= t) for a in cands
+    ]
+    full_compat = (1 << m_count) - 1
     compat = []
-    incomp = []
-    for i, a in enumerate(cands):
-        cm = 0
-        im = 0
-        for j, b in enumerate(cands):
-            if (a & b).bit_count() >= t:
-                cm |= 1 << j
-            if i != j and a & b != a and a & b != b:
-                im |= 1 << j
+    for row in above:
+        cm = full_compat
+        for j in _bitmap_indices(row):
+            cm &= meets[j]
         compat.append(cm)
-        incomp.append(im)
+    below = [sum(1 << j for j, row in enumerate(above) if row >> i & 1) for i in range(m_count)]
+    incomp = [full_compat & ~(a | b) for a, b in zip(above, below)]
 
     suffix_up = [0] * (m_count + 1)
     for i in range(m_count - 1, -1, -1):
@@ -432,51 +442,28 @@ def genset_search_best_product(
     # of B confines the whole A side to the upsets of candidates compatible
     # with g.  The per-generator family ceiling turns that into a sharp
     # product bound deep in the tree, where the partner is pinned down.
-    solo_cap = [0] * m_count
-    for g in range(m_count):
-        pool = 0
-        x = compat[g]
-        while x:
-            low = x & -x
-            pool |= up[low.bit_length() - 1]
-            x ^= low
-        solo_cap[g] = fam_size(pool)
+    solo_cap = [fam_size(union_up(row)) for row in compat]
 
-    partner_up: dict[int, int] = {}
-
-    def partner_bitmap(cmask: int) -> int:
-        bitmap = partner_up.get(cmask)
-        if bitmap is None:
-            bitmap = 0
-            x = cmask
-            while x:
-                low = x & -x
-                bitmap |= up[low.bit_length() - 1]
-                x ^= low
-            if len(partner_up) > 100_000:
-                partner_up.clear()
-            partner_up[cmask] = bitmap
-        return bitmap
-
-    best = -1
     ties: dict[tuple[int, int], tuple[int, int]] = {}
-    nodes = 0
-    full_compat = (1 << m_count) - 1
+    counts = dict.fromkeys(
+        ("nodes", "improvements", "prune_level", "prune_solo", "prune_suffix"), 0
+    )
 
     # Seed the incumbent with every twin r-window pair whose generating
     # antichain (the middle layer of a (t+2r)-window) fits inside [s].  Twin
-    # window families are always cross-t-intersecting, so each seed value is
-    # realized by an antichain the scan will visit: seeding prunes strictly
-    # dominated branches early without hiding any optimal pair.
-    for r in range((s - t) // 2 + 1):
-        if t + r <= k:
-            twin = frankl_size(FranklParams(n=n, k=k, t=t, r=r)) ** 2
-            if twin > best:
-                best = twin
+    # window families are shifted and cross-t-intersecting, so each seed
+    # value is realized by an antichain the scan will visit: seeding prunes
+    # strictly dominated branches early without hiding any optimal pair.
+    best = max(
+        frankl_size(FranklParams(n=n, k=k, t=t, r=r)) ** 2
+        for r in range((s - t) // 2 + 1)
+        if t + r <= k
+    )
 
     def current_result(capped: bool) -> SearchResult:
+        band = sum(bucket for bucket, _ in active)  # trace sizes of k-sets
         witnesses = _materialize_genset_ties(
-            n, k, t, s, sorted(ties)[: 4 * max_witnesses], max_witnesses
+            n, k, s, band, sorted(ties)[: 4 * max_witnesses], max_witnesses
         )
         return SearchResult(
             n=n,
@@ -489,66 +476,52 @@ def genset_search_best_product(
             stats={
                 "window": s,
                 "candidates": m_count,
-                "nodes": nodes,
+                **counts,
                 "ties": len(ties),
                 "capped": int(capped),
             },
         )
 
     def scan(start: int, avail: int, a_bitmap: int, cmask: int, b_cap: int) -> None:
-        nonlocal best, nodes
+        nonlocal best
         idx_mask = avail >> start << start
         # Every pair finished inside this subtree keeps A within the chosen
         # upsets plus the upsets still available here, and keeps B within the
         # current partner: prune the whole level on that coupled ceiling.
-        pool_up = a_bitmap
-        x = idx_mask
-        while x:
-            low = x & -x
-            pool_up |= up[low.bit_length() - 1]
-            x ^= low
-        if fam_size(pool_up) * b_cap < best:
+        if fam_size(a_bitmap | union_up(idx_mask)) * b_cap < best:
+            counts["prune_level"] += 1
             return
-        while idx_mask:
-            low = idx_mask & -idx_mask
-            idx = low.bit_length() - 1
-            idx_mask ^= low
+        for idx in _bitmap_indices(idx_mask):
             new_cmask = cmask & compat[idx]
             if new_cmask == 0:
                 continue
-            nodes += 1
-            if nodes > node_cap:
+            counts["nodes"] += 1
+            if counts["nodes"] > node_cap:
                 raise CapacityError(
-                    f"antichain node cap {node_cap} exceeded",
+                    f"antichain node cap {node_cap} exceeded at (n,k,t) = "
+                    f"({n},{k},{t}), s = {s}; "
+                    + ", ".join(f"{name} {value}" for name, value in counts.items()),
                     partial_best=current_result(capped=True),
                 )
             new_a = a_bitmap | up[idx]
-            a_size = fam_size(new_a)
-            b_bitmap = partner_bitmap(new_cmask)
+            b_bitmap = union_up(new_cmask)
             b_size = fam_size(b_bitmap)
-            value = a_size * b_size
+            value = fam_size(new_a) * b_size
             if value > best:
                 best = value
                 ties.clear()
+                counts["improvements"] += 1
             if value == best and len(ties) < _TIE_SOFT_CAP:
                 key = (min(new_a, b_bitmap), max(new_a, b_bitmap))
-                if key not in ties:
-                    ties[key] = key
-            cmax = 0
-            x = new_cmask
-            while x:
-                low = x & -x
-                cap_g = solo_cap[low.bit_length() - 1]
-                if cap_g > cmax:
-                    cmax = cap_g
-                x ^= low
-            if cmax * b_size < best:
-                continue
-            a_ceiling = fam_size(new_a | suffix_up[idx + 1])
-            if a_ceiling * b_size >= best:
+                ties[key] = key
+            if max(solo_cap[g] for g in _bitmap_indices(new_cmask)) * b_size < best:
+                counts["prune_solo"] += 1
+            elif fam_size(new_a | suffix_up[idx + 1]) * b_size < best:
+                counts["prune_suffix"] += 1
+            else:
                 scan(idx + 1, avail & incomp[idx], new_a, new_cmask, b_size)
 
-    scan(0, full_compat, 0, full_compat, fam_size(partner_bitmap(full_compat)))
+    scan(0, full_compat, 0, full_compat, fam_size(union_up(full_compat)))
     if not ties:  # pragma: no cover - every seed pair is visited by the scan
         raise IntegrityError("scan finished without visiting an optimal pair")
     result = current_result(capped=False)
@@ -559,32 +532,30 @@ def genset_search_best_product(
 def _materialize_genset_ties(
     n: int,
     k: int,
-    t: int,
     s: int,
+    band: int,
     keys: Iterable[tuple[int, int]],
     max_witnesses: int,
 ) -> tuple:
     """Canonical witness pairs from optimal trace-upset bitmaps.
 
-    Each side's minimal trace sets form its generating antichain.  At
-    expansion scale the pair is jointly left-compressed first, so isomorphic
-    relabelings collapse to one canonical structure per tie.
+    The pairs are jointly left-compressed already.  Each side's generators
+    are what ``minimal_genset`` finds on its expansion: the minimal nonempty
+    e with at most k elements that no trace in ``band`` (the sizes k-sets
+    have) outside the bitmap contains.  When the band holds every candidate
+    size these are the bitmap's minimal sets; otherwise this merges bitmaps
+    that generate one family.
     """
-    expandable = n <= WORD_CAP and comb(n, k) <= EXPAND_CAP
+    sized = downset_closure_bitmap(band, s) & ~1  # nonempty, at most k elements
+
+    def generators(bitmap: int) -> GenSet:
+        safe = sized & ~downset_closure_bitmap(band & ~bitmap, s)
+        return GenSet.from_masks(n, k, _bitmap_minimal_elements(safe), minimal=True)
+
     seen: dict[tuple, tuple] = {}
-    for a_bitmap, b_bitmap in keys:
-        gens = []
-        for bitmap in (a_bitmap, b_bitmap):
-            mins = _bitmap_minimal_elements(bitmap, s)
-            gens.append(GenSet.from_masks(n, k, mins, minimal=True))
-        if expandable:
-            fam_a, fam_b = _left_compress_pair(upset_k(gens[0]), upset_k(gens[1]))
-            gens = [minimal_genset(fam_a), minimal_genset(fam_b)]
-        key_a = (gens[0].elements, gens[1].elements)
-        key = min(key_a, (key_a[1], key_a[0]))
-        if key not in seen:
-            ordered = sorted(gens, key=lambda g: g.elements)
-            seen[key] = (ordered[0], ordered[1])
+    for pair in keys:
+        gens = sorted(map(generators, pair), key=lambda g: g.elements)
+        seen.setdefault((gens[0].elements, gens[1].elements), (gens[0], gens[1]))
         if len(seen) >= max_witnesses:
             break
     return tuple(seen[key] for key in sorted(seen))

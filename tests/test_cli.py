@@ -86,6 +86,8 @@ def test_search_genset_product(capsys, tmp_path) -> None:
     star = obj["witnesses"][0]["a"]
     assert star["genset"].startswith("8 4\n")
     assert star["family"].count("\n") >= 2
+    for name in ("nodes", "improvements", "prune_level", "prune_solo", "prune_suffix"):
+        assert name in obj["stats"]
 
 
 def test_search_brute_sum(capsys) -> None:
@@ -168,6 +170,7 @@ def test_verify_main_small(capsys, tmp_path) -> None:
     assert obj["all_star"] is True
     assert obj["shift_ok"] is True
     assert obj["value"] == "36"
+    assert obj["stats"]["prune_suffix"] >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +254,45 @@ def test_resume_rejects_midstream_damage(tmp_path, capsys) -> None:
     out.write_text("".join(lines))
     assert _sweep_to(out, resume=True) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def _grid_sweep(path, *flags: str) -> int:
+    argv = ["sweep-inequalities", "--t-max", "3", "--k-span", "3", "--out", str(path)]
+    return main(argv + list(flags))
+
+
+def _snapshot(tmp_path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+
+def test_resume_with_a_grown_grid_is_refused_untouched(tmp_path, capsys) -> None:
+    # n span 2 then 5: the 21 records are not the 27 grid points up to the
+    # marker; appending after it would drop the 6 missing points silently
+    out = tmp_path / "grid.jsonl"
+    assert _grid_sweep(out, "--n-span", "2") == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(b"".join(lines) + lines[0][:20])  # an interrupted write too
+    before = _snapshot(tmp_path)
+    assert _grid_sweep(out, "--n-span", "5", "--resume") == 1
+    assert "21 records" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
+def test_resume_with_a_shrunk_grid_is_refused_untouched(tmp_path) -> None:
+    out = tmp_path / "grid.jsonl"
+    assert _grid_sweep(out, "--n-span", "5") == 0
+    before = _snapshot(tmp_path)
+    assert _grid_sweep(out, "--n-span", "2", "--resume") == 1
+    assert _snapshot(tmp_path) == before
+
+
+def test_resume_extends_a_stream_whose_grid_is_a_prefix(tmp_path) -> None:
+    grown, fresh = tmp_path / "grown.jsonl", tmp_path / "fresh.jsonl"
+    assert _grid_sweep(grown, "--n-span", "2") == 0
+    # exit 2: t = 4 reaches the documented lemma_g equality at (15,6,7,5,4)
+    assert _grid_sweep(grown, "--n-span", "2", "--t-max", "4", "--resume") == 2
+    assert _grid_sweep(fresh, "--n-span", "2", "--t-max", "4") == 2
+    assert grown.read_bytes() == fresh.read_bytes()
 
 
 def test_resume_to_stdout_is_usage_error(capsys) -> None:

@@ -16,6 +16,7 @@ import pytest
 from crossint.errors import CapacityError, IntegrityError, UsageError
 from crossint.families import (
     UniformFamily,
+    elements_of,
     enumerate_k_subsets,
     is_cross_t_intersecting,
     mask_of,
@@ -27,6 +28,7 @@ from crossint.gensets import (
     cell_D,
     cells_union,
     compact,
+    downset_closure_bitmap,
     full_layer_genset,
     genset_cross_t,
     genset_from_text,
@@ -40,6 +42,7 @@ from crossint.gensets import (
     profile_counts,
     s_plus,
     s_plus_mask,
+    shift_upset_bitmaps,
     size_from_genset,
     slice_top,
     strip_top,
@@ -175,6 +178,28 @@ def test_profile_counts_small() -> None:
     reach = upset_closure_bitmap([0b1], 2)  # up-closure of {1} within 2^[2]
     # traces {1} and {1,2} are reachable; {} and {2} are not
     assert profile_counts(reach, 2) == [0, 1, 1]
+
+
+def test_bitmap_closures_match_their_definitions() -> None:
+    """The shift-order up-sets and the down-closure, against pairwise tests:
+    f >= e when |f| >= |e| and f's i-th smallest element is at most e's."""
+
+    def shift_geq(f: int, e: int) -> bool:
+        fs, es = elements_of(f), elements_of(e)
+        return len(fs) >= len(es) and all(a <= b for a, b in zip(fs, es))
+
+    rng = random.Random(11)
+    for s in range(1, 7):
+        sets = range(1 << s)
+        ups = shift_upset_bitmaps(list(sets), s)
+        for e in sets:
+            assert ups[e] == sum(1 << f for f in sets if shift_geq(f, e)), (s, e)
+        for _ in range(20):
+            bitmap = rng.getrandbits(1 << s)
+            expected = sum(
+                1 << x for x in sets if any(bitmap >> y & 1 and x & y == x for y in sets)
+            )
+            assert downset_closure_bitmap(bitmap, s) == expected
 
 
 def test_slice_and_strip_top() -> None:

@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from crossint.errors import DomainError, IntegrityError, UsageError
+from crossint.errors import DomainError, IntegrityError, ResumeMismatchError, UsageError
 from crossint.inequalities import (
     EXCLUDED_TRIPLE,
     F_LEMMA_EXCLUSIONS,
@@ -38,6 +38,7 @@ from crossint.inequalities import (
     key_ratio,
     lemma_f,
     lemma_g,
+    point_chain,
     lemma_h,
     lemma_phi,
     sweep,
@@ -282,4 +283,23 @@ def test_sweep_resume_continues_the_same_stream() -> None:
     cut = full[4]
     resumed: list[tuple] = []
     sweep(3, 3, 3, 4, sink=lambda r: resumed.append(r.point), resume_after=cut)
+    assert resumed == full[5:]
+
+
+def test_sweep_refuses_a_resume_prefix_that_is_not_the_grid() -> None:
+    full: list[tuple] = []
+    sweep(3, 3, 3, 4, sink=lambda r: full.append(r.point))
+    chain = 0
+    for point in full[:5]:
+        chain = point_chain(chain, point)
+    resumed: list[tuple] = []
+    sweep(3, 3, 3, 4, sink=lambda r: resumed.append(r.point),
+          resume_after=full[4], resume_prefix=(5, chain))
+    assert resumed == full[5:]
+    for prefix in ((4, chain), (5, chain + 1)):
+        with pytest.raises(ResumeMismatchError):
+            sweep(3, 3, 3, 4, sink=resumed.append, resume_after=full[4], resume_prefix=prefix)
+    # a marker past the last grid point is checked too
+    with pytest.raises(ResumeMismatchError):
+        sweep(3, 3, 3, 4, resume_after=(9, 0, 0, 0, 0), resume_prefix=(5, chain))
     assert resumed == full[5:]

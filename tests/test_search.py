@@ -228,6 +228,40 @@ def test_genset_search_node_cap_surfaces_partial_best() -> None:
     assert partial is not None
     assert partial.value >= frankl_size(FranklParams(10, 6, 3, 1)) ** 2
     assert partial.stats["capped"] == 1
+    assert "prune_suffix" in str(exc_info.value)
+
+
+def test_genset_search_visits_only_shifted_pairs() -> None:
+    """Every witness expands to a left-compressed pair whose minimal genset
+    is the reported one, and the shifted scan stays small."""
+    from crossint.compression import is_left_compressed
+    from crossint.gensets import minimal_genset, upset_k
+
+    for n, k, t in ((8, 4, 3), (9, 5, 3), (10, 5, 3), (9, 4, 1), (8, 5, 3)):
+        res = genset_search_best_product(n, k, t)
+        assert res.witnesses, (n, k, t)
+        for gen_a, gen_b in res.witnesses:
+            for gen in (gen_a, gen_b):
+                family = upset_k(gen)
+                assert is_left_compressed(family), (n, k, t, gen.element_sets())
+                assert minimal_genset(family).elements == gen.elements
+        if (n, k, t) in ((9, 5, 3), (10, 5, 3)):
+            assert res.stats["nodes"] < 5_000, (n, k, t, res.stats)
+
+
+def test_genset_search_completes_at_9_4_1() -> None:
+    res = genset_search_best_product(9, 4, 1)
+    assert res.value == comb(8, 3) ** 2 == 3136
+    assert res.stats["capped"] == 0
+
+
+def test_genset_search_prune_counters_repeat() -> None:
+    first = genset_search_best_product(10, 5, 3).stats
+    second = genset_search_best_product(10, 5, 3).stats
+    assert first == second
+    for name in ("improvements", "prune_level", "prune_solo", "prune_suffix"):
+        assert name in first
+    assert first["prune_level"] + first["prune_solo"] + first["prune_suffix"] > 0
 
 
 def test_genset_search_validation() -> None:
