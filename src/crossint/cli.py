@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from .compression import is_left_compressed, left_compress
 from .errors import (
@@ -45,7 +45,6 @@ from .errors import (
 )
 from .families import (
     WORD_CAP,
-    UniformFamily,
     elements_of,
     family_to_text,
     read_family,
@@ -209,27 +208,6 @@ def parse_record_line(lineno: int, line: str) -> VerificationRecord:
         raise IntegrityError(f"line {lineno}: {exc}") from None
 
 
-def digest_lines(lines: Iterable[str]) -> RecordDigest:
-    """Digest a JSON-lines record stream; malformed lines name their number."""
-    digest = RecordDigest()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        digest.absorb(parse_record_line(lineno, line))
-    return digest
-
-
-def emit_summary(lines: Iterable[str]) -> tuple[str, str]:
-    """CSV and JSON summary texts for a JSON-lines record stream.
-
-    An empty stream yields the zeroed summary over the canonical checks.
-    Identical streams always yield byte-identical summaries."""
-    digest = digest_lines(lines)
-    json_text = json.dumps(digest.to_json_obj(), sort_keys=True, indent=2) + "\n"
-    return digest.to_csv(), json_text
-
-
 def record_to_line(record: VerificationRecord) -> str:
     """The canonical one-line serialization of a record (deterministic)."""
     return json.dumps(record.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -268,45 +246,49 @@ def _say(message: str) -> None:
 
 def _trim_to_last_record(
     path: str, digest: RecordDigest
-) -> tuple[tuple | None, tuple[int, int], list[str] | None]:
-    """Recover the resume marker from an existing record stream.
+) -> tuple[tuple | None, tuple[int, int], int]:
+    """Recover the resume marker from an existing record stream, in one pass.
 
-    Complete leading records are digested and kept; a partial or unparsable
-    final line (an interrupted write) is to be trimmed away.  Damage anywhere
-    else is an integrity error: silently resuming over it would corrupt the
-    stream.  Returns the canonical tuple of the last intact record, the
-    (count, point_chain) of the intact records, and the lines to rewrite
-    the file with, or None when nothing needs trimming.  The file itself is
-    left alone, so that a resume refused later leaves it untouched."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    keep: list[str] = []
+    Complete leading records are digested and kept; a partial, blank or
+    unparsable final line (an interrupted write) is to be trimmed away.
+    Damage anywhere else is an integrity error: silently resuming over it
+    would corrupt the stream.  Returns the canonical tuple of the last intact
+    record, the (count, point_chain) of the intact records, and the byte
+    length of the intact prefix, which is where the file is to be cut.  The
+    file itself is left alone, so that a resume refused later leaves it
+    untouched."""
     marker: tuple | None = None
-    chain = 0
-    for lineno, raw in enumerate(lines, start=1):
-        final = lineno == len(lines)
-        line = raw.strip()
-        if not line:
-            if final:
-                break
-            raise IntegrityError(f"line {lineno}: blank line inside record stream")
-        try:
-            record = parse_record_line(lineno, line)
-        except IntegrityError:
-            if final:
-                break  # interrupted tail write: trim it
-            raise
-        if final and not raw.endswith("\n"):
-            break  # complete-looking JSON but unterminated: treat as partial
-        if marker is not None and record.point <= marker:
-            raise IntegrityError(
-                f"line {lineno}: record out of canonical order; stream corrupt"
-            )
-        digest.absorb(record)
-        marker = record.point
-        chain = point_chain(chain, marker)
-        keep.append(record_to_line(record) + "\n")
-    return marker, (len(keep), chain), None if len(keep) == len(lines) else keep
+    count = chain = kept = 0
+    damage: IntegrityError | None = None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if damage is not None:
+                raise damage  # a bad line with more after it is no torn tail
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                damage = IntegrityError(f"line {lineno}: not valid UTF-8: {exc.reason}")
+                continue
+            if not line:
+                damage = IntegrityError(f"line {lineno}: blank line inside record stream")
+                continue
+            try:
+                record = parse_record_line(lineno, line)
+            except IntegrityError as exc:
+                damage = exc
+                continue
+            if not raw.endswith(b"\n"):
+                break  # complete-looking JSON but unterminated: treat as partial
+            if marker is not None and record.point <= marker:
+                raise IntegrityError(
+                    f"line {lineno}: record out of canonical order; stream corrupt"
+                )
+            digest.absorb(record)
+            marker = record.point
+            count += 1
+            chain = point_chain(chain, marker)
+            kept += len(raw)
+    return marker, (count, chain), kept
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -314,23 +296,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and out == "-":
         raise UsageError("--resume needs --out pointing at a file")
     digest = RecordDigest()
-    marker = prefix = rewrite = None
+    marker, prefix, kept = None, None, 0
     if args.resume and os.path.exists(out):
-        marker, prefix, rewrite = _trim_to_last_record(out, digest)
+        marker, prefix, kept = _trim_to_last_record(out, digest)
     if marker is not None:
         _say(f"resuming after canonical point (t,k,n,s,i) = {marker}")
 
-    # The file is opened at the first record, or after the sweep if there
-    # is none: sweep() checks the resumed prefix against the grid first.
+    # The file is cut and opened at the first record, or after the sweep if
+    # there is none: sweep() checks the resumed prefix against the grid first.
     fh: TextIO | None = sys.stdout if out == "-" else None
 
     def stream() -> TextIO:
-        nonlocal fh, rewrite
+        nonlocal fh
         if fh is None:
-            if rewrite is not None:
-                with open(out, "w", encoding="utf-8") as trimmed:
-                    trimmed.writelines(rewrite)
-                rewrite = None
+            if marker is not None:
+                os.truncate(out, kept)  # in place: the intact records stay as written
             fh = open(out, "a" if marker is not None else "w", encoding="utf-8")
         return fh
 
@@ -412,6 +392,10 @@ def _side_obj(side, n: int, k: int) -> dict:
     return {"kind": "family", "family": family_to_text(side)}
 
 
+def _witnesses_obj(witnesses, n: int, k: int) -> list[dict]:
+    return [{"a": _side_obj(a, n, k), "b": _side_obj(b, n, k)} for a, b in witnesses]
+
+
 def _search_json_obj(result: SearchResult) -> dict:
     return {
         "n": result.n,
@@ -420,13 +404,7 @@ def _search_json_obj(result: SearchResult) -> dict:
         "objective": result.objective,
         "method": result.method,
         "value": str(result.value),
-        "witnesses": [
-            {
-                "a": _side_obj(a, result.n, result.k),
-                "b": _side_obj(b, result.n, result.k),
-            }
-            for a, b in result.witnesses
-        ],
+        "witnesses": _witnesses_obj(result.witnesses, result.n, result.k),
         "stats": dict(result.stats),
     }
 
@@ -482,14 +460,8 @@ def _cmd_frankl(args: argparse.Namespace) -> int:
 # compress / genset file utilities
 
 
-def _read_family_arg(path: str) -> UniformFamily:
-    if path == "-":
-        return read_family(sys.stdin)
-    return read_family(path)
-
-
 def _cmd_compress(args: argparse.Namespace) -> int:
-    family = _read_family_arg(args.infile)
+    family = read_family(sys.stdin.buffer if args.infile == "-" else args.infile)
     already = is_left_compressed(family)
     compressed = left_compress(family)
     if len(compressed) != len(family):
@@ -497,10 +469,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             f"compression changed the family size: {len(family)} -> {len(compressed)}"
         )
     out = resolve_out(args.out, "compressed-family.txt")
-    if out == "-":
-        write_family(compressed, sys.stdout)
-    else:
-        write_family(compressed, out)
+    write_family(compressed, sys.stdout if out == "-" else out)
     _say(
         f"family n={family.n} k={family.k} members={len(family)}: "
         + ("already left-compressed" if already else "compressed")
@@ -511,28 +480,22 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_genset(args: argparse.Namespace) -> int:
     out = resolve_out(args.out, "genset.txt")
     if args.expand:
-        genset = read_genset(sys.stdin) if args.infile == "-" else read_genset(args.infile)
+        genset = read_genset(sys.stdin.buffer if args.infile == "-" else args.infile)
         family = upset_k(genset)
-        if out == "-":
-            write_family(family, sys.stdout)
-        else:
-            write_family(family, out)
+        write_family(family, sys.stdout if out == "-" else out)
         _say(
             f"expanded {len(genset)} generator(s) on n={genset.n}, k={genset.k} "
             f"to {len(family)} member(s)"
         )
         return 0
-    family = _read_family_arg(args.infile)
+    family = read_family(sys.stdin.buffer if args.infile == "-" else args.infile)
     genset = minimal_genset(family)
     counted = size_from_genset(genset)
     if counted != len(family):
         raise IntegrityError(
             f"cell count {counted} disagrees with family size {len(family)}"
         )
-    if out == "-":
-        write_genset(genset, sys.stdout)
-    else:
-        write_genset(genset, out)
+    write_genset(genset, sys.stdout if out == "-" else out)
     _say(
         f"minimal generating set of n={family.n} k={family.k} "
         f"members={len(family)}: {len(genset)} element(s)"
@@ -615,13 +578,7 @@ def _main_small_json_obj(report: MainTheoremReport) -> dict:
         "star_value": str(report.star_value),
         "value": str(report.value),
         "methods": list(report.methods),
-        "witnesses": [
-            {
-                "a": _side_obj(a, report.n, report.k),
-                "b": _side_obj(b, report.n, report.k),
-            }
-            for a, b in report.witnesses
-        ],
+        "witnesses": _witnesses_obj(report.witnesses, report.n, report.k),
         "structures": list(report.structures),
         "bound_confirmed": report.bound_confirmed,
         "all_star": report.all_star,

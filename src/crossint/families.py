@@ -206,36 +206,38 @@ def shade(family: UniformFamily) -> UniformFamily:
 
 
 # ---------------------------------------------------------------------------
-# Text round-trip: header "n k", then one member per line, comma-separated
-# ascending elements.  '#' starts a comment; blank lines are skipped.
+# Text round-trip, shared by families and generating sets: header "n k", then
+# one set per line, comma-separated ascending elements.  '#' starts a comment;
+# blank lines are skipped.
 # ---------------------------------------------------------------------------
 
 
-def write_family(family: UniformFamily, target) -> None:
-    """Write the family to a path or text file object."""
+def write_sets(n: int, k: int, masks: Iterable[int], target) -> None:
+    """Write the "n k" header and one set per line to a path or text file object."""
     if isinstance(target, (str, bytes)):
         with open(target, "w", encoding="utf-8") as fh:
-            write_family(family, fh)
+            write_sets(n, k, masks, fh)
         return
-    target.write(f"{family.n} {family.k}\n")
-    for m in family.members:
+    target.write(f"{n} {k}\n")
+    for m in masks:
         target.write(",".join(str(e) for e in elements_of(m)) + "\n")
 
 
-def family_to_text(family: UniformFamily) -> str:
-    buf = io.StringIO()
-    write_family(family, buf)
-    return buf.getvalue()
-
-
-def read_family(source) -> UniformFamily:
-    """Read a family from a path, text file object, or string of lines."""
+def read_sets(source) -> tuple[int, int, list[int]]:
+    """The (n, k, incidence words) of the set-list text in a path, a binary or
+    text file object, or an iterable of lines.  Malformed input, bytes that
+    are not UTF-8 included, raises UsageError naming the line."""
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_family(fh)
+        with open(source, "rb") as fh:
+            return read_sets(fh)
     header: tuple[int, int] | None = None
     masks: list[int] = []
     for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"line {lineno}: not valid UTF-8: {exc.reason}") from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -251,12 +253,29 @@ def read_family(source) -> UniformFamily:
         try:
             elements = [int(tok) for tok in line.split(",")]
         except ValueError:
-            raise UsageError(f"line {lineno}: bad member line {raw!r}") from None
+            raise UsageError(f"line {lineno}: bad set line {raw!r}") from None
         masks.append(mask_of(elements, header[0]))
     if header is None:
         raise UsageError("empty input: missing 'n k' header")
+    return header[0], header[1], masks
+
+
+def write_family(family: UniformFamily, target) -> None:
+    """Write the family to a path or text file object."""
+    write_sets(family.n, family.k, family.members, target)
+
+
+def family_to_text(family: UniformFamily) -> str:
+    buf = io.StringIO()
+    write_family(family, buf)
+    return buf.getvalue()
+
+
+def read_family(source) -> UniformFamily:
+    """Read a family from a path, binary or text file object, or lines."""
+    n, k, masks = read_sets(source)
     try:
-        return UniformFamily.from_masks(header[0], header[1], masks)
+        return UniformFamily.from_masks(n, k, masks)
     except UsageError as exc:
         raise UsageError(f"invalid family in input: {exc}") from None
 

@@ -38,6 +38,8 @@ from .families import (
     enumerate_k_subsets,
     is_cross_t_intersecting,
     mask_of,
+    read_sets,
+    write_sets,
 )
 from math import comb
 
@@ -445,20 +447,6 @@ class PerturbResult:
     s: int
 
 
-def _added_cells(strip: GenSet) -> set[int]:
-    out: set[int] = set()
-    for m in strip.elements:
-        out.update(cell_D(m, strip.n, strip.k).members)
-    return out
-
-
-def _removed_cells(sliced: GenSet) -> set[int]:
-    out: set[int] = set()
-    for m in sliced.elements:
-        out.update(cell_D(m, sliced.n, sliced.k).members)
-    return out
-
-
 def _checked_delta(new_len: int, old_len: int, formula: int, what: str) -> int:
     if new_len - old_len != formula:
         raise IntegrityError(
@@ -478,8 +466,8 @@ def perturb_single(family: UniformFamily, genset: GenSet, i: int, t: int) -> Per
         raise UsageError(f"empty top slice g*_{i}; nothing to perturb")
     down = slice_top(genset, s + t - i, s)
     members = set(family.members)
-    members |= _added_cells(strip_top(genset, i, s))
-    members -= _removed_cells(down)
+    members.update(cells_union(strip_top(genset, i, s)).members)
+    members.difference_update(cells_union(down).members)
     new_family = UniformFamily.from_masks(family.n, family.k, members)
     formula = len(up) * comb(family.n - s, family.k - i + 1) - len(down) * comb(
         family.n - s, family.k + i - s - t
@@ -518,13 +506,17 @@ def perturb_pair(
         raise UsageError(f"empty top slice g*_{i}(A) at s = {s}; nothing to perturb")
     n, k = fam_a.n, fam_a.k
     if direction == "up-down":
-        new_a_members = set(fam_a.members) | _added_cells(strip_top(gen_a, i, s))
-        new_b_members = set(fam_b.members) - _removed_cells(slice_b)
+        new_a_members = set(fam_a.members).union(
+            cells_union(strip_top(gen_a, i, s)).members
+        )
+        new_b_members = set(fam_b.members).difference(cells_union(slice_b).members)
         delta_a_formula = len(slice_a) * comb(n - s, k - i + 1)
         delta_b_formula = -len(slice_b) * comb(n - s, k + i - s - t)
     else:
-        new_a_members = set(fam_a.members) - _removed_cells(slice_a)
-        new_b_members = set(fam_b.members) | _added_cells(strip_top(gen_b, j, s))
+        new_a_members = set(fam_a.members).difference(cells_union(slice_a).members)
+        new_b_members = set(fam_b.members).union(
+            cells_union(strip_top(gen_b, j, s)).members
+        )
         delta_a_formula = -len(slice_a) * comb(n - s, k - i)
         delta_b_formula = len(slice_b) * comb(n - s, k + i - s - t + 1)
     new_a = UniformFamily.from_masks(n, k, new_a_members)
@@ -535,19 +527,12 @@ def perturb_pair(
 
 
 # ---------------------------------------------------------------------------
-# Text round-trip, same shape as the family format: header "n k", then one
-# element per line as comma-separated elements.
+# Text round-trip: the set-list format of families.read_sets / write_sets.
 # ---------------------------------------------------------------------------
 
 
 def write_genset(genset: GenSet, target) -> None:
-    if isinstance(target, (str, bytes)):
-        with open(target, "w", encoding="utf-8") as fh:
-            write_genset(genset, fh)
-        return
-    target.write(f"{genset.n} {genset.k}\n")
-    for m in genset.elements:
-        target.write(",".join(str(e) for e in elements_of(m)) + "\n")
+    write_sets(genset.n, genset.k, genset.elements, target)
 
 
 def genset_to_text(genset: GenSet) -> str:
@@ -557,32 +542,7 @@ def genset_to_text(genset: GenSet) -> str:
 
 
 def read_genset(source) -> GenSet:
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_genset(fh)
-    header: tuple[int, int] | None = None
-    masks: list[int] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise UsageError(f"line {lineno}: header must be 'n k', got {raw!r}")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise UsageError(f"line {lineno}: non-integer header {raw!r}") from None
-            continue
-        try:
-            elements = [int(tok) for tok in line.split(",")]
-        except ValueError:
-            raise UsageError(f"line {lineno}: bad element line {raw!r}") from None
-        masks.append(mask_of(elements, header[0]))
-    if header is None:
-        raise UsageError("empty input: missing 'n k' header")
-    return GenSet.from_masks(header[0], header[1], masks)
+    return GenSet.from_masks(*read_sets(source))
 
 
 def genset_from_text(text: str) -> GenSet:

@@ -9,18 +9,18 @@ installed console script to pin the packaging entry point.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from crossint.cli import (
     CHECK_ORDER,
     RecordDigest,
-    digest_lines,
-    emit_summary,
     main,
     parse_record_line,
     record_to_line,
@@ -122,6 +122,13 @@ def test_compress_roundtrip(tmp_path, capsys) -> None:
     assert main(["compress", "--in", str(src), "--out", str(out)]) == 0
     assert out.read_text() == "5 3\n1,2,3\n1,2,4\n"
     assert "compressed" in capsys.readouterr().err
+
+
+def test_compress_rejects_bytes_that_are_not_utf8(tmp_path, capsys) -> None:
+    src = tmp_path / "fam.txt"
+    src.write_bytes(b"5 3\n1,2,3\n\xff\xfe,4\n")
+    assert main(["compress", "--in", str(src), "--out", str(tmp_path / "c.txt")]) == 1
+    assert "error: line 3" in capsys.readouterr().err
 
 
 def test_genset_and_expand_invert(tmp_path) -> None:
@@ -246,14 +253,38 @@ def test_resume_over_missing_file_starts_fresh(tmp_path) -> None:
     assert len(out.read_text().splitlines()) == 8
 
 
+@pytest.mark.parametrize("tail", ["unterminated", "blank line", "torn"])
+def test_resume_cuts_the_tail_in_place(tmp_path, tail) -> None:
+    fresh = tmp_path / "fresh.jsonl"
+    assert _sweep_to(fresh) == 0
+    lines = fresh.read_bytes().splitlines(keepends=True)
+    # a kept record that parses but is not canonical: a resume that
+    # re-serialised the records it keeps would change its bytes
+    lines[0] = json.dumps(json.loads(lines[0])).encode() + b"\n"
+    assert lines[0] != fresh.read_bytes().splitlines(keepends=True)[0]
+    expected = b"".join(lines)
+    damaged = {
+        "unterminated": b"".join(lines[:5]) + lines[5].rstrip(b"\n"),
+        "blank line": expected + b"\n",
+        "torn": b"".join(lines[:5]) + lines[5][:30],
+    }[tail]
+    resumed = tmp_path / "resumed.jsonl"
+    resumed.write_bytes(damaged)
+    assert _sweep_to(resumed, resume=True) == 0
+    assert resumed.read_bytes() == expected
+
+
 def test_resume_rejects_midstream_damage(tmp_path, capsys) -> None:
     out = tmp_path / "damaged.jsonl"
     assert _sweep_to(out) == 0
-    lines = out.read_text().splitlines(keepends=True)
-    lines[2] = "not json at all\n"
-    out.write_text("".join(lines))
-    assert _sweep_to(out, resume=True) == 2
-    assert "line 3" in capsys.readouterr().err
+    lines = out.read_bytes().splitlines(keepends=True)
+    for lineno, bad in ((3, b"not json at all\n"), (6, b"\xff\xfe garbage\n")):
+        damaged = b"".join(lines[: lineno - 1] + [bad] + lines[lineno:])
+        out.write_bytes(damaged)
+        before = _snapshot(tmp_path)
+        assert _sweep_to(out, resume=True) == 2
+        assert f"integrity: line {lineno}" in capsys.readouterr().err
+        assert _snapshot(tmp_path) == before
 
 
 def _grid_sweep(path, *flags: str) -> int:
@@ -323,14 +354,14 @@ def test_parse_record_line_errors_name_the_line() -> None:
 
 
 def test_emit_summary_empty_stream_is_zeroed() -> None:
-    csv_text, json_text = emit_summary([])
-    rows = csv_text.splitlines()
+    digest = RecordDigest()
+    rows = digest.to_csv().splitlines()
     assert rows[1] == "records,0,,,,"
     assert len(rows) == 2 + len(CHECK_ORDER)
     for row in rows[2:]:
         name, rest = row.split(",", 1)
         assert rest == "0,0,0,0,"
-    obj = json.loads(json_text)
+    obj = digest.to_json_obj()
     assert obj["records"] == 0
     assert obj["thm32_min_ratio"] is None
     assert obj["last_point"] is None
@@ -338,29 +369,19 @@ def test_emit_summary_empty_stream_is_zeroed() -> None:
 
 def test_emit_summary_single_flagship_record() -> None:
     record = evaluate_point(SectionParams(18, 7, 8, 6, 5))
-    csv_text, json_text = emit_summary([record_to_line(record)])
-    assert "thm32,1,0,0,0,615/572" in csv_text.splitlines()
-    obj = json.loads(json_text)
+    digest = RecordDigest()
+    digest.absorb(record)
+    assert "thm32,1,0,0,0,615/572" in digest.to_csv().splitlines()
+    obj = digest.to_json_obj()
     assert obj["thm32_min_ratio"] == "615/572"
     assert obj["checks"]["appendix"]["holds"] == 1
     assert obj["checks"]["equa1"]["skipped"] == 1
 
 
-def test_emit_summary_is_stream_order_independent_of_chunking() -> None:
-    records = [
-        record_to_line(evaluate_point(p))
-        for p in __import__("crossint.inequalities", fromlist=["iter_grid"]).iter_grid(
-            3, 3, 2, 1
-        )
-    ]
-    once = emit_summary(records)
-    again = emit_summary(iter(records))
-    assert once == again
-
-
-def test_digest_skips_blank_lines_and_counts_minima() -> None:
+def test_digest_counts_minima() -> None:
     record = evaluate_point(SectionParams(18, 7, 8, 6, 5))
-    digest = digest_lines(["", record_to_line(record), ""])
+    digest = RecordDigest()
+    digest.absorb(record)
     assert digest.records == 1
     assert digest.min_ratio == Fraction(615, 572)
     assert digest.violation_count == 0
@@ -374,10 +395,10 @@ def test_digest_skips_blank_lines_and_counts_minima() -> None:
 def test_min_ratio_skips_excluded_points() -> None:
     excluded = evaluate_point(SectionParams(12, 5, 6, 4, 3))
     assert excluded.checks["thm32"] == "excluded"
-    digest = digest_lines([record_to_line(excluded)])
+    digest = RecordDigest()
+    digest.absorb(excluded)
     assert digest.min_ratio is None
-    flagship = evaluate_point(SectionParams(18, 7, 8, 6, 5))
-    digest = digest_lines([record_to_line(excluded), record_to_line(flagship)])
+    digest.absorb(evaluate_point(SectionParams(18, 7, 8, 6, 5)))
     assert digest.min_ratio == Fraction(615, 572)
 
 
@@ -407,3 +428,19 @@ def test_console_script_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "r,size,max,tie"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps() -> None:
+    # perfbench/tracing.py wraps package functions and methods by name; a
+    # rename or deletion must fail here, not only under `run.py --trace 1`
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys; sys.path.insert(0, 'perfbench'); import tracing; tracing.install()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
