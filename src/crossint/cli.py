@@ -26,6 +26,9 @@ byte-identical output, and a resumed sweep reproduces the fresh stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import itertools
 import json
 import os
 import sys
@@ -95,6 +98,9 @@ _STATUSES = ("holds", "excluded", "violated", "skipped")
 
 _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 
+#: The string escaping json.dumps applies with its default ensure_ascii.
+_encode_str = json.encoder.encode_basestring_ascii
+
 
 # ---------------------------------------------------------------------------
 # Record-stream digestion and summary emission
@@ -102,51 +108,68 @@ _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 
 @dataclass
 class RecordDigest:
-    """Running totals over a stream of verification records."""
+    """Running totals over a stream of verification records.
+
+    Records share a handful of check-status tuples, so the status counts are
+    kept per tuple, next to what the tuple implies: its violated check names,
+    the lemmas whose slack enters the minima, and whether the key ratio
+    does."""
 
     records: int = 0
-    status_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     min_slack: dict[str, int] = field(default_factory=dict)
     min_ratio: Fraction | None = None
     violations: list[tuple[int, int, int, int, int, str]] = field(default_factory=list)
     last_point: tuple[int, int, int, int, int] | None = None
+    # checks items -> [records, violated names, (lemma, slack key) pairs, ranked]
+    _by_checks: dict[tuple, list] = field(default_factory=dict, init=False, repr=False)
 
     VIOLATION_CAP = 1000
 
     def absorb(self, record: VerificationRecord) -> None:
         self.records += 1
         self.last_point = record.point
-        if record.checks.get("thm32") != "excluded":
-            ratio = Fraction(record.t_num, record.t_den)
-            if self.min_ratio is None or ratio < self.min_ratio:
-                self.min_ratio = ratio
-        violated = []
-        for name, status in record.checks.items():
-            bucket = self.status_counts.setdefault(name, {})
-            bucket[status] = bucket.get(status, 0) + 1
-            if status == "violated":
-                violated.append(name)
-        for name in _LEMMAS:
-            if record.checks.get(name) == "excluded":
-                continue
-            slack_text = record.values.get(name + "_slack")
+        checks = record.checks
+        key = tuple(checks.items())
+        entry = self._by_checks.get(key)
+        if entry is None:
+            entry = self._by_checks[key] = [
+                0,
+                ",".join(name for name, status in key if status == "violated"),
+                tuple(
+                    (name, name + "_slack")
+                    for name in _LEMMAS
+                    if checks.get(name) != "excluded"
+                ),
+                checks.get("thm32") != "excluded",
+            ]
+        entry[0] += 1
+        _, violated, lemmas, ranked = entry
+        if ranked:
+            low = self.min_ratio
+            # ratio denominators are positive, so cross-multiplying compares
+            if low is None or record.t_num * low.denominator < low.numerator * record.t_den:
+                self.min_ratio = Fraction(record.t_num, record.t_den)
+        for name, slack_key in lemmas:
+            slack_text = record.values.get(slack_key)
             if slack_text is None:
                 continue
             slack = int(slack_text)
             if name not in self.min_slack or slack < self.min_slack[name]:
                 self.min_slack[name] = slack
-        if violated:
-            if len(self.violations) < self.VIOLATION_CAP:
-                self.violations.append(
-                    (
-                        record.n,
-                        record.k,
-                        record.s,
-                        record.i,
-                        record.t,
-                        ",".join(violated),
-                    )
-                )
+        if violated and len(self.violations) < self.VIOLATION_CAP:
+            self.violations.append(
+                (record.n, record.k, record.s, record.i, record.t, violated)
+            )
+
+    @property
+    def status_counts(self) -> dict[str, dict[str, int]]:
+        """check name -> status -> records, in first-seen order."""
+        counts: dict[str, dict[str, int]] = {}
+        for key, (records, *_) in self._by_checks.items():
+            for name, status in key:
+                bucket = counts.setdefault(name, {})
+                bucket[status] = bucket.get(status, 0) + records
+        return counts
 
     @property
     def violation_count(self) -> int:
@@ -169,20 +192,19 @@ class RecordDigest:
     def to_csv(self) -> str:
         lines = ["check,holds,excluded,violated,skipped,min_value"]
         lines.append(f"records,{self.records},,,,")
+        counts = self.status_counts
         for name in self.check_names():
-            bucket = self.status_counts.get(name, {})
+            bucket = counts.get(name, {})
             cells = ",".join(str(bucket.get(status, 0)) for status in _STATUSES)
             lines.append(f"{name},{cells},{self.min_value_text(name)}")
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
+        counts = self.status_counts
         return {
             "records": self.records,
             "checks": {
-                name: {
-                    status: self.status_counts.get(name, {}).get(status, 0)
-                    for status in _STATUSES
-                }
+                name: {status: counts.get(name, {}).get(status, 0) for status in _STATUSES}
                 for name in self.check_names()
             },
             "min_slack": {
@@ -208,9 +230,28 @@ def parse_record_line(lineno: int, line: str) -> VerificationRecord:
         raise IntegrityError(f"line {lineno}: {exc}") from None
 
 
+def _json_object(table: dict[str, str]) -> str:
+    return "{" + ",".join(
+        [f"{_encode_str(key)}:{_encode_str(value)}" for key, value in sorted(table.items())]
+    ) + "}"
+
+
+@functools.lru_cache(maxsize=1024)
+def _checks_json(items: tuple[tuple[str, str], ...]) -> str:
+    # a sweep's records share a handful of check-status tuples
+    return _json_object(dict(items))
+
+
 def record_to_line(record: VerificationRecord) -> str:
-    """The canonical one-line serialization of a record (deterministic)."""
-    return json.dumps(record.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    """The canonical one-line serialization of a record (deterministic):
+    the bytes of json.dumps(record.to_json_obj(), sort_keys=True,
+    separators=(",", ":")), built directly in that sorted key order."""
+    return (
+        f'{{"T_den":"{record.t_den}","T_num":"{record.t_num}",'
+        f'"checks":{_checks_json(tuple(record.checks.items()))},"i":{record.i},"k":{record.k},'
+        f'"n":{record.n},"s":{record.s},"t":{record.t},'
+        f'"values":{_json_object(record.values)}}}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +275,21 @@ def _write_out(path: str, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _replace_file(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory and
+    os.replace: a reader sees the old file or the new one, and a failed
+    write leaves the old one whole and no temporary file behind."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _say(message: str) -> None:
@@ -302,56 +358,52 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if marker is not None:
         _say(f"resuming after canonical point (t,k,n,s,i) = {marker}")
 
-    # The file is cut and opened at the first record, or after the sweep if
-    # there is none: sweep() checks the resumed prefix against the grid first.
-    fh: TextIO | None = sys.stdout if out == "-" else None
-
-    def stream() -> TextIO:
-        nonlocal fh
-        if fh is None:
-            if marker is not None:
-                os.truncate(out, kept)  # in place: the intact records stay as written
-            fh = open(out, "a" if marker is not None else "w", encoding="utf-8")
-        return fh
-
+    records = sweep(
+        t_lo=args.t_min,
+        t_hi=args.t_max,
+        k_span=args.k_span,
+        n_span=args.n_span,
+        resume_after=marker,
+        resume_prefix=prefix,
+    )
+    # sweep() checks the resumed prefix against the grid before its first
+    # record, so the file is cut and opened only once that check has passed
     try:
-        def sink(record: VerificationRecord) -> None:
-            digest.absorb(record)
-            stream().write(record_to_line(record) + "\n")
-
-        try:
-            sweep(
-                t_lo=args.t_min,
-                t_hi=args.t_max,
-                k_span=args.k_span,
-                n_span=args.n_span,
-                sink=sink,
-                resume_after=marker,
-                resume_prefix=prefix,
-            )
-        except ResumeMismatchError as exc:
-            raise UsageError(
-                f"--resume refused, {out} left unchanged: {exc}; were the grid "
-                "flags changed since the stream was written?"
-            ) from None
-        stream()
+        first = next(records, None)
+    except ResumeMismatchError as exc:
+        raise UsageError(
+            f"--resume refused, {out} left unchanged: {exc}; were the grid "
+            "flags changed since the stream was written?"
+        ) from None
+    if out == "-":
+        fh: TextIO = sys.stdout
+    else:
+        if marker is not None:
+            os.truncate(out, kept)  # in place: the intact records stay as written
+        fh = open(out, "a" if marker is not None else "w", encoding="utf-8")
+    try:
+        if first is not None:
+            for record in itertools.chain((first,), records):
+                digest.absorb(record)
+                fh.write(record_to_line(record) + "\n")
     finally:
-        if fh is not None and fh is not sys.stdout:
+        if fh is not sys.stdout:
             fh.close()
 
     csv_text = digest.to_csv()
     json_text = json.dumps(digest.to_json_obj(), sort_keys=True, indent=2) + "\n"
     if out != "-":
-        _write_out(out + ".summary.csv", csv_text)
-        _write_out(out + ".summary.json", json_text)
+        _replace_file(out + ".summary.csv", csv_text)
+        _replace_file(out + ".summary.json", json_text)
         _say(f"records: {out}")
         _say(f"summary: {out}.summary.csv, {out}.summary.json")
     _say(
         f"checked {digest.records} grid points "
         f"(t in [{args.t_min},{args.t_max}], k span {args.k_span}, n span {args.n_span})"
     )
+    status_counts = digest.status_counts
     for name in digest.check_names():
-        bucket = digest.status_counts.get(name, {})
+        bucket = status_counts.get(name, {})
         if not bucket:
             continue
         counts = " ".join(

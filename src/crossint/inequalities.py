@@ -29,6 +29,7 @@ in reported ratios.  Nothing here is floating point.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -368,6 +369,10 @@ def eq2_holds(m: int, j: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+_POSITIVE_DECIMAL = re.compile(r"0*[1-9][0-9]*")
+
+
 @dataclass(frozen=True)
 class VerificationRecord:
     n: int
@@ -400,20 +405,34 @@ class VerificationRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "VerificationRecord":
+        """The record a parsed JSON line holds.  The grid coordinates must be
+        integers (not booleans), T_num and T_den decimal strings (T_den
+        positive), checks and values objects of strings to strings; anything
+        else is an IntegrityError, never a silent conversion."""
         try:
-            return cls(
-                n=int(obj["n"]),
-                k=int(obj["k"]),
-                s=int(obj["s"]),
-                i=int(obj["i"]),
-                t=int(obj["t"]),
-                t_num=int(obj["T_num"]),
-                t_den=int(obj["T_den"]),
-                checks={str(k): str(v) for k, v in obj["checks"].items()},
-                values={str(k): str(v) for k, v in obj.get("values", {}).items()},
+            n, k, s, i, t = obj["n"], obj["k"], obj["s"], obj["i"], obj["t"]
+            t_num, t_den = obj["T_num"], obj["T_den"]
+            checks, values = obj["checks"], obj["values"]
+        except KeyError as exc:
+            raise IntegrityError(f"malformed record object: missing {exc}") from None
+        if not type(n) is type(k) is type(s) is type(i) is type(t) is int:
+            name, value = next(
+                (name, obj[name]) for name in "nksit" if type(obj[name]) is not int
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IntegrityError(f"malformed record object: {exc}") from None
+            raise IntegrityError(f"{name} must be an integer, got {value!r}")
+        if type(t_num) is not str or not _DECIMAL.fullmatch(t_num):
+            raise IntegrityError(f"T_num must be a decimal string, got {t_num!r}")
+        if type(t_den) is not str or not _POSITIVE_DECIMAL.fullmatch(t_den):
+            raise IntegrityError(f"T_den must be a positive decimal string, got {t_den!r}")
+        for name, table in (("checks", checks), ("values", values)):
+            try:
+                # join raises TypeError on the first key or value that is no string
+                "".join(table) + "".join(table.values())
+            except (AttributeError, TypeError):
+                raise IntegrityError(
+                    f"{name} must be an object of strings to strings, got {table!r}"
+                ) from None
+        return cls(n, k, s, i, t, int(t_num), int(t_den), checks, values)
 
 
 def evaluate_point(p: SectionParams) -> VerificationRecord:
@@ -446,11 +465,10 @@ def evaluate_point(p: SectionParams) -> VerificationRecord:
     )
 
 
-def iter_grid(
+def _grid_points(
     t_lo: int, t_hi: int, k_span: int, n_span: int
-) -> Iterator[SectionParams]:
-    """Grid points in canonical (t, k, n, s, i) order: k in [t, t+k_span],
-    n in [(t+1)(k-t+1), (t+1)(k-t+1)+n_span], then all valid (s, i)."""
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The canonical (t, k, n, s, i) tuples of the grid, in order."""
     if t_lo < 3:
         raise DomainError(f"t = {t_lo} < 3: engine restricted to t >= 3")
     if t_hi < t_lo or k_span < 0 or n_span < 0:
@@ -462,7 +480,16 @@ def iter_grid(
                 for s in range(t + 3, 2 * k - t + 1):
                     lo, hi = max(t + 1, s + t - k), min(k, (s + t) // 2)
                     for i in range(lo, hi + 1):
-                        yield SectionParams(n, k, s, i, t)
+                        yield (t, k, n, s, i)
+
+
+def iter_grid(
+    t_lo: int, t_hi: int, k_span: int, n_span: int
+) -> Iterator[SectionParams]:
+    """Grid points in canonical (t, k, n, s, i) order: k in [t, t+k_span],
+    n in [(t+1)(k-t+1), (t+1)(k-t+1)+n_span], then all valid (s, i)."""
+    for t, k, n, s, i in _grid_points(t_lo, t_hi, k_span, n_span):
+        yield SectionParams(n, k, s, i, t)
 
 
 @dataclass
@@ -532,26 +559,23 @@ def sweep(
     t_hi: int = 8,
     k_span: int = 12,
     n_span: int = 40,
-    sink: Callable[[VerificationRecord], None] | None = None,
     resume_after: tuple[int, int, int, int, int] | None = None,
     resume_prefix: tuple[int, int] | None = None,
-) -> SweepSummary:
-    """Evaluate every grid point in canonical order, feeding records to sink.
+) -> Iterator[VerificationRecord]:
+    """Evaluate every grid point in canonical order, yielding its record.
 
     resume_after skips all points up to and including the given canonical
-    (t, k, n, s, i) tuple, so a resumed run continues the same stream.
+    (t, k, n, s, i) tuple, so a resumed run continues the same stream; the
+    skipped points are only walked as tuples, never built or evaluated.
     resume_prefix is the (count, point_chain) of the records already
     written; unless the skipped points give the same pair, a
-    ResumeMismatchError is raised before any point is evaluated."""
-    summary = SweepSummary()
-    grid = iter_grid(t_lo, t_hi, k_span, n_span)
-    first = None
+    ResumeMismatchError is raised before the first record is yielded."""
+    points = _grid_points(t_lo, t_hi, k_span, n_span)
     if resume_after is not None:
         skipped = chain = 0
-        for p in grid:
-            point = (p.t, p.k, p.n, p.s, p.i)
+        for point in points:
             if point > resume_after:
-                first = p
+                points = itertools.chain((point,), points)
                 break
             skipped += 1
             chain = point_chain(chain, point)
@@ -560,9 +584,5 @@ def sweep(
                 f"the {resume_prefix[0]} records up to {resume_after} are not "
                 f"the {skipped} grid points up to it"
             )
-    for p in grid if first is None else itertools.chain((first,), grid):
-        record = evaluate_point(p)
-        summary.absorb(record)
-        if sink is not None:
-            sink(record)
-    return summary
+    for t, k, n, s, i in points:
+        yield evaluate_point(SectionParams(n, k, s, i, t))

@@ -8,6 +8,7 @@ fails and its message names the exact point.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from math import comb
 
 import pytest
 
+from crossint.cli import record_to_line
 from crossint.compression import shift_family
 from crossint.families import (
     UniformFamily,
@@ -28,6 +30,7 @@ from crossint.gensets import compact, full_layer_genset
 from crossint.inequalities import (
     SPECIAL_TRIPLES,
     SectionParams,
+    SweepSummary,
     appendix_case,
     basefact,
     check_key_inequality,
@@ -44,11 +47,27 @@ from crossint.search import (
 )
 
 
+#: sha256 of the default record stream, one `record_to_line` per record.
+DEFAULT_STREAM_SHA256 = "76541e8ae205922dcc45f68f32fb0399b240090b17076ce33c4a626fca196c42"
+
+
 @pytest.fixture(scope="module")
-def default_sweep():
+def default_sweep_and_stream():
     """The full default verification grid, computed once and shared:
-    t in [3,8], k in [t, t+12], n in [(t+1)(k-t+1), (t+1)(k-t+1)+40]."""
-    return sweep(3, 8, 12, 40)
+    t in [3,8], k in [t, t+12], n in [(t+1)(k-t+1), (t+1)(k-t+1)+40].
+    Returns its summary and the sha256 of its record stream, both from the
+    same pass over the records."""
+    summary = SweepSummary()
+    stream = hashlib.sha256()
+    for record in sweep(3, 8, 12, 40):
+        summary.absorb(record)
+        stream.update((record_to_line(record) + "\n").encode())
+    return summary, stream.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def default_sweep(default_sweep_and_stream):
+    return default_sweep_and_stream[0]
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -89,6 +108,12 @@ def test_criterion_2_key_inequality_sweep(default_sweep) -> None:
     assert default_sweep.checked == 86592
     assert violated == 0, f"strict key inequality violated at: {default_sweep.violations}"
     assert counts.get("excluded", 0) == 451
+
+
+def test_default_stream_bytes_are_pinned(default_sweep_and_stream) -> None:
+    # the record stream is the reproducible artifact: a serializer that
+    # drifts by one byte must fail here
+    assert default_sweep_and_stream[1] == DEFAULT_STREAM_SHA256
 
 
 def test_criterion_3_margin_lemmas_and_specialized_forms(default_sweep) -> None:

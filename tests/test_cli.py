@@ -27,7 +27,14 @@ from crossint.cli import (
     resolve_out,
 )
 from crossint.errors import IntegrityError
-from crossint.inequalities import SectionParams, evaluate_point
+from crossint.inequalities import (
+    SectionParams,
+    SweepSummary,
+    VerificationRecord,
+    evaluate_point,
+    iter_grid,
+    sweep,
+)
 
 
 SMALL_SWEEP = [
@@ -220,6 +227,70 @@ def test_sweep_stream_is_deterministic(tmp_path) -> None:
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sidecars_agree_with_a_sweep_summary_of_the_same_records(tmp_path) -> None:
+    # t = 4, k in [4, 6], n at its threshold: reaches the documented lemma_g
+    # equality at (15,6,7,5,4), so there is a violation to compare
+    out = tmp_path / "t4.jsonl"
+    argv = ["sweep-inequalities", "--t-min", "4", "--t-max", "4", "--k-span", "2",
+            "--n-span", "0", "--out", str(out)]
+    assert main(argv) == 2
+    summary = SweepSummary()
+    for record in sweep(4, 4, 2, 0):
+        summary.absorb(record)
+    obj = json.loads((tmp_path / "t4.jsonl.summary.json").read_text())
+    assert obj["records"] == summary.checked
+    assert {
+        name: {status: count for status, count in bucket.items() if count}
+        for name, bucket in obj["checks"].items()
+    } == summary.status_counts
+    assert obj["violations"] == [list(v) for v in summary.violations]
+    assert obj["violations"] == [[15, 6, 7, 5, 4, "lemma_g"]]
+    assert obj["min_slack"] == {name: str(v) for name, v in summary.min_slack.items()}
+
+
+def test_sweep_digests_each_record_once(tmp_path, monkeypatch) -> None:
+    calls = {"digest": 0, "summary": 0}
+    digest_absorb, summary_absorb = RecordDigest.absorb, SweepSummary.absorb
+
+    def count(name, absorb):
+        def counted(self, record):
+            calls[name] += 1
+            absorb(self, record)
+        return counted
+
+    monkeypatch.setattr(RecordDigest, "absorb", count("digest", digest_absorb))
+    monkeypatch.setattr(SweepSummary, "absorb", count("summary", summary_absorb))
+    out = tmp_path / "once.jsonl"
+    assert _sweep_to(out) == 0
+    assert calls == {"digest": 8, "summary": 0}
+    # a resume digests the kept records as it reads them, the rest as it writes
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(b"".join(lines[:5]) + lines[5][:30])
+    assert _sweep_to(out, resume=True) == 0
+    assert calls == {"digest": 16, "summary": 0}
+
+
+def test_sidecar_write_failure_keeps_the_previous_sidecar(tmp_path, monkeypatch) -> None:
+    out = tmp_path / "s.jsonl"
+    assert _sweep_to(out) == 0
+    before = _snapshot(tmp_path)
+    (tmp_path / "s.jsonl.summary.csv").write_text("previous\n")
+    (tmp_path / "s.jsonl.summary.json").write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError(f"no replace of {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="no replace"):
+        _sweep_to(out)
+    assert (tmp_path / "s.jsonl.summary.csv").read_text() == "previous\n"
+    assert (tmp_path / "s.jsonl.summary.json").read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    monkeypatch.undo()
+    assert _sweep_to(out) == 0
+    assert _snapshot(tmp_path) == before
+
+
 def test_resume_after_partial_tail_is_byte_identical(tmp_path) -> None:
     fresh = tmp_path / "fresh.jsonl"
     assert _sweep_to(fresh) == 0
@@ -278,7 +349,10 @@ def test_resume_rejects_midstream_damage(tmp_path, capsys) -> None:
     out = tmp_path / "damaged.jsonl"
     assert _sweep_to(out) == 0
     lines = out.read_bytes().splitlines(keepends=True)
-    for lineno, bad in ((3, b"not json at all\n"), (6, b"\xff\xfe garbage\n")):
+    # T_den as a JSON number: used to be read as the same value and kept
+    wrong_type = lines[3].replace(b'"T_den":"', b'"T_den":', 1)
+    wrong_type = wrong_type.replace(b'","T_num"', b',"T_num"', 1)
+    for lineno, bad in ((3, b"not json at all\n"), (4, wrong_type), (6, b"\xff\xfe garbage\n")):
         damaged = b"".join(lines[: lineno - 1] + [bad] + lines[lineno:])
         out.write_bytes(damaged)
         before = _snapshot(tmp_path)
@@ -344,6 +418,9 @@ def test_record_line_is_compact_and_sorted() -> None:
     assert parse_record_line(1, line) == record
 
 
+_FLAGSHIP = record_to_line(evaluate_point(SectionParams(18, 7, 8, 6, 5)))
+
+
 def test_parse_record_line_errors_name_the_line() -> None:
     with pytest.raises(IntegrityError, match="line 7"):
         parse_record_line(7, "{broken")
@@ -351,6 +428,46 @@ def test_parse_record_line_errors_name_the_line() -> None:
         parse_record_line(9, '["list", "not", "object"]')
     with pytest.raises(IntegrityError, match="line 2"):
         parse_record_line(2, '{"n": 18}')
+    with pytest.raises(IntegrityError, match="line 3: .*missing 'values'"):
+        parse_record_line(3, _FLAGSHIP[: _FLAGSHIP.index(',"values"')] + "}")
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        pytest.param('"n":18', '"n":18.9', id="float n"),
+        pytest.param('"n":18', '"n":true', id="boolean n"),
+        pytest.param('"k":7', '"k":"7"', id="string k"),
+        pytest.param('"T_num":"615"', '"T_num":615.0', id="number T_num"),
+        pytest.param('"T_num":"615"', '"T_num":"615.0"', id="non-decimal T_num"),
+        pytest.param('"T_den":"572"', '"T_den":"0"', id="zero T_den"),
+        pytest.param('"thm32":"holds"', '"thm32":1', id="number status"),
+        pytest.param('"S1":"', '"S1":null,"x":"', id="null value"),
+        pytest.param('"checks":{', '"checks":["holds"],"c":{', id="checks list"),
+    ],
+)
+def test_parse_record_line_refuses_wrong_types(good, bad) -> None:
+    # each of these used to be converted silently (18.9 read as 18, true as
+    # 1, "thm32": 1 as the status "1") and kept as it stands on --resume
+    assert good in _FLAGSHIP
+    damaged = _FLAGSHIP.replace(good, bad, 1)
+    with pytest.raises(IntegrityError, match="line 4: .*must be"):
+        parse_record_line(4, damaged)
+
+
+def test_record_line_matches_json_dumps() -> None:
+    records = [evaluate_point(p) for p in iter_grid(3, 5, 3, 2)] + [
+        VerificationRecord(
+            15, 6, 7, 5, 4, -3, 7,
+            {'quo"te': "back\\slash", "ctl\x01\x1f": "caf\u00e9", "\u2028": "\U0001f600"},
+            {"z": "\x7f", "A\t": '"', "": ""},
+        ),
+        VerificationRecord(8, 3, 6, 4, 3, 0, 1, {}, {}),
+    ]
+    for record in records:
+        line = record_to_line(record)
+        assert line == json.dumps(record.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        assert parse_record_line(1, line) == record
 
 
 def test_emit_summary_empty_stream_is_zeroed() -> None:

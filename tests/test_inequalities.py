@@ -24,6 +24,7 @@ from crossint.inequalities import (
     G_LEMMA_EXCLUSIONS,
     SPECIAL_TRIPLES,
     SectionParams,
+    SweepSummary,
     VerificationRecord,
     appendix_case,
     basefact,
@@ -265,7 +266,9 @@ def test_iter_grid_canonical_order_and_validation() -> None:
 
 
 def test_sweep_small_grid_frozen_summary() -> None:
-    summary = sweep(3, 3, 2, 3)
+    summary = SweepSummary()
+    for record in sweep(3, 3, 2, 3):
+        summary.absorb(record)
     assert summary.checked == 8
     assert summary.clean == 0
     assert summary.with_exclusion == 8
@@ -277,29 +280,35 @@ def test_sweep_small_grid_frozen_summary() -> None:
     assert obj["checked"] == 8 and obj["last_point"] == [3, 5, 15, 7, 5]
 
 
+def test_sweep_yields_the_records_of_the_grid_in_order() -> None:
+    records = list(sweep(3, 4, 2, 2))
+    assert [r.point for r in records] == [
+        (p.t, p.k, p.n, p.s, p.i) for p in iter_grid(3, 4, 2, 2)
+    ]
+    assert records == [evaluate_point(p) for p in iter_grid(3, 4, 2, 2)]
+
+
 def test_sweep_resume_continues_the_same_stream() -> None:
-    full: list[tuple] = []
-    sweep(3, 3, 3, 4, sink=lambda r: full.append(r.point))
+    full = [r.point for r in sweep(3, 3, 3, 4)]
     cut = full[4]
-    resumed: list[tuple] = []
-    sweep(3, 3, 3, 4, sink=lambda r: resumed.append(r.point), resume_after=cut)
+    resumed = [r.point for r in sweep(3, 3, 3, 4, resume_after=cut)]
     assert resumed == full[5:]
 
 
 def test_sweep_refuses_a_resume_prefix_that_is_not_the_grid() -> None:
-    full: list[tuple] = []
-    sweep(3, 3, 3, 4, sink=lambda r: full.append(r.point))
+    full = [r.point for r in sweep(3, 3, 3, 4)]
     chain = 0
     for point in full[:5]:
         chain = point_chain(chain, point)
-    resumed: list[tuple] = []
-    sweep(3, 3, 3, 4, sink=lambda r: resumed.append(r.point),
-          resume_after=full[4], resume_prefix=(5, chain))
+    resumed = [
+        r.point for r in sweep(3, 3, 3, 4, resume_after=full[4], resume_prefix=(5, chain))
+    ]
     assert resumed == full[5:]
     for prefix in ((4, chain), (5, chain + 1)):
+        records = sweep(3, 3, 3, 4, resume_after=full[4], resume_prefix=prefix)
+        # refused at the first next(), before any record is yielded
         with pytest.raises(ResumeMismatchError):
-            sweep(3, 3, 3, 4, sink=resumed.append, resume_after=full[4], resume_prefix=prefix)
+            next(records)
     # a marker past the last grid point is checked too
     with pytest.raises(ResumeMismatchError):
-        sweep(3, 3, 3, 4, resume_after=(9, 0, 0, 0, 0), resume_prefix=(5, chain))
-    assert resumed == full[5:]
+        list(sweep(3, 3, 3, 4, resume_after=(9, 0, 0, 0, 0), resume_prefix=(5, chain)))
