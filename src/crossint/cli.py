@@ -64,7 +64,7 @@ from .gensets import (
     upset_k,
     write_genset,
 )
-from .inequalities import VerificationRecord, point_chain, sweep
+from .inequalities import CHECK_ORDER, STATUSES, VerificationRecord, point_chain, sweep
 from .search import (
     MainTheoremReport,
     SearchResult,
@@ -77,24 +77,6 @@ from .search import (
 
 #: Environment variable naming the default output directory for --out.
 OUT_DIR_ENV = "CROSSINT_OUT_DIR"
-
-#: Canonical check names, in report order, for summaries of record streams.
-CHECK_ORDER = (
-    "thm32",
-    "ratio_identity",
-    "lemma_f",
-    "lemma_g",
-    "lemma_h",
-    "lemma_phi",
-    "equa1",
-    "equac2",
-    "st",
-    "equac1",
-    "equac3",
-    "appendix",
-)
-
-_STATUSES = ("holds", "excluded", "violated", "skipped")
 
 _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 
@@ -150,10 +132,16 @@ class RecordDigest:
             if low is None or record.t_num * low.denominator < low.numerator * record.t_den:
                 self.min_ratio = Fraction(record.t_num, record.t_den)
         for name, slack_key in lemmas:
-            slack_text = record.values.get(slack_key)
-            if slack_text is None:
-                continue
-            slack = int(slack_text)
+            try:
+                slack = int(record.values[slack_key])
+            except KeyError:
+                raise IntegrityError(
+                    f"{slack_key} is missing, and {name} is not excluded"
+                ) from None
+            except ValueError:
+                raise IntegrityError(
+                    f"{slack_key} must be an integer, got {record.values[slack_key]!r}"
+                ) from None
             if name not in self.min_slack or slack < self.min_slack[name]:
                 self.min_slack[name] = slack
         if violated and len(self.violations) < self.VIOLATION_CAP:
@@ -178,10 +166,6 @@ class RecordDigest:
             counts += bucket.get("violated", 0)
         return counts
 
-    def check_names(self) -> tuple[str, ...]:
-        extra = sorted(set(self.status_counts) - set(CHECK_ORDER))
-        return tuple(CHECK_ORDER) + tuple(extra)
-
     def min_value_text(self, name: str) -> str:
         if name == "thm32":
             return "" if self.min_ratio is None else str(self.min_ratio)
@@ -193,9 +177,9 @@ class RecordDigest:
         lines = ["check,holds,excluded,violated,skipped,min_value"]
         lines.append(f"records,{self.records},,,,")
         counts = self.status_counts
-        for name in self.check_names():
+        for name in CHECK_ORDER:
             bucket = counts.get(name, {})
-            cells = ",".join(str(bucket.get(status, 0)) for status in _STATUSES)
+            cells = ",".join(str(bucket.get(status, 0)) for status in STATUSES)
             lines.append(f"{name},{cells},{self.min_value_text(name)}")
         return "\n".join(lines) + "\n"
 
@@ -204,8 +188,8 @@ class RecordDigest:
         return {
             "records": self.records,
             "checks": {
-                name: {status: counts.get(name, {}).get(status, 0) for status in _STATUSES}
-                for name in self.check_names()
+                name: {status: counts.get(name, {}).get(status, 0) for status in STATUSES}
+                for name in CHECK_ORDER
             },
             "min_slack": {
                 name: str(Fraction(value)) for name, value in sorted(self.min_slack.items())
@@ -339,7 +323,10 @@ def _trim_to_last_record(
                 raise IntegrityError(
                     f"line {lineno}: record out of canonical order; stream corrupt"
                 )
-            digest.absorb(record)
+            try:
+                digest.absorb(record)
+            except IntegrityError as exc:
+                raise IntegrityError(f"line {lineno}: {exc}") from None
             marker = record.point
             count += 1
             chain = point_chain(chain, marker)
@@ -402,13 +389,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"(t in [{args.t_min},{args.t_max}], k span {args.k_span}, n span {args.n_span})"
     )
     status_counts = digest.status_counts
-    for name in digest.check_names():
+    for name in CHECK_ORDER:
         bucket = status_counts.get(name, {})
         if not bucket:
             continue
         counts = " ".join(
             f"{status}={bucket.get(status, 0)}"
-            for status in _STATUSES
+            for status in STATUSES
             if bucket.get(status, 0)
         )
         extra = digest.min_value_text(name)

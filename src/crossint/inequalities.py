@@ -24,10 +24,20 @@ forms for the small (s,i,t) cases are all checked by pure integer arithmetic:
 comparisons are cross-multiplied, never divided, and both algebraic forms of
 every displayed quantity are computed and must agree.  Fractions appear only
 in reported ratios.  Nothing here is floating point.
+
+Each point can be checked along two routes.  The per-point API (eval_core,
+check_key_inequality, check_ratio_identity, the lemma_* functions,
+chain_checks, appendix_case) takes a validated SectionParams and returns one
+result object per check.  evaluate_point, which sweep() calls once per grid
+point, is a single flat pass over the five integers: an inline domain test,
+then every quantity, both of its algebraic forms and every status, written
+straight into the VerificationRecord.  It calls nothing of the per-point API;
+the tests hold the two routes to the same values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -372,6 +382,38 @@ def eq2_holds(m: int, j: int) -> bool:
 _DECIMAL = re.compile(r"-?[0-9]+")
 _POSITIVE_DECIMAL = re.compile(r"0*[1-9][0-9]*")
 
+#: Canonical check names of a record, in the order evaluate_point writes them.
+CHECK_ORDER = (
+    "thm32",
+    "ratio_identity",
+    "lemma_f",
+    "lemma_g",
+    "lemma_h",
+    "lemma_phi",
+    "equa1",
+    "equac2",
+    "st",
+    "equac1",
+    "equac3",
+    "appendix",
+)
+
+#: The statuses a check can have.
+STATUSES = ("holds", "excluded", "violated", "skipped")
+
+
+@functools.lru_cache(maxsize=1024)
+def _check_statuses(items: tuple[tuple[str, str], ...]) -> None:
+    """IntegrityError unless every check name is canonical and every status
+    known; cached, since a stream's records share a handful of such tuples."""
+    for name, status in items:
+        if name not in CHECK_ORDER:
+            raise IntegrityError(f"unknown check name {name!r}")
+        if status not in STATUSES:
+            raise IntegrityError(
+                f"check {name} must be one of {', '.join(STATUSES)}, got {status!r}"
+            )
+
 
 @dataclass(frozen=True)
 class VerificationRecord:
@@ -407,8 +449,9 @@ class VerificationRecord:
     def from_json_obj(cls, obj: dict) -> "VerificationRecord":
         """The record a parsed JSON line holds.  The grid coordinates must be
         integers (not booleans), T_num and T_den decimal strings (T_den
-        positive), checks and values objects of strings to strings; anything
-        else is an IntegrityError, never a silent conversion."""
+        positive), checks and values objects of strings to strings, every
+        check name one of CHECK_ORDER and every status one of STATUSES;
+        anything else is an IntegrityError, never a silent conversion."""
         try:
             n, k, s, i, t = obj["n"], obj["k"], obj["s"], obj["i"], obj["t"]
             t_num, t_den = obj["T_num"], obj["T_den"]
@@ -424,44 +467,169 @@ class VerificationRecord:
             raise IntegrityError(f"T_num must be a decimal string, got {t_num!r}")
         if type(t_den) is not str or not _POSITIVE_DECIMAL.fullmatch(t_den):
             raise IntegrityError(f"T_den must be a positive decimal string, got {t_den!r}")
-        for name, table in (("checks", checks), ("values", values)):
-            try:
-                # join raises TypeError on the first key or value that is no string
-                "".join(table) + "".join(table.values())
-            except (AttributeError, TypeError):
-                raise IntegrityError(
-                    f"{name} must be an object of strings to strings, got {table!r}"
-                ) from None
+        try:
+            # a status that is a list or an object cannot be hashed: TypeError
+            _check_statuses(tuple(checks.items()))
+        except (AttributeError, TypeError):
+            raise IntegrityError(
+                f"checks must be an object of strings to strings, got {checks!r}"
+            ) from None
+        try:
+            # join raises TypeError on the first key or value that is no string
+            "".join(values) + "".join(values.values())
+        except (AttributeError, TypeError):
+            raise IntegrityError(
+                f"values must be an object of strings to strings, got {values!r}"
+            ) from None
         return cls(n, k, s, i, t, int(t_num), int(t_den), checks, values)
 
 
-def evaluate_point(p: SectionParams) -> VerificationRecord:
-    """Every applicable check at one grid point, statuses plus exact values."""
-    q = eval_core(p)
-    key = check_key_inequality(p, q)
-    g = gcd(key.num, key.den)
-    checks: dict[str, str] = {"thm32": key.status}
-    checks["ratio_identity"] = "holds" if check_ratio_identity(p) else "violated"
-    values: dict[str, str] = {
-        "S1": str(q.s1),
-        "S2": str(q.s2),
-        "T1": str(q.t1),
-        "T2": str(q.t2),
-    }
-    for fn in (lemma_f, lemma_g, lemma_h, lemma_phi):
-        res = fn(p, q)
-        checks[res.name] = res.status
-        values[res.name + "_slack"] = str(res.slack)
-    entry, chain = chain_checks(p, q)
-    values["equa3"] = "1" if entry else "0"
-    checks.update(chain)
-    if p.triple in SPECIAL_TRIPLES and p.k >= _SPECIAL_FORMS[p.triple][0]:
-        appendix = appendix_case(p.n, p.k, p.s, p.i, p.t)
-        checks["appendix"] = appendix.status
+def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord:
+    """Every applicable check at one grid point, statuses plus exact values.
+
+    One flat pass over the integers: the core quantities, the key ratio (*),
+    the binomial ratio identity, the four lemma slacks, the reduction chain
+    and the specialized form, the same values as the per-point API above
+    (eval_core, check_key_inequality, ..., appendix_case) gives, which this
+    function does not call.  Both algebraic forms of S1, S2 and of every
+    lemma slack are computed and compared, S1, S2, T1, T2 must be positive
+    and the specialized form must reproduce the generic ratio; any
+    disagreement is an IntegrityError.  A point off the grid is a
+    DomainError, worded by SectionParams."""
+    if not (
+        t >= 3
+        and n >= (t + 1) * (k - t + 1)
+        and t + 3 <= s <= 2 * k - t
+        and t + 1 <= i <= k
+        and s + t - k <= i
+        and 2 * i <= s + t
+    ):
+        SectionParams(n, k, s, i, t)  # raises the DomainError naming the constraint
+    triple = (s, i, t)
+    # shorthands for the factors of the module docstring's formulas
+    m = n - s + 1
+    a = n + i - k - s
+    b = n + t - k - i
+    u = s + t - i
+    v = k + i - s - t
+    x = s * (v + 1)
+    y = s * (k - i + 1)
+
+    # core quantities, both forms of S1 and S2
+    s1 = i * (a + 1) + (s - i) * m
+    s2 = u * (b + 1) + (i - t) * m
+    if s1 != s * m - i * (k - i) or s2 != s * m - u * v:
+        raise IntegrityError(
+            f"algebraic forms disagree at (n,k,s,i,t) = {(n, k, s, i, t)}: "
+            f"S1 {s1}/{s * m - i * (k - i)}, S2 {s2}/{s * m - u * v}"
+        )
+    t1 = i * (a + 1) + (s - i) * (k - i + 1)
+    t2 = u * (b + 1) + (i - t) * (v + 1)
+    if s1 <= 0 or s2 <= 0 or t1 <= 0 or t2 <= 0:
+        raise IntegrityError(
+            f"core quantity not positive at (n,k,s,i,t) = {(n, k, s, i, t)}: "
+            f"S1={s1}, S2={s2}, T1={t1}, T2={t2}"
+        )
+
+    # the key ratio (*) and the binomial identity behind it
+    num = a * b * s1 * s2
+    den = m * m * t1 * t2
+    if triple == EXCLUDED_TRIPLE:
+        thm32 = "excluded"
     else:
-        checks["appendix"] = "skipped"
+        thm32 = "holds" if num > den else "violated"
+    r = n - s
+    identity = (
+        comb(r, k - i) * comb(r, v) * a * b
+        == comb(r, k - i + 1) * comb(r, v + 1) * (k - i + 1) * (v + 1)
+    )
+
+    # the four margin lemmas, each slack by both forms
+    slacks = (
+        s1 + s2 - t1 - t2 - s * (2 * k - s - t + 2),
+        s1 - t1 - y,
+        2 * s2 - t1 - t2 - x,
+        s * m - t2 - x,
+    )
+    reduced = (
+        (s - i) * a + (i - t) * b - s * (2 * k - s - t + 2),
+        (s - i) * a - y,
+        s * s + s * (n + 3 * t - 3 * k - i - 1) + i * (2 * k - 2 * i) - t * n,
+        (i - t) * (n - 2 * k + s + 2 * t - 2 * i) - s,
+    )
+    if slacks != reduced:
+        raise IntegrityError(
+            f"lemma slack forms disagree at (n,k,s,i,t) = {(n, k, s, i, t)}: "
+            f"f, g, h, phi {slacks} vs {reduced}"
+        )
+    f_slack, g_slack, h_slack, phi_slack = slacks
+    f_excluded = triple in F_LEMMA_EXCLUSIONS
+    if f_excluded:
+        lemma_f_status = "excluded"
+    else:
+        lemma_f_status = "holds" if f_slack >= 0 else "violated"
+    if triple in G_LEMMA_EXCLUSIONS:
+        lemma_g_status = "excluded"
+    else:
+        lemma_g_status = "holds" if g_slack > 0 else "violated"
+
+    # the reduction chain, behind its entry gate
+    entry = s2 - t2 < x
+    if not entry or f_excluded:
+        equa1 = equac2 = st = equac1 = equac3 = "skipped"
+    else:
+        mid = t1 + x - (s2 - t2)
+        equa1 = "holds" if a * s1 > m * (s1 - y) else "violated"
+        equac2 = "holds" if s1 - y >= mid else "violated"
+        st = "holds" if mid < s2 < t2 + x else "violated"
+        equac1 = "holds" if mid * s2 > t1 * (t2 + x) else "violated"
+        equac3 = "holds" if b * (t2 + x) >= m * t2 else "violated"
+
+    # the specialized form of the small triples, against the generic ratio
+    appendix = "skipped"
+    form = _SPECIAL_FORMS.get(triple)
+    if form is not None and k >= form[0]:
+        form_num = 1
+        for factor in form[1](n, k):
+            form_num *= factor
+        form_den = 1
+        for factor in form[2](n, k):
+            form_den *= factor
+        if form_num * den != num * form_den:
+            raise IntegrityError(
+                f"specialized form for {triple} at (n,k)=({n},{k}) gives "
+                f"{form_num}/{form_den}, generic gives {num}/{den}"
+            )
+        appendix = "holds" if form_num > form_den else "violated"
+
+    g = gcd(num, den)
     return VerificationRecord(
-        p.n, p.k, p.s, p.i, p.t, key.num // g, key.den // g, checks, values
+        n, k, s, i, t, num // g, den // g,
+        {
+            "thm32": thm32,
+            "ratio_identity": "holds" if identity else "violated",
+            "lemma_f": lemma_f_status,
+            "lemma_g": lemma_g_status,
+            "lemma_h": "holds" if h_slack > 0 else "violated",
+            "lemma_phi": "holds" if phi_slack >= 0 else "violated",
+            "equa1": equa1,
+            "equac2": equac2,
+            "st": st,
+            "equac1": equac1,
+            "equac3": equac3,
+            "appendix": appendix,
+        },
+        {
+            "S1": str(s1),
+            "S2": str(s2),
+            "T1": str(t1),
+            "T2": str(t2),
+            "lemma_f_slack": str(f_slack),
+            "lemma_g_slack": str(g_slack),
+            "lemma_h_slack": str(h_slack),
+            "lemma_phi_slack": str(phi_slack),
+            "equa3": "1" if entry else "0",
+        },
     )
 
 
@@ -585,4 +753,4 @@ def sweep(
                 f"the {skipped} grid points up to it"
             )
     for t, k, n, s, i in points:
-        yield evaluate_point(SectionParams(n, k, s, i, t))
+        yield evaluate_point(n, k, s, i, t)

@@ -28,7 +28,6 @@ from crossint.cli import (
 )
 from crossint.errors import IntegrityError
 from crossint.inequalities import (
-    SectionParams,
     SweepSummary,
     VerificationRecord,
     evaluate_point,
@@ -361,6 +360,31 @@ def test_resume_rejects_midstream_damage(tmp_path, capsys) -> None:
         assert _snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        pytest.param(b'"thm32":"holds"', b'"thm32":"holdz"', id="unknown status"),
+        pytest.param(b'"lemma_h":"holds"', b'"lemma_hh":"holds"', id="unknown check name"),
+        pytest.param(b'"lemma_h_slack":"', b'"lemma_hh_slack":"', id="missing slack"),
+        pytest.param(b'"lemma_h_slack":"', b'"lemma_h_slack":"x', id="unreadable slack"),
+    ],
+)
+def test_resume_rejects_damaged_statuses_and_slacks(tmp_path, capsys, good, bad) -> None:
+    # with a torn tail to cut, each of these used to resume: exit 0 and "no
+    # violations" (the unreadable slack: a ValueError traceback)
+    out = tmp_path / "damaged.jsonl"
+    assert _sweep_to(out) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert good in lines[3]
+    lines[3] = lines[3].replace(good, bad, 1)
+    lines[-1] = lines[-1][:30]
+    out.write_bytes(b"".join(lines))
+    before = _snapshot(tmp_path)
+    assert _sweep_to(out, resume=True) == 2
+    assert "integrity: line 4: " in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
 def _grid_sweep(path, *flags: str) -> int:
     argv = ["sweep-inequalities", "--t-max", "3", "--k-span", "3", "--out", str(path)]
     return main(argv + list(flags))
@@ -410,7 +434,7 @@ def test_sweep_rejects_small_t(capsys) -> None:
 
 
 def test_record_line_is_compact_and_sorted() -> None:
-    record = evaluate_point(SectionParams(18, 7, 8, 6, 5))
+    record = evaluate_point(18, 7, 8, 6, 5)
     line = record_to_line(record)
     assert "\n" not in line and ": " not in line
     obj = json.loads(line)
@@ -418,7 +442,7 @@ def test_record_line_is_compact_and_sorted() -> None:
     assert parse_record_line(1, line) == record
 
 
-_FLAGSHIP = record_to_line(evaluate_point(SectionParams(18, 7, 8, 6, 5)))
+_FLAGSHIP = record_to_line(evaluate_point(18, 7, 8, 6, 5))
 
 
 def test_parse_record_line_errors_name_the_line() -> None:
@@ -456,18 +480,23 @@ def test_parse_record_line_refuses_wrong_types(good, bad) -> None:
 
 
 def test_record_line_matches_json_dumps() -> None:
-    records = [evaluate_point(p) for p in iter_grid(3, 5, 3, 2)] + [
-        VerificationRecord(
-            15, 6, 7, 5, 4, -3, 7,
-            {'quo"te': "back\\slash", "ctl\x01\x1f": "caf\u00e9", "\u2028": "\U0001f600"},
-            {"z": "\x7f", "A\t": '"', "": ""},
-        ),
-        VerificationRecord(8, 3, 6, 4, 3, 0, 1, {}, {}),
-    ]
+    records = [evaluate_point(p.n, p.k, p.s, p.i, p.t) for p in iter_grid(3, 5, 3, 2)]
+    records.append(VerificationRecord(8, 3, 6, 4, 3, 0, 1, {}, {}))
     for record in records:
         line = record_to_line(record)
         assert line == json.dumps(record.to_json_obj(), sort_keys=True, separators=(",", ":"))
         assert parse_record_line(1, line) == record
+    # escaping: made-up check names serialize like json.dumps, and a parse
+    # refuses them, since they are not canonical check names
+    odd = VerificationRecord(
+        15, 6, 7, 5, 4, -3, 7,
+        {'quo"te': "back\\slash", "ctl\x01\x1f": "caf\u00e9", "\u2028": "\U0001f600"},
+        {"z": "\x7f", "A\t": '"', "": ""},
+    )
+    line = record_to_line(odd)
+    assert line == json.dumps(odd.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    with pytest.raises(IntegrityError, match="line 1: unknown check name"):
+        parse_record_line(1, line)
 
 
 def test_emit_summary_empty_stream_is_zeroed() -> None:
@@ -485,7 +514,7 @@ def test_emit_summary_empty_stream_is_zeroed() -> None:
 
 
 def test_emit_summary_single_flagship_record() -> None:
-    record = evaluate_point(SectionParams(18, 7, 8, 6, 5))
+    record = evaluate_point(18, 7, 8, 6, 5)
     digest = RecordDigest()
     digest.absorb(record)
     assert "thm32,1,0,0,0,615/572" in digest.to_csv().splitlines()
@@ -496,7 +525,7 @@ def test_emit_summary_single_flagship_record() -> None:
 
 
 def test_digest_counts_minima() -> None:
-    record = evaluate_point(SectionParams(18, 7, 8, 6, 5))
+    record = evaluate_point(18, 7, 8, 6, 5)
     digest = RecordDigest()
     digest.absorb(record)
     assert digest.records == 1
@@ -510,12 +539,12 @@ def test_digest_counts_minima() -> None:
 
 
 def test_min_ratio_skips_excluded_points() -> None:
-    excluded = evaluate_point(SectionParams(12, 5, 6, 4, 3))
+    excluded = evaluate_point(12, 5, 6, 4, 3)
     assert excluded.checks["thm32"] == "excluded"
     digest = RecordDigest()
     digest.absorb(excluded)
     assert digest.min_ratio is None
-    digest.absorb(evaluate_point(SectionParams(18, 7, 8, 6, 5)))
+    digest.absorb(evaluate_point(18, 7, 8, 6, 5))
     assert digest.min_ratio == Fraction(615, 572)
 
 

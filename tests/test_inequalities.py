@@ -13,16 +13,19 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
+from crossint import inequalities
 from crossint.errors import DomainError, IntegrityError, ResumeMismatchError, UsageError
 from crossint.inequalities import (
+    CHECK_ORDER,
     EXCLUDED_TRIPLE,
     F_LEMMA_EXCLUSIONS,
     G_LEMMA_EXCLUSIONS,
     SPECIAL_TRIPLES,
+    _SPECIAL_FORMS,
     SectionParams,
     SweepSummary,
     VerificationRecord,
@@ -46,19 +49,101 @@ from crossint.inequalities import (
 )
 
 
+#: Off-grid points as (n, k, s, i, t), each violating one constraint.
+_OFF_GRID = [
+    (20, 7, 8, 6, 2),  # t < 3
+    (11, 5, 6, 4, 3),  # n below (t+1)(k-t+1)
+    (20, 7, 5, 4, 3),  # s < t+3
+    (20, 7, 12, 6, 3),  # s > 2k-t
+    (20, 7, 8, 7, 3),  # i above (s+t)/2
+    (20, 7, 8, 0, 3),
+]
+
+
 def test_domain_validation() -> None:
-    with pytest.raises(DomainError):
-        SectionParams(n=20, k=7, s=8, i=6, t=2)  # t < 3
-    with pytest.raises(DomainError):
-        SectionParams(n=11, k=5, s=6, i=4, t=3)  # n below (t+1)(k-t+1)
-    with pytest.raises(DomainError):
-        SectionParams(n=20, k=7, s=5, i=4, t=3)  # s < t+3
-    with pytest.raises(DomainError):
-        SectionParams(n=20, k=7, s=12, i=6, t=3)  # s > 2k-t
-    with pytest.raises(DomainError):
-        SectionParams(n=20, k=7, s=8, i=7, t=3)  # i above (s+t)/2
-    with pytest.raises(DomainError):
-        SectionParams(n=20, k=7, s=8, i=0, t=3)
+    for n, k, s, i, t in _OFF_GRID:
+        with pytest.raises(DomainError) as from_params:
+            SectionParams(n=n, k=k, s=s, i=i, t=t)
+        with pytest.raises(DomainError) as from_flat:
+            evaluate_point(n, k, s, i, t)
+        # the flat path words the error as SectionParams does
+        assert str(from_flat.value) == str(from_params.value)
+
+
+def test_evaluate_point_domain_test_is_the_section_params_domain() -> None:
+    # the inline integer test accepts exactly the points SectionParams accepts
+    accepted = 0
+    for t in range(1, 6):
+        for k in range(1, 10):
+            for s in range(0, 2 * k + 2):
+                for i in range(0, k + 2):
+                    for n in ((t + 1) * (k - t + 1) - 1, (t + 1) * (k - t + 1), 30):
+                        try:
+                            SectionParams(n, k, s, i, t)
+                            valid = True
+                        except DomainError:
+                            valid = False
+                        if valid:
+                            assert evaluate_point(n, k, s, i, t).point == (t, k, n, s, i)
+                            accepted += 1
+                        else:
+                            with pytest.raises(DomainError):
+                                evaluate_point(n, k, s, i, t)
+    assert accepted == 192
+
+
+def test_evaluate_point_matches_the_per_point_api() -> None:
+    reached = set()
+    for p in iter_grid(3, 6, 4, 8):
+        record = evaluate_point(p.n, p.k, p.s, p.i, p.t)
+        q = eval_core(p)
+        key = check_key_inequality(p, q)
+        assert Fraction(record.t_num, record.t_den) == key.ratio
+        assert gcd(record.t_num, record.t_den) == 1
+        assert record.checks["thm32"] == key.status
+        identity = "holds" if check_ratio_identity(p) else "violated"
+        assert record.checks["ratio_identity"] == identity
+        core = {"S1": q.s1, "S2": q.s2, "T1": q.t1, "T2": q.t2}
+        for name, value in core.items():
+            assert record.values[name] == str(value), (p, name)
+        for fn in (lemma_f, lemma_g, lemma_h, lemma_phi):
+            res = fn(p, q)
+            assert record.checks[res.name] == res.status, (p, res)
+            assert record.values[res.name + "_slack"] == str(res.slack), (p, res)
+        entry, chain = chain_checks(p, q)
+        assert record.values["equa3"] == ("1" if entry else "0")
+        for name, status in chain.items():
+            assert record.checks[name] == status, (p, name)
+        if p.triple in SPECIAL_TRIPLES and p.k >= p.s + p.t - p.i:
+            appendix = appendix_case(p.n, p.k, p.s, p.i, p.t).status
+        else:
+            appendix = "skipped"
+        assert record.checks["appendix"] == appendix
+        assert tuple(record.checks) == CHECK_ORDER
+        assert tuple(record.values) == (
+            "S1", "S2", "T1", "T2", "lemma_f_slack", "lemma_g_slack",
+            "lemma_h_slack", "lemma_phi_slack", "equa3",
+        )
+        reached.update(record.checks.items())
+    # the grid reaches every branch: exclusions, the lemma_g equality point,
+    # the chain behind its gate and the specialized forms
+    for item in (("thm32", "excluded"), ("lemma_g", "violated"), ("lemma_f", "excluded"),
+                 ("equa1", "holds"), ("appendix", "holds"), ("appendix", "skipped")):
+        assert item in reached, item
+
+
+def test_evaluate_point_checks_the_specialized_form(monkeypatch) -> None:
+    assert evaluate_point(18, 7, 8, 6, 5).checks["appendix"] == "holds"
+    k_floor, num_fn, den_fn = _SPECIAL_FORMS[(8, 6, 5)]
+
+    def perturbed(n: int, k: int) -> list[int]:
+        factors = num_fn(n, k)
+        factors[0] += 1
+        return factors
+
+    monkeypatch.setitem(_SPECIAL_FORMS, (8, 6, 5), (k_floor, perturbed, den_fn))
+    with pytest.raises(IntegrityError, match=r"specialized form for \(8, 6, 5\)"):
+        evaluate_point(18, 7, 8, 6, 5)
 
 
 def test_key_ratio_flagship_point() -> None:
@@ -235,7 +320,7 @@ def test_eq2_column_ratio() -> None:
 
 
 def test_record_roundtrip_and_checks() -> None:
-    rec = evaluate_point(SectionParams(18, 7, 8, 6, 5))
+    rec = evaluate_point(18, 7, 8, 6, 5)
     assert (rec.t_num, rec.t_den) == (615, 572)
     assert rec.checks["thm32"] == "holds"
     assert rec.checks["ratio_identity"] == "holds"
@@ -285,7 +370,9 @@ def test_sweep_yields_the_records_of_the_grid_in_order() -> None:
     assert [r.point for r in records] == [
         (p.t, p.k, p.n, p.s, p.i) for p in iter_grid(3, 4, 2, 2)
     ]
-    assert records == [evaluate_point(p) for p in iter_grid(3, 4, 2, 2)]
+    assert records == [
+        evaluate_point(p.n, p.k, p.s, p.i, p.t) for p in iter_grid(3, 4, 2, 2)
+    ]
 
 
 def test_sweep_resume_continues_the_same_stream() -> None:
@@ -312,3 +399,23 @@ def test_sweep_refuses_a_resume_prefix_that_is_not_the_grid() -> None:
     # a marker past the last grid point is checked too
     with pytest.raises(ResumeMismatchError):
         list(sweep(3, 3, 3, 4, resume_after=(9, 0, 0, 0, 0), resume_prefix=(5, chain)))
+
+
+def test_sweep_calls_evaluate_point_through_its_module_global(monkeypatch) -> None:
+    # the benchmark's tracer wraps inequalities.evaluate_point by name; a sweep
+    # that bound the function any other way would leave its metrics at zero
+    calls = []
+    flat = inequalities.evaluate_point
+
+    def counting(*args):
+        calls.append(args)
+        return flat(*args)
+
+    monkeypatch.setattr(inequalities, "evaluate_point", counting)
+    fresh = list(sweep(3, 3, 3, 4))
+    assert len(calls) == len(fresh) > 0
+    assert [(t, k, n, s, i) for n, k, s, i, t in calls] == [r.point for r in fresh]
+    calls.clear()
+    resumed = list(sweep(3, 3, 3, 4, resume_after=fresh[4].point))
+    assert len(calls) == len(resumed) == len(fresh) - 5
+    assert resumed == fresh[5:]
