@@ -31,6 +31,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,7 +65,15 @@ from .gensets import (
     upset_k,
     write_genset,
 )
-from .inequalities import CHECK_ORDER, STATUSES, VerificationRecord, point_chain, sweep
+from .inequalities import (
+    CHECK_ORDER,
+    STATUSES,
+    VALUE_NAMES,
+    VerificationRecord,
+    _check_statuses,
+    point_chain,
+    sweep,
+)
 from .search import (
     MainTheoremReport,
     SearchResult,
@@ -201,7 +210,24 @@ class RecordDigest:
 
 
 def parse_record_line(lineno: int, line: str) -> VerificationRecord:
-    """One JSON record line to a verification record, or integrity error."""
+    """One JSON record line to a verification record, or integrity error.
+
+    Two routes give the same record.  A line in the exact canonical form
+    record_to_line writes is read by one match of _CANONICAL_LINE, with the
+    checks object parsed and validated once per distinct text.  Every other
+    line goes through json.loads and VerificationRecord.from_json_obj: that
+    general route accepts the parseable lines that are not canonical (key
+    order, spacing, escapes), which a resume keeps as they stand, and it
+    words every IntegrityError."""
+    match = _CANONICAL_LINE.fullmatch(line)
+    if match is not None:
+        t_den, t_num, checks_text, i, k, n, s, t = match.group(1, 2, 3, 4, 5, 6, 7, 8)
+        checks = _canonical_checks(checks_text)
+        if checks is not None:
+            return VerificationRecord(
+                int(n), int(k), int(s), int(i), int(t), int(t_num), int(t_den),
+                dict(checks), match.groupdict(),
+            )
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -236,6 +262,33 @@ def record_to_line(record: VerificationRecord) -> str:
         f'"n":{record.n},"s":{record.s},"t":{record.t},'
         f'"values":{_json_object(record.values)}}}'
     )
+
+
+#: record_to_line's bytes for a record with every canonical value name: the
+#: keys in sorted order, the grid coordinates as JSON integers, T_num and
+#: T_den as the decimal strings str() writes (T_den positive), the checks
+#: object captured whole (up to its first "}") and each value a decimal
+#: string, in a group named after the value.
+_CANONICAL_LINE = re.compile(
+    r'\{"T_den":"([1-9][0-9]*)","T_num":"(0|-?[1-9][0-9]*)","checks":(\{[^}]*\}),'
+    + ",".join(f'"{name}":(-?(?:0|[1-9][0-9]*))' for name in "iknst")
+    + r',"values":\{'
+    + ",".join(f'"{name}":"(?P<{name}>-?[0-9]+)"' for name in sorted(VALUE_NAMES))
+    + r"\}\}"
+)
+
+
+@functools.lru_cache(maxsize=1024)
+def _canonical_checks(text: str) -> dict[str, str] | None:
+    """The checks object a canonical line holds, or None when it is not an
+    object of canonical check names to known statuses.  Cached, since a
+    stream's records share a handful of them: callers copy the result."""
+    try:
+        checks = json.loads(text)
+        _check_statuses(tuple(checks.items()))
+    except (ValueError, TypeError, IntegrityError):
+        return None
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +349,12 @@ def _trim_to_last_record(
     record, the (count, point_chain) of the intact records, and the byte
     length of the intact prefix, which is where the file is to be cut.  The
     file itself is left alone, so that a resume refused later leaves it
-    untouched."""
+    untouched.
+
+    Each line goes through parse_record_line: the lines this program wrote
+    take its canonical-pattern route, and any other line its general
+    json.loads route, which keeps a parseable non-canonical record as it
+    stands and words the error for a damaged one."""
     marker: tuple | None = None
     count = chain = kept = 0
     damage: IntegrityError | None = None
@@ -319,7 +377,8 @@ def _trim_to_last_record(
                 continue
             if not raw.endswith(b"\n"):
                 break  # complete-looking JSON but unterminated: treat as partial
-            if marker is not None and record.point <= marker:
+            point = record.point
+            if marker is not None and point <= marker:
                 raise IntegrityError(
                     f"line {lineno}: record out of canonical order; stream corrupt"
                 )
@@ -327,9 +386,9 @@ def _trim_to_last_record(
                 digest.absorb(record)
             except IntegrityError as exc:
                 raise IntegrityError(f"line {lineno}: {exc}") from None
-            marker = record.point
+            marker = point
             count += 1
-            chain = point_chain(chain, marker)
+            chain = point_chain(chain, point)
             kept += len(raw)
     return marker, (count, chain), kept
 

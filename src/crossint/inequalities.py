@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 from numbers import Rational
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, IntegrityError, ResumeMismatchError, UsageError
 
@@ -401,6 +401,19 @@ CHECK_ORDER = (
 #: The statuses a check can have.
 STATUSES = ("holds", "excluded", "violated", "skipped")
 
+#: Canonical value names of a record, in the order evaluate_point writes them.
+VALUE_NAMES = (
+    "S1",
+    "S2",
+    "T1",
+    "T2",
+    "lemma_f_slack",
+    "lemma_g_slack",
+    "lemma_h_slack",
+    "lemma_phi_slack",
+    "equa3",
+)
+
 
 @functools.lru_cache(maxsize=1024)
 def _check_statuses(items: tuple[tuple[str, str], ...]) -> None:
@@ -415,8 +428,11 @@ def _check_statuses(items: tuple[tuple[str, str], ...]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
+    """One grid point's statuses and exact values.  An immutable tuple, so
+    building one sets no attribute one by one; assigning a field raises
+    AttributeError."""
+
     n: int
     k: int
     s: int
@@ -450,8 +466,11 @@ class VerificationRecord:
         """The record a parsed JSON line holds.  The grid coordinates must be
         integers (not booleans), T_num and T_den decimal strings (T_den
         positive), checks and values objects of strings to strings, every
-        check name one of CHECK_ORDER and every status one of STATUSES;
-        anything else is an IntegrityError, never a silent conversion."""
+        check name one of CHECK_ORDER and every status one of STATUSES,
+        every value name one of VALUE_NAMES and every value a decimal
+        string; anything else is an IntegrityError, never a silent
+        conversion.  Names may be missing: the digest refuses a record
+        without a slack it needs."""
         try:
             n, k, s, i, t = obj["n"], obj["k"], obj["s"], obj["i"], obj["t"]
             t_num, t_den = obj["T_num"], obj["T_den"]
@@ -475,12 +494,16 @@ class VerificationRecord:
                 f"checks must be an object of strings to strings, got {checks!r}"
             ) from None
         try:
-            # join raises TypeError on the first key or value that is no string
-            "".join(values) + "".join(values.values())
-        except (AttributeError, TypeError):
+            items = values.items()
+        except AttributeError:
             raise IntegrityError(
                 f"values must be an object of strings to strings, got {values!r}"
             ) from None
+        for name, value in items:
+            if name not in VALUE_NAMES:
+                raise IntegrityError(f"unknown value name {name!r}")
+            if type(value) is not str or not _DECIMAL.fullmatch(value):
+                raise IntegrityError(f"{name} must be a decimal string, got {value!r}")
         return cls(n, k, s, i, t, int(t_num), int(t_den), checks, values)
 
 

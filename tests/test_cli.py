@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from crossint import cli
 from crossint.cli import (
     CHECK_ORDER,
     RecordDigest,
@@ -367,15 +369,21 @@ def test_resume_rejects_midstream_damage(tmp_path, capsys) -> None:
         pytest.param(b'"lemma_h":"holds"', b'"lemma_hh":"holds"', id="unknown check name"),
         pytest.param(b'"lemma_h_slack":"', b'"lemma_hh_slack":"', id="missing slack"),
         pytest.param(b'"lemma_h_slack":"', b'"lemma_h_slack":"x', id="unreadable slack"),
+        pytest.param(b'"S1":"', b'"S9":"', id="unknown value name"),
+        pytest.param(b'"lemma_h_slack":"', b'"lemma_h_slack":"1_', id="underscored slack"),
+        pytest.param(b'"lemma_f_slack":"', b'"lemma_f_slak":"', id="excluded slack renamed"),
+        # a duplicate key: json.loads keeps the last "S1", and no lemma_h_slack
+        pytest.param(b',"lemma_h_slack":"', b',"S1":"', id="dropped slack"),
     ],
 )
 def test_resume_rejects_damaged_statuses_and_slacks(tmp_path, capsys, good, bad) -> None:
-    # with a torn tail to cut, each of these used to resume: exit 0 and "no
-    # violations" (the unreadable slack: a ValueError traceback)
+    # with a torn tail to cut, each of these but the dropped slack used to
+    # resume: exit 0 and "no violations" (the unreadable slack: a ValueError
+    # traceback); int() reads "1_13" as 113, and lemma_f is excluded on line 4
     out = tmp_path / "damaged.jsonl"
     assert _sweep_to(out) == 0
     lines = out.read_bytes().splitlines(keepends=True)
-    assert good in lines[3]
+    assert good in lines[3] and b'"lemma_f":"excluded"' in lines[3]
     lines[3] = lines[3].replace(good, bad, 1)
     lines[-1] = lines[-1][:30]
     out.write_bytes(b"".join(lines))
@@ -497,6 +505,104 @@ def test_record_line_matches_json_dumps() -> None:
     assert line == json.dumps(odd.to_json_obj(), sort_keys=True, separators=(",", ":"))
     with pytest.raises(IntegrityError, match="line 1: unknown check name"):
         parse_record_line(1, line)
+
+
+def _general_route(line: str) -> VerificationRecord | None:
+    """The record json.loads and from_json_obj give, or None if refused."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(obj, dict):
+        return None
+    try:
+        return VerificationRecord.from_json_obj(obj)
+    except IntegrityError:
+        return None
+
+
+def _parsed_or_none(line: str) -> VerificationRecord | None:
+    try:
+        return parse_record_line(1, line)
+    except IntegrityError:
+        return None
+
+
+# (text in the flagship line, its replacement, whether the general route
+# accepts the result)
+_NEAR_CANONICAL = [
+    ('"i":6', '"i":07', False),
+    ('"T_num":"615"', '"T_num":"-0"', True),
+    ('"T_num":"615"', '"T_num":"007"', True),
+    ('"n":18', '"n":-18', True),
+    ('"n":18', '"n": 18', True),
+    ('"i":6,"k":7', '"k":7,"i":6', True),
+    ('"S1":', '"\\u0053\\u0031":', True),
+    ('"T_den":"572"', '"T_den":"0"', False),
+    ('"T_den":"572"', '"T_den":"0572"', True),
+    ('"lemma_h_slack":"26"', '"lemma_h_slack":"1_13"', False),
+    ('"lemma_h_slack":"26"', '"lemma_h_slack":"026"', True),
+    ('"appendix":"holds"', '"appendix": "holds"', True),
+    ('"appendix":"holds"', '"\\u0061ppendix":"holds"', True),
+    ('"appendix":"holds"', '"appendix":"holdz"', False),
+    ('"appendix":"holds"', '"appendix":["holds"]', False),
+    ('"appendix":"holds"', '"appendix":{"x":"holds"}', False),
+    ('"appendix":"holds"', '"appendix":"}"', False),
+    ('"checks":{', '"checks":{"thm32":"violated",', True),
+]
+
+
+def test_parse_record_line_agrees_with_the_general_route(tmp_path) -> None:
+    # every line of a small grid, as written, with seeded one-byte edits and
+    # with near-canonical variants: parse_record_line must refuse what
+    # json.loads + from_json_obj refuse, and give the same record otherwise
+    out = tmp_path / "diff.jsonl"
+    argv = ["sweep-inequalities", "--t-max", "4", "--k-span", "3", "--n-span", "3",
+            "--out", str(out)]
+    assert main(argv) == 2  # t = 4 reaches the lemma_g equality at (15,6,7,5,4)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 56
+    for line in lines:
+        assert cli._CANONICAL_LINE.fullmatch(line), line
+        assert parse_record_line(1, line) == _general_route(line)
+    rng = random.Random(20241)
+    alphabet = '0123456789-+.eE"\\:,{}[] xSTl_'
+    refused = 0
+    for _ in range(4000):
+        line = rng.choice(lines)
+        at = rng.randrange(len(line))
+        kind = rng.randrange(3)  # delete, replace or insert one character
+        if kind == 0:
+            line = line[:at] + line[at + 1:]
+        else:
+            line = line[:at + (kind == 2)] + rng.choice(alphabet) + line[at + 1:]
+        expected = _general_route(line)
+        assert _parsed_or_none(line) == expected, line
+        refused += expected is None
+    assert 0 < refused < 4000  # both outcomes are reached
+    for good, bad, accepted in _NEAR_CANONICAL:
+        assert good in _FLAGSHIP
+        line = _FLAGSHIP.replace(good, bad, 1)
+        expected = _general_route(line)
+        assert (expected is not None) == accepted, bad
+        assert _parsed_or_none(line) == expected, bad
+
+
+def test_parsed_records_own_their_dicts() -> None:
+    # two lines with one checks object: the parse caches that object, and
+    # must hand each record a copy of it
+    first_line = record_to_line(evaluate_point(40, 7, 8, 6, 5))
+    second_line = record_to_line(evaluate_point(41, 7, 8, 6, 5))
+    pattern = cli._CANONICAL_LINE
+    assert pattern.fullmatch(first_line)[3] == pattern.fullmatch(second_line)[3]
+    first = parse_record_line(1, first_line)
+    second = parse_record_line(2, second_line)
+    first.checks["thm32"] = "violated"
+    first.checks["extra"] = "holds"
+    first.values["S1"] = "0"
+    assert second == evaluate_point(41, 7, 8, 6, 5)
+    assert parse_record_line(3, first_line) == evaluate_point(40, 7, 8, 6, 5)
+    assert parse_record_line(4, second_line) == evaluate_point(41, 7, 8, 6, 5)
 
 
 def test_emit_summary_empty_stream_is_zeroed() -> None:

@@ -27,6 +27,7 @@ from crossint.inequalities import (
     SPECIAL_TRIPLES,
     _SPECIAL_FORMS,
     SectionParams,
+    VALUE_NAMES,
     SweepSummary,
     VerificationRecord,
     appendix_case,
@@ -120,7 +121,7 @@ def test_evaluate_point_matches_the_per_point_api() -> None:
             appendix = "skipped"
         assert record.checks["appendix"] == appendix
         assert tuple(record.checks) == CHECK_ORDER
-        assert tuple(record.values) == (
+        assert tuple(record.values) == VALUE_NAMES == (
             "S1", "S2", "T1", "T2", "lemma_f_slack", "lemma_g_slack",
             "lemma_h_slack", "lemma_phi_slack", "equa3",
         )
@@ -329,6 +330,9 @@ def test_record_roundtrip_and_checks() -> None:
     assert rec.checks["equa1"] == "skipped"
     again = VerificationRecord.from_json_obj(json.loads(json.dumps(rec.to_json_obj())))
     assert again == rec
+    with pytest.raises(AttributeError):
+        rec.n = 19
+    assert rec.n == 18
 
 
 def test_record_rejects_malformed_objects() -> None:
@@ -338,6 +342,20 @@ def test_record_rejects_malformed_objects() -> None:
         VerificationRecord.from_json_obj(
             {"n": 1, "k": 1, "s": 1, "i": 1, "t": 1, "T_num": "x", "T_den": "1", "checks": {}}
         )
+    good = evaluate_point(18, 7, 8, 6, 5).to_json_obj()
+    for name, value, message in (
+        ("S9", "82", "unknown value name 'S9'"),
+        ("S1", "1_13", "S1 must be a decimal string"),
+        ("S1", " 82", "S1 must be a decimal string"),
+        ("S1", "\u0668\u0662", "S1 must be a decimal string"),  # Arabic-Indic 82
+        ("S1", 82, "S1 must be a decimal string"),
+    ):
+        obj = dict(good, values=dict(good["values"], **{name: value}))
+        with pytest.raises(IntegrityError, match=message):
+            VerificationRecord.from_json_obj(obj)
+    # names may be missing: the digest refuses a record without a slack it needs
+    del good["values"]["lemma_h_slack"]
+    assert "lemma_h_slack" not in VerificationRecord.from_json_obj(good).values
 
 
 def test_iter_grid_canonical_order_and_validation() -> None:
