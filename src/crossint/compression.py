@@ -12,7 +12,7 @@ on which generating-set arguments operate.
 from __future__ import annotations
 
 from .errors import UsageError
-from .families import KSubset, UniformFamily
+from .families import UniformFamily
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -28,16 +28,6 @@ def _shift_mask(m: int, bit_i: int, bit_j: int, member_set) -> int:
         if moved not in member_set:
             return moved
     return m
-
-
-def shift_set(a: KSubset, i: int, j: int, family: UniformFamily) -> KSubset:
-    """d_ij(A) relative to the family that A belongs to."""
-    if a.n != family.n:
-        raise UsageError(f"mismatched ground sets: [{a.n}] vs [{family.n}]")
-    _check_pair(a.n, i, j)
-    if a.bits not in family.member_set:
-        raise UsageError("subset is not a member of the given family")
-    return KSubset(_shift_mask(a.bits, 1 << (i - 1), 1 << (j - 1), family.member_set), a.n)
 
 
 def shift_family(family: UniformFamily, i: int, j: int) -> UniformFamily:

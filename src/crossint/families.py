@@ -8,9 +8,9 @@ few machine-int operations per pair, which is what makes exhaustive checks at
 desk scale practical.  Enumeration-level operations are capped at n <= WORD_CAP;
 counting-level operations elsewhere in the package take unbounded n.
 
-Intersection conventions: a family F is t-intersecting when |A & B| >= t for
-all A, B in F (A = B included, so a nonempty family needs k >= t); families A
-and B are cross-t-intersecting when |A & B| >= t for every A in A, B in B.
+Intersection conventions: families A and B are cross-t-intersecting when
+|A & B| >= t for every A in A, B in B; a family F is t-intersecting when F and
+F are cross-t-intersecting (A = B included, so a nonempty family needs k >= t).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, UsageError
 
@@ -51,41 +51,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
 def bottom_mask(m: int) -> int:
     """Incidence word of [m]."""
     return (1 << m) - 1
-
-
-@dataclass(frozen=True, order=True)
-class KSubset:
-    """A k-subset of [n]: incidence word plus its ground set size."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= WORD_CAP:
-            raise UsageError(f"ground set size {self.n} outside [1, {WORD_CAP}]")
-        if self.bits < 0 or self.bits >> self.n:
-            raise UsageError(f"incidence word {self.bits:#x} not within [{self.n}]")
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[int], n: int) -> "KSubset":
-        return cls(mask_of(elements, n), n)
-
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.bits)
-
-    def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.n and bool(self.bits >> (element - 1) & 1)
-
-
-def intersection_size(a: KSubset, b: KSubset) -> int:
-    """|A & B|; the two subsets must live on the same ground set."""
-    if a.n != b.n:
-        raise UsageError(f"mismatched ground sets: [{a.n}] vs [{b.n}]")
-    return (a.bits & b.bits).bit_count()
 
 
 @dataclass(frozen=True)
@@ -134,14 +99,6 @@ class UniformFamily:
     def __contains__(self, mask: int) -> bool:
         return mask in self.member_set
 
-    def subsets(self) -> Iterator[KSubset]:
-        for m in self.members:
-            yield KSubset(m, self.n)
-
-    def restrict_trace(self, mask: int) -> tuple[int, ...]:
-        """Traces A & mask of all members, in member order (repeats kept)."""
-        return tuple(m & mask for m in self.members)
-
 
 def enumerate_k_subsets(n: int, k: int) -> UniformFamily:
     """All C(n,k) k-subsets of [n] in increasing incidence-word order."""
@@ -161,20 +118,6 @@ def enumerate_k_subsets(n: int, k: int) -> UniformFamily:
         ripple = v + low
         v = ripple | (((v ^ ripple) >> 2) // low)
     return UniformFamily(n, k, tuple(masks))
-
-
-def is_t_intersecting(family: UniformFamily, t: int) -> bool:
-    """True iff |A & B| >= t for all A, B in the family (A = B included)."""
-    if t < 0:
-        raise UsageError(f"t must be nonnegative, got {t}")
-    ms = family.members
-    if ms and family.k < t:
-        return False
-    for i, a in enumerate(ms):
-        for b in ms[i + 1 :]:
-            if (a & b).bit_count() < t:
-                return False
-    return True
 
 
 def is_cross_t_intersecting(fam_a: UniformFamily, fam_b: UniformFamily, t: int) -> bool:

@@ -15,12 +15,17 @@ without enumeration:
 
 Both counters take unbounded n; expansion to an explicit family is capped.
 
-The perturbation moves trade cells between a cross-t-intersecting pair: push
-A's top slice down one element while deleting B's complementary slice (or the
-reverse).  The deleted cells are always counted exactly; the added cells match
-the closed-form delta exactly when the genset is closed under left shifts in
-the sense of the structural lemma, and the constructors verify this against the
-expanded families, refusing to return silently wrong deltas.
+Two gensets whose elements pairwise meet in >= t points generate
+cross-t-intersecting families, and for n > 2k - t the converse holds too
+(genset_cross_t), so cross-intersection is decided on the generators.
+
+The perturbation move (perturb_pair) trades cells between a
+cross-t-intersecting pair: push A's top slice down one element while deleting
+B's complementary slice (or the reverse).  The deleted cells are always
+counted exactly; the added cells match the closed-form delta exactly when the
+genset is closed under left shifts in the sense of the structural lemma, and
+the move verifies this against the expanded families, refusing to return
+silently wrong deltas.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .families import (
     bottom_mask,
     elements_of,
     enumerate_k_subsets,
-    is_cross_t_intersecting,
     mask_of,
     read_sets,
     write_sets,
@@ -47,7 +51,7 @@ from math import comb
 EXPAND_CAP = 2_000_000
 # Profile counting enumerates 2^(s+) trace patterns.
 PROFILE_CAP = 24
-# size_from_genset cross-validates against expansion automatically up to here.
+# size_from_genset cross-validates against expansion up to here.
 VALIDATE_CAP = 14
 
 
@@ -160,26 +164,6 @@ def upset_k(genset: GenSet) -> UniformFamily:
     return UniformFamily.from_masks(genset.n, genset.k, out)
 
 
-def is_generating(genset: GenSet, family: UniformFamily) -> bool:
-    """True iff the genset generates exactly the given family."""
-    if (genset.n, genset.k) != (family.n, family.k):
-        raise UsageError(
-            f"genset context ({genset.n}, {genset.k}) does not match "
-            f"family ({family.n}, {family.k})"
-        )
-    return upset_k(genset).members == family.members
-
-
-def minimal_elements(genset: GenSet) -> GenSet:
-    """Inclusion-minimal elements; generates the same up-set."""
-    keep = [
-        a
-        for a in genset.elements
-        if not any(b != a and a & b == b for b in genset.elements)
-    ]
-    return GenSet.from_masks(genset.n, genset.k, keep, minimal=True)
-
-
 def minimal_genset(family: UniformFamily) -> GenSet:
     """The canonical minimal genset: minimal sets all of whose k-supersets lie
     in the family.  Every genset of the family consists of such sets, so this
@@ -256,19 +240,18 @@ def cells_union(genset: GenSet) -> UniformFamily:
     return UniformFamily.from_masks(genset.n, genset.k, out)
 
 
-def size_from_genset(genset: GenSet, validate: str | bool = "auto") -> int:
+def size_from_genset(genset: GenSet) -> int:
     """Cell count Sum_E C(n - s+(E), k - |E|) of the generated family.
 
     Exact when the cells cover the family (minimal genset of a left-compressed
     family); for other antichains the cells are merely disjoint and the sum
-    undercounts.  validate=True compares against expansion (n <= WORD_CAP
-    required); "auto" does so whenever n <= VALIDATE_CAP; False skips.
+    undercounts.  Whenever n <= VALIDATE_CAP the count is compared against
+    expansion, and a mismatch raises IntegrityError.
     """
     total = sum(
         comb(genset.n - s_plus_mask(m), genset.k - m.bit_count()) for m in genset.elements
     )
-    must_check = validate is True or (validate == "auto" and genset.n <= VALIDATE_CAP)
-    if must_check:
+    if genset.n <= VALIDATE_CAP:
         true_size = len(upset_k(genset))
         if true_size != total:
             raise IntegrityError(
@@ -389,56 +372,6 @@ def strip_top(genset: GenSet, i: int, top: int | None = None) -> GenSet:
 
 
 @dataclass(frozen=True)
-class PairingEntry:
-    size: int
-    element: int
-    partner: int | None
-
-
-@dataclass(frozen=True)
-class PairingReport:
-    """Partner structure of the top slices of a cross-t-intersecting pair."""
-
-    s: int
-    t: int
-    ok: bool
-    entries: tuple[PairingEntry, ...]
-
-
-def pairing_check(gen_a: GenSet, gen_b: GenSet, t: int) -> PairingReport:
-    """For each E in g*_i(A), find F in g*_{s+t-i}(B) with |E cap F| = t and
-    E u F = [s], where s = max(s+(A), s+(B)); report a None partner on failure.
-    Checked in both directions (the roles of A and B are symmetric)."""
-    if gen_a.n != gen_b.n:
-        raise UsageError(f"mismatched ground sets: [{gen_a.n}] vs [{gen_b.n}]")
-    s = max(s_plus(gen_a), s_plus(gen_b))
-    full = bottom_mask(s)
-    entries = []
-    ok = True
-    for first, second in ((gen_a, gen_b), (gen_b, gen_a)):
-        top_bit = 1 << (s - 1)
-        for e in first.elements:
-            if not e & top_bit:
-                continue
-            i = e.bit_count()
-            want = s + t - i
-            partner = None
-            for f in second.elements:
-                if (
-                    f.bit_count() == want
-                    and f & top_bit
-                    and (e & f).bit_count() == t
-                    and e | f == full
-                ):
-                    partner = f
-                    break
-            if partner is None:
-                ok = False
-            entries.append(PairingEntry(i, e, partner))
-    return PairingReport(s, t, ok, tuple(entries))
-
-
-@dataclass(frozen=True)
 class PerturbResult:
     """Outcome of a cell-trading move: new families plus closed-form deltas."""
 
@@ -454,26 +387,6 @@ def _checked_delta(new_len: int, old_len: int, formula: int, what: str) -> int:
             "genset lacks the shift-closure the formula needs"
         )
     return formula
-
-
-def perturb_single(family: UniformFamily, genset: GenSet, i: int, t: int) -> PerturbResult:
-    """F -> (F u D(g*_i')) minus D(g*_{s+t-i}) with its closed-form size delta."""
-    if (genset.n, genset.k) != (family.n, family.k):
-        raise UsageError("genset context does not match the family")
-    s = s_plus(genset)
-    up = slice_top(genset, i, s)
-    if not up.elements:
-        raise UsageError(f"empty top slice g*_{i}; nothing to perturb")
-    down = slice_top(genset, s + t - i, s)
-    members = set(family.members)
-    members.update(cells_union(strip_top(genset, i, s)).members)
-    members.difference_update(cells_union(down).members)
-    new_family = UniformFamily.from_masks(family.n, family.k, members)
-    formula = len(up) * comb(family.n - s, family.k - i + 1) - len(down) * comb(
-        family.n - s, family.k + i - s - t
-    )
-    delta = _checked_delta(len(new_family), len(family), formula, "perturb_single")
-    return PerturbResult((new_family,), (delta,), s)
 
 
 def perturb_pair(
@@ -558,17 +471,6 @@ def genset_cross_t(gen_a: GenSet, gen_b: GenSet, t: int) -> bool:
             if (a & b).bit_count() < t:
                 return False
     return True
-
-
-def assert_cross_t_equivalence(gen_a: GenSet, gen_b: GenSet, t: int) -> bool:
-    """Expansion-scale check that genset-level and family-level cross-t agree
-    (requires n > 2k - t for the equivalence to be a theorem)."""
-    n, k = gen_a.n, gen_a.k
-    if n <= 2 * k - t:
-        raise UsageError(f"equivalence needs n > 2k - t, got n = {n}, 2k - t = {2 * k - t}")
-    lhs = genset_cross_t(gen_a, gen_b, t)
-    rhs = is_cross_t_intersecting(upset_k(gen_a), upset_k(gen_b), t)
-    return lhs == rhs
 
 
 def full_layer_genset(n: int, k: int, s: int, size: int) -> GenSet:

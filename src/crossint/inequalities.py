@@ -362,18 +362,6 @@ def basefact(a_val, b_val, a_inc, b_dec) -> tuple[bool, bool]:
     return lhs, rhs
 
 
-def eq2_applicable(m: int, j: int) -> bool:
-    """Hypothesis of the 3x column-ratio step."""
-    return m >= 4 * j
-
-
-def eq2_holds(m: int, j: int) -> bool:
-    """C(m,j) > 3 C(m,j-1); guaranteed when m >= 4j (ratio (m-j+1)/j > 3)."""
-    if not 1 <= j <= m:
-        raise DomainError(f"need 1 <= j <= m, got j={j}, m={m}")
-    return comb(m, j) > 3 * comb(m, j - 1)
-
-
 # ---------------------------------------------------------------------------
 # Per-point records and grid sweeps
 # ---------------------------------------------------------------------------

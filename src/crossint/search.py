@@ -186,15 +186,12 @@ def brute_force_best(
     k: int,
     t: int,
     objective: str = "product",
-    *,
-    cap: int = BRUTE_CAP,
-    max_witnesses: int = MAX_WITNESSES,
 ) -> SearchResult:
     """Exact optimum of |A||B| or |A|+|B| over cross-t-intersecting pairs.
 
     Scans every A (subfamily of the layer) with B = closure_t(A); for the sum
     objective both families must be nonempty.  All optimal closed pairs are
-    reported (unordered, deduplicated).  Layers larger than ``cap`` members
+    reported (unordered, deduplicated).  Layers larger than BRUTE_CAP members
     are refused with a pointer to the genset search.
     """
     if not 1 <= t <= k <= n:
@@ -202,9 +199,9 @@ def brute_force_best(
     if objective not in ("product", "sum"):
         raise UsageError(f"objective must be 'product' or 'sum', got {objective!r}")
     layer = comb(n, k)
-    if layer > cap:
+    if layer > BRUTE_CAP:
         raise CapacityError(
-            f"layer C({n},{k}) = {layer} exceeds the brute-force cap {cap}; "
+            f"layer C({n},{k}) = {layer} exceeds the brute-force cap {BRUTE_CAP}; "
             "use genset_search_best_product for the product objective"
         )
     members = enumerate_k_subsets(n, k).members
@@ -220,7 +217,7 @@ def brute_force_best(
 
     product = objective == "product"
     best = -1
-    ties: dict[tuple[int, int], tuple[int, int]] = {}
+    ties: set[tuple[int, int]] = set()
     nodes = 0
 
     # Each nonempty A is visited exactly once, right after its largest member
@@ -243,9 +240,7 @@ def brute_force_best(
                 best = value
                 ties.clear()
             if value == best and len(ties) < _TIE_SOFT_CAP:
-                key = (min(new_a, new_cl), max(new_a, new_cl))
-                if key not in ties:
-                    ties[key] = key
+                ties.add((min(new_a, new_cl), max(new_a, new_cl)))
             remaining = count - idx - 1
             parent_count = cl_mask.bit_count()
             ceiling = (
@@ -270,7 +265,7 @@ def brute_force_best(
         raise IntegrityError("no admissible pair found")
 
     witness_pairs = []
-    for a_key, b_key in sorted(ties)[:max_witnesses]:
+    for a_key, b_key in sorted(ties)[:MAX_WITNESSES]:
         fam_a = UniformFamily.from_masks(
             n, k, (members[i] for i in range(count) if a_key >> i & 1)
         )
@@ -342,7 +337,6 @@ def genset_search_best_product(
     *,
     s_max: int | None = None,
     node_cap: int = GENSET_NODE_CAP,
-    max_witnesses: int = MAX_WITNESSES,
 ) -> SearchResult:
     """Exact product maximum over pairs generated by antichains on [s].
 
@@ -444,7 +438,7 @@ def genset_search_best_product(
     # product bound deep in the tree, where the partner is pinned down.
     solo_cap = [fam_size(union_up(row)) for row in compat]
 
-    ties: dict[tuple[int, int], tuple[int, int]] = {}
+    ties: set[tuple[int, int]] = set()
     counts = dict.fromkeys(
         ("nodes", "improvements", "prune_level", "prune_solo", "prune_suffix"), 0
     )
@@ -462,9 +456,7 @@ def genset_search_best_product(
 
     def current_result(capped: bool) -> SearchResult:
         band = sum(bucket for bucket, _ in active)  # trace sizes of k-sets
-        witnesses = _materialize_genset_ties(
-            n, k, s, band, sorted(ties)[: 4 * max_witnesses], max_witnesses
-        )
+        witnesses = _materialize_genset_ties(n, k, s, band, sorted(ties)[: 4 * MAX_WITNESSES])
         return SearchResult(
             n=n,
             k=k,
@@ -512,8 +504,7 @@ def genset_search_best_product(
                 ties.clear()
                 counts["improvements"] += 1
             if value == best and len(ties) < _TIE_SOFT_CAP:
-                key = (min(new_a, b_bitmap), max(new_a, b_bitmap))
-                ties[key] = key
+                ties.add((min(new_a, b_bitmap), max(new_a, b_bitmap)))
             if max(solo_cap[g] for g in _bitmap_indices(new_cmask)) * b_size < best:
                 counts["prune_solo"] += 1
             elif fam_size(new_a | suffix_up[idx + 1]) * b_size < best:
@@ -535,7 +526,6 @@ def _materialize_genset_ties(
     s: int,
     band: int,
     keys: Iterable[tuple[int, int]],
-    max_witnesses: int,
 ) -> tuple:
     """Canonical witness pairs from optimal trace-upset bitmaps.
 
@@ -556,7 +546,7 @@ def _materialize_genset_ties(
     for pair in keys:
         gens = sorted(map(generators, pair), key=lambda g: g.elements)
         seen.setdefault((gens[0].elements, gens[1].elements), (gens[0], gens[1]))
-        if len(seen) >= max_witnesses:
+        if len(seen) >= MAX_WITNESSES:
             break
     return tuple(seen[key] for key in sorted(seen))
 
@@ -1308,7 +1298,6 @@ class MainTheoremReport:
 
 
 def _classify_structure(genset: GenSet, t: int) -> str:
-    n, k = genset.n, genset.k
     star = ((1 << t) - 1,)
     if genset.elements == star:
         return "star"
@@ -1325,8 +1314,6 @@ def verify_main_theorem_small(
     *,
     shift_trials: int = 0,
     seed: int = 0,
-    brute_cap: int = BRUTE_CAP,
-    node_cap: int = GENSET_NODE_CAP,
 ) -> MainTheoremReport:
     """Confirm the product bound C(n-t,k-t)^2 by exhaustive search.
 
@@ -1335,11 +1322,11 @@ def verify_main_theorem_small(
     optionally stress-tests witnesses with random simultaneous shifts (which
     must preserve cross-t-intersection and the product exactly).
     """
-    result = genset_search_best_product(n, k, t, node_cap=node_cap)
+    result = genset_search_best_product(n, k, t)
     methods = [result.method]
     stats = dict(result.stats)
-    if comb(n, k) <= brute_cap:
-        brute = brute_force_best(n, k, t, "product", cap=brute_cap)
+    if comb(n, k) <= BRUTE_CAP:
+        brute = brute_force_best(n, k, t, "product")
         methods.append(brute.method)
         stats["brute_nodes"] = brute.stats["nodes"]
         if brute.value != result.value:
@@ -1387,7 +1374,7 @@ def verify_main_theorem_small(
 
 
 def _shift_stress(result: SearchResult, trials: int, seed: int) -> bool:
-    """Random simultaneous shifts never change a witness pair's objective."""
+    """Random simultaneous shifts never change a witness pair's product."""
     n, k, t = result.n, result.k, result.t
     if n > WORD_CAP or comb(n, k) > EXPAND_CAP or not result.witnesses:
         raise CapacityError("shift trials need expandable witnesses")
@@ -1406,9 +1393,6 @@ def _shift_stress(result: SearchResult, trials: int, seed: int) -> bool:
         moved_b = shift_family(fam_b, i, j)
         if not is_cross_t_intersecting(moved_a, moved_b, t):
             return False
-        value = len(moved_a) * len(moved_b)
-        if result.objective == "sum":
-            value = len(moved_a) + len(moved_b)
-        if value != result.value:
+        if len(moved_a) * len(moved_b) != result.value:
             return False
     return True

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from crossint import cli
+from crossint import cli, search
 from crossint.cli import (
     CHECK_ORDER,
     RecordDigest,
@@ -169,6 +169,26 @@ def test_verify_case4(capsys, tmp_path) -> None:
     assert guarded_failures == []
     err = capsys.readouterr().err
     assert "all printed comparisons hold under their hypotheses" in err
+
+
+def test_verify_case4_guarded_failure_exits_two_and_writes_nothing(
+    capsys, tmp_path, monkeypatch
+) -> None:
+    first = next(
+        row
+        for row in search.verify_section4_constructions(10, 6).rows()
+        if row.relation == ">" and row.guard_met
+    )
+    monkeypatch.setitem(search._RELATIONS, ">", lambda a, b: False)
+    out = tmp_path / "case4.json"
+    assert main(["verify-case4", "--n", "10", "--k", "6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"integrity: {first.construction}: {first.label}: " in err
+    assert not out.exists()
+    # the same failed row outside its hypothesis is recorded, not raised
+    builder = search._ReportBuilder(10, 6, 3).construction(first.construction)
+    assert not builder.row(first.label, first.lhs, ">", first.rhs, first.guard, guard_met=False)
+    assert builder.rows[-1].holds is False
 
 
 def test_verify_main_small(capsys, tmp_path) -> None:

@@ -15,7 +15,6 @@ import pytest
 
 from crossint.errors import UsageError
 from crossint.families import (
-    KSubset,
     UniformFamily,
     enumerate_k_subsets,
     is_cross_t_intersecting,
@@ -25,39 +24,7 @@ from crossint.compression import (
     is_left_compressed,
     left_compress,
     shift_family,
-    shift_set,
 )
-
-
-def test_shift_set_moves_j_to_i_when_free() -> None:
-    fam = UniformFamily.from_sets(5, 2, [[2, 3]])
-    a = KSubset.from_elements([2, 3], 5)
-    assert shift_set(a, 1, 3, fam).elements() == (1, 2)
-
-
-def test_shift_set_blocked_by_existing_member() -> None:
-    fam = UniformFamily.from_sets(5, 2, [[1, 2], [2, 3]])
-    a = KSubset.from_elements([2, 3], 5)
-    assert shift_set(a, 1, 3, fam).elements() == (2, 3)
-
-
-def test_shift_set_fixes_sets_without_j_or_with_i() -> None:
-    fam = UniformFamily.from_sets(5, 2, [[1, 3], [2, 4]])
-    assert shift_set(KSubset.from_elements([1, 3], 5), 1, 3, fam).elements() == (1, 3)
-    assert shift_set(KSubset.from_elements([2, 4], 5), 1, 3, fam).elements() == (2, 4)
-
-
-def test_shift_set_validation() -> None:
-    fam = UniformFamily.from_sets(5, 2, [[2, 3]])
-    a = KSubset.from_elements([2, 3], 5)
-    with pytest.raises(UsageError):
-        shift_set(a, 0, 3, fam)
-    with pytest.raises(UsageError):
-        shift_set(a, 2, 2, fam)
-    with pytest.raises(UsageError):
-        shift_set(KSubset.from_elements([1, 2], 5), 1, 3, fam)
-    with pytest.raises(UsageError):
-        shift_set(KSubset.from_elements([2, 3], 6), 1, 3, fam)
 
 
 def test_shift_family_small_example() -> None:

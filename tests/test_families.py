@@ -1,4 +1,4 @@
-"""Bitset subsets, uniform families, intersection predicates, and the shade.
+"""Incidence words, uniform families, the intersection predicate, and the shade.
 
 The shade tests include the normalized-matching property of the subset
 lattice, checked as a cross-multiplied integer inequality on a large batch of
@@ -16,7 +16,6 @@ import pytest
 
 from crossint.errors import CapacityError, UsageError
 from crossint.families import (
-    KSubset,
     UniformFamily,
     bottom_mask,
     elements_of,
@@ -24,9 +23,7 @@ from crossint.families import (
     family_from_text,
     family_to_text,
     is_cross_t_intersecting,
-    is_t_intersecting,
     mask_of,
-    intersection_size,
     read_family,
     shade,
     write_family,
@@ -57,35 +54,6 @@ def test_bottom_mask() -> None:
     assert elements_of(bottom_mask(6)) == (1, 2, 3, 4, 5, 6)
 
 
-def test_ksubset_basics() -> None:
-    a = KSubset.from_elements([2, 4], 5)
-    assert a.size == 2
-    assert a.elements() == (2, 4)
-    assert 2 in a and 4 in a
-    assert 1 not in a and 6 not in a
-
-
-def test_ksubset_validation() -> None:
-    with pytest.raises(UsageError):
-        KSubset(0b1, 0)
-    with pytest.raises(UsageError):
-        KSubset(0b1, 65)
-    with pytest.raises(UsageError):
-        KSubset(0b10000, 4)  # element 5 outside [4]
-
-
-def test_ksubset_ordering_is_by_word_then_ground_set() -> None:
-    assert KSubset(0b011, 5) < KSubset(0b101, 5)
-
-
-def test_intersection_size() -> None:
-    a = KSubset.from_elements([1, 2, 3], 6)
-    b = KSubset.from_elements([2, 3, 5], 6)
-    assert intersection_size(a, b) == 2
-    with pytest.raises(UsageError):
-        intersection_size(a, KSubset.from_elements([1], 7))
-
-
 def test_uniform_family_from_masks_sorts_and_dedupes() -> None:
     fam = UniformFamily.from_masks(4, 2, [0b1100, 0b0011, 0b1100])
     assert fam.members == (0b0011, 0b1100)
@@ -114,11 +82,6 @@ def test_uniform_family_ground_set_cap() -> None:
         UniformFamily(65, 1, ())
 
 
-def test_restrict_trace_keeps_member_order_and_repeats() -> None:
-    fam = UniformFamily.from_sets(5, 2, [[1, 2], [1, 3], [4, 5]])
-    assert fam.restrict_trace(0b00001) == (0b1, 0b1, 0b0)
-
-
 def test_enumerate_k_subsets_counts_and_order() -> None:
     for n in range(1, 9):
         for k in range(0, n + 1):
@@ -137,14 +100,17 @@ def test_enumerate_matches_itertools() -> None:
 
 
 def test_is_t_intersecting() -> None:
+    # a family is t-intersecting when it is cross-t-intersecting with itself
     star = UniformFamily.from_sets(5, 3, [[1, 2, 3], [1, 2, 4], [1, 2, 5]])
-    assert is_t_intersecting(star, 2)
-    assert not is_t_intersecting(star, 3)
-    assert is_t_intersecting(UniformFamily(5, 3, ()), 9)
+    assert is_cross_t_intersecting(star, star, 2)
+    assert not is_cross_t_intersecting(star, star, 3)
+    empty = UniformFamily(5, 3, ())
+    assert is_cross_t_intersecting(empty, empty, 9)
     # nonempty members of size k < t can never self-intersect in t points
-    assert not is_t_intersecting(UniformFamily.from_sets(5, 1, [[1]]), 2)
+    point = UniformFamily.from_sets(5, 1, [[1]])
+    assert not is_cross_t_intersecting(point, point, 2)
     with pytest.raises(UsageError):
-        is_t_intersecting(star, -1)
+        is_cross_t_intersecting(star, star, -1)
 
 
 def test_is_cross_t_intersecting() -> None:

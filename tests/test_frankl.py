@@ -14,7 +14,6 @@ import pytest
 
 from crossint.errors import OutOfScopeError, UsageError
 from crossint.frankl import (
-    AKRegime,
     FranklParams,
     ak_regime,
     ak_threshold,

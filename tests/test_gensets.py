@@ -1,5 +1,5 @@
-"""Gensets: expansion, minimal generators, exact counting, pairing structure,
-cell-trading perturbations, and the genset-level cross-intersection test.
+"""Gensets: expansion, minimal generators, exact counting, cell-trading
+perturbations, and the genset-level cross-intersection test.
 
 The counting tests pin down the difference between the cell-sum formula
 (exact only when the cells cover the up-set) and profile counting (exact for
@@ -24,7 +24,6 @@ from crossint.families import (
 from crossint.compression import left_compress
 from crossint.gensets import (
     GenSet,
-    assert_cross_t_equivalence,
     cell_D,
     cells_union,
     compact,
@@ -33,12 +32,8 @@ from crossint.gensets import (
     genset_cross_t,
     genset_from_text,
     genset_to_text,
-    is_generating,
-    minimal_elements,
     minimal_genset,
-    pairing_check,
     perturb_pair,
-    perturb_single,
     profile_counts,
     s_plus,
     s_plus_mask,
@@ -93,11 +88,6 @@ def test_upset_k_respects_expansion_cap() -> None:
         upset_k(GenSet.from_sets(40, 20, [[1]]))
 
 
-def test_minimal_elements() -> None:
-    g = GenSet.from_sets(5, 3, [[1], [1, 2], [2, 3]])
-    assert minimal_elements(g).element_sets() == ((1,), (2, 3))
-
-
 def test_minimal_genset_of_star() -> None:
     star = UniformFamily.from_masks(
         5, 3, [m for m in enumerate_k_subsets(5, 3).members if m & 1]
@@ -120,7 +110,7 @@ def test_minimal_genset_generates_any_family() -> None:
             n, k, rng.sample(layer, rng.randint(1, len(layer)))
         )
         gen = minimal_genset(fam)
-        assert is_generating(gen, fam)
+        assert upset_k(gen).members == fam.members
         # re-extracting from the generated family is idempotent
         assert minimal_genset(upset_k(gen)) == gen
 
@@ -135,9 +125,10 @@ def test_cells_are_disjoint_for_antichains_but_may_undercount() -> None:
     union = cells_union(g)
     assert len(union) == 3  # {145} from one cell, {234},{235} from the other
     assert len(upset_k(g)) == 6
-    assert size_from_genset(g, validate=False) == 3
+    # the cell sum undercounts, and at n = 5 <= VALIDATE_CAP the count is
+    # checked against expansion
     with pytest.raises(IntegrityError):
-        size_from_genset(g, validate=True)
+        size_from_genset(g)
     # profile counting stays exact even where the cell sum fails
     assert upset_size(g) == 6
 
@@ -152,7 +143,7 @@ def test_size_from_genset_exact_on_compressed_minimal_gensets() -> None:
             UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(1, len(layer))))
         )
         gen = minimal_genset(fam)
-        assert size_from_genset(gen, validate=True) == len(fam)
+        assert size_from_genset(gen) == len(fam)  # n <= VALIDATE_CAP: checked too
 
 
 def test_upset_size_matches_expansion_for_random_antichains() -> None:
@@ -166,7 +157,8 @@ def test_upset_size_matches_expansion_for_random_antichains() -> None:
             if 1 <= m.bit_count() <= k
         ]
         picked = rng.sample(pool, rng.randint(1, min(len(pool), 5)))
-        g = minimal_elements(GenSet.from_masks(n, k, picked))
+        minimal = [a for a in picked if not any(b != a and a & b == b for b in picked)]
+        g = GenSet.from_masks(n, k, minimal, minimal=True)
         assert upset_size(g) == len(upset_k(g))
 
 
@@ -207,41 +199,6 @@ def test_slice_and_strip_top() -> None:
     assert slice_top(g, 3).element_sets() == ((1, 2, 4), (1, 3, 4))
     assert strip_top(g, 3).element_sets() == ((1, 2), (1, 3))
     assert slice_top(g, 2).element_sets() == ((1, 4),)
-
-
-def test_pairing_check_window_layer() -> None:
-    g = full_layer_genset(8, 4, 4, 3)  # all triples of [4]
-    report = pairing_check(g, g, 2)
-    assert report.s == 4
-    assert report.ok
-    for entry in report.entries:
-        assert entry.partner is not None
-        assert (entry.element & entry.partner).bit_count() == 2
-        assert entry.element | entry.partner == 0b1111
-
-
-def test_pairing_check_detects_missing_partner() -> None:
-    g = GenSet.from_sets(8, 4, [[1, 2, 4]], minimal=True)
-    report = pairing_check(g, g, 2)
-    assert not report.ok
-    assert any(e.partner is None for e in report.entries)
-
-
-def test_perturb_single_window_example() -> None:
-    g = full_layer_genset(6, 3, 4, 3)
-    fam = upset_k(g)
-    assert len(fam) == 4
-    result = perturb_single(fam, g, 3, 2)
-    (new_fam,) = result.families
-    assert result.s == 4
-    assert result.deltas == (3,)
-    assert len(new_fam) == 7
-
-
-def test_perturb_single_needs_nonempty_slice() -> None:
-    g = full_layer_genset(6, 3, 4, 3)
-    with pytest.raises(UsageError):
-        perturb_single(upset_k(g), g, 2, 2)
 
 
 def test_perturb_pair_trades_complementary_cells() -> None:
@@ -288,19 +245,14 @@ def test_cross_t_equivalence_randomized() -> None:
         pool = [m for m in range(1, 1 << min(n, k + 1)) if 1 <= m.bit_count() <= k]
 
         def pick() -> GenSet:
-            return minimal_elements(
-                GenSet.from_masks(n, k, rng.sample(pool, rng.randint(1, 4)))
-            )
+            picked = rng.sample(pool, rng.randint(1, 4))
+            minimal = [a for a in picked if not any(b != a and a & b == b for b in picked)]
+            return GenSet.from_masks(n, k, minimal, minimal=True)
 
-        assert assert_cross_t_equivalence(pick(), pick(), t)
+        a, b = pick(), pick()
+        assert genset_cross_t(a, b, t) == is_cross_t_intersecting(upset_k(a), upset_k(b), t)
         checked += 1
     assert checked >= 100
-
-
-def test_cross_t_equivalence_requires_large_ground_set() -> None:
-    g = compact("12", 5, 3)
-    with pytest.raises(UsageError):
-        assert_cross_t_equivalence(g, g, 1)  # n = 5 = 2k - t
 
 
 def test_full_layer_genset() -> None:

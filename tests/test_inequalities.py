@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 import pytest
 
@@ -35,8 +35,6 @@ from crossint.inequalities import (
     chain_checks,
     check_key_inequality,
     check_ratio_identity,
-    eq2_applicable,
-    eq2_holds,
     eval_core,
     evaluate_point,
     iter_grid,
@@ -306,18 +304,6 @@ def test_dual_forms_large_random_suite() -> None:
         i = rng.randint(lo, hi)
         q = eval_core(SectionParams(n, k, s, i, t))
         assert min(q.s1, q.s2, q.t1, q.t2) > 0, trial
-
-
-def test_eq2_column_ratio() -> None:
-    assert eq2_applicable(8, 2) and eq2_holds(8, 2)
-    assert not eq2_applicable(7, 2)
-    assert not eq2_holds(4, 2)  # C(4,2)=6 vs 3*C(4,1)=12
-    for m in range(1, 61):
-        for j in range(1, m + 1):
-            if eq2_applicable(m, j):
-                assert eq2_holds(m, j), (m, j)
-    with pytest.raises(DomainError):
-        eq2_holds(5, 0)
 
 
 def test_record_roundtrip_and_checks() -> None:

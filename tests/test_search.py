@@ -19,11 +19,10 @@ from crossint.families import (
     UniformFamily,
     enumerate_k_subsets,
     is_cross_t_intersecting,
-    mask_of,
 )
 from crossint.compression import shift_family
 from crossint.frankl import FranklParams, frankl_size
-from crossint.gensets import GenSet, compact, full_layer_genset, upset_size
+from crossint.gensets import compact, full_layer_genset, upset_size
 from crossint.search import (
     BRUTE_CAP,
     SearchResult,
