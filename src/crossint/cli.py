@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from .compression import is_left_compressed, left_compress
 from .errors import (
@@ -44,7 +44,6 @@ from .errors import (
     CrossIntError,
     DomainError,
     IntegrityError,
-    ResumeMismatchError,
     UsageError,
 )
 from .families import (
@@ -71,7 +70,7 @@ from .inequalities import (
     VALUE_NAMES,
     VerificationRecord,
     _check_statuses,
-    point_chain,
+    _grid_points,
     sweep,
 )
 from .search import (
@@ -309,9 +308,8 @@ def resolve_out(out: str | None, default_name: str) -> str:
 def _write_out(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    else:
+        _replace_file(path, text)
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -338,26 +336,30 @@ def _say(message: str) -> None:
 
 
 def _trim_to_last_record(
-    path: str, digest: RecordDigest
-) -> tuple[tuple | None, tuple[int, int], int]:
-    """Recover the resume marker from an existing record stream, in one pass.
+    path: str, digest: RecordDigest, points: Iterator[tuple[int, int, int, int, int]]
+) -> int:
+    """Check an existing record stream against the grid, in one pass.
 
     Complete leading records are digested and kept; a partial, blank or
     unparsable final line (an interrupted write) is to be trimmed away.
-    Damage anywhere else is an integrity error: silently resuming over it
-    would corrupt the stream.  Returns the canonical tuple of the last intact
-    record, the (count, point_chain) of the intact records, and the byte
-    length of the intact prefix, which is where the file is to be cut.  The
-    file itself is left alone, so that a resume refused later leaves it
-    untouched.
+    Damage anywhere else, or a record that does not come after the one
+    before it, is an integrity error: silently resuming over it would
+    corrupt the stream.  Each kept record must equal the next of points, the
+    canonical (t, k, n, s, i) tuples the grid flags give; a stream that
+    parts from them is a usage error naming the line, raised once the whole
+    stream has been read, so that damage further on is still reported as
+    such.  Returns the byte length of the kept records, which is where the
+    file is to be cut.  The file itself is left alone, so that a resume
+    refused later leaves it untouched.
 
     Each line goes through parse_record_line: the lines this program wrote
     take its canonical-pattern route, and any other line its general
     json.loads route, which keeps a parseable non-canonical record as it
     stands and words the error for a damaged one."""
     marker: tuple | None = None
-    count = chain = kept = 0
+    kept = 0
     damage: IntegrityError | None = None
+    refusal: UsageError | None = None
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if damage is not None:
@@ -382,51 +384,53 @@ def _trim_to_last_record(
                 raise IntegrityError(
                     f"line {lineno}: record out of canonical order; stream corrupt"
                 )
+            if refusal is None:
+                expected = next(points, None)
+                if point != expected:
+                    grid = (
+                        f"the grid has only {lineno - 1} points"
+                        if expected is None
+                        else f"the grid's point {lineno} is {expected}"
+                    )
+                    refusal = UsageError(
+                        f"--resume refused, {path} left unchanged: line {lineno} "
+                        f"holds {point}, but {grid}; were the grid flags changed "
+                        "since the stream was written?"
+                    )
             try:
                 digest.absorb(record)
             except IntegrityError as exc:
                 raise IntegrityError(f"line {lineno}: {exc}") from None
             marker = point
-            count += 1
-            chain = point_chain(chain, point)
             kept += len(raw)
-    return marker, (count, chain), kept
+    if refusal is not None:
+        raise refusal
+    return kept
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out = resolve_out(args.out, "sweep-records.jsonl")
     if args.resume and out == "-":
         raise UsageError("--resume needs --out pointing at a file")
+    grid = (args.t_min, args.t_max, args.k_span, args.n_span)
     digest = RecordDigest()
-    marker, prefix, kept = None, None, 0
+    kept = 0
     if args.resume and os.path.exists(out):
-        marker, prefix, kept = _trim_to_last_record(out, digest)
-    if marker is not None:
-        _say(f"resuming after canonical point (t,k,n,s,i) = {marker}")
+        kept = _trim_to_last_record(out, digest, _grid_points(*grid))
+    resumed = digest.records > 0
+    if resumed:
+        _say(f"resuming after canonical point (t,k,n,s,i) = {digest.last_point}")
 
-    records = sweep(
-        t_lo=args.t_min,
-        t_hi=args.t_max,
-        k_span=args.k_span,
-        n_span=args.n_span,
-        resume_after=marker,
-        resume_prefix=prefix,
-    )
-    # sweep() checks the resumed prefix against the grid before its first
-    # record, so the file is cut and opened only once that check has passed
-    try:
-        first = next(records, None)
-    except ResumeMismatchError as exc:
-        raise UsageError(
-            f"--resume refused, {out} left unchanged: {exc}; were the grid "
-            "flags changed since the stream was written?"
-        ) from None
+    records = sweep(*grid, skip=digest.records)
+    # the first record is pulled before --out is opened, so that grid flags
+    # sweep() refuses leave an existing stream untouched
+    first = next(records, None)
     if out == "-":
         fh: TextIO = sys.stdout
     else:
-        if marker is not None:
+        if resumed:
             os.truncate(out, kept)  # in place: the intact records stay as written
-        fh = open(out, "a" if marker is not None else "w", encoding="utf-8")
+        fh = open(out, "a" if resumed else "w", encoding="utf-8")
     try:
         if first is not None:
             for record in itertools.chain((first,), records):

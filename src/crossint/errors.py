@@ -3,7 +3,9 @@
 Four failure modes are kept apart so callers (and the CLI exit-code table) can
 react differently to each:
 
-* bad input that a caller could have avoided      -> UsageError
+* bad input that a caller could have avoided,
+  such as a resumed stream that is not the grid
+  its flags give                                  -> UsageError
 * parameters outside a function's proven domain   -> DomainError
 * instance too large for the configured caps      -> CapacityError
 * two independent computations of the same value
@@ -38,14 +40,6 @@ class CapacityError(CrossIntError):
 
 class IntegrityError(CrossIntError):
     """Two routes to the same exact value disagreed; indicates a defect."""
-
-
-class ResumeMismatchError(IntegrityError):
-    """A stream's records are not the grid points a resumed sweep would skip.
-
-    Raised before anything is written; the CLI reports it as a usage error,
-    since its usual cause is resuming with different grid flags.
-    """
 
 
 class OutOfScopeError(DomainError):

@@ -46,7 +46,7 @@ from math import comb, gcd
 from numbers import Rational
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError, IntegrityError, ResumeMismatchError, UsageError
+from .errors import DomainError, IntegrityError, UsageError
 
 EXCLUDED_TRIPLE = (6, 4, 3)
 
@@ -725,43 +725,20 @@ class SweepSummary:
         }
 
 
-def point_chain(chain: int, point: tuple[int, int, int, int, int]) -> int:
-    """Fold one more canonical point into an order-sensitive running hash.
-
-    Start from 0.  Equal chains over equal counts mean, short of a hash
-    collision, the same points in the same order, without keeping them."""
-    return hash((chain, point))
-
-
 def sweep(
     t_lo: int = 3,
     t_hi: int = 8,
     k_span: int = 12,
     n_span: int = 40,
-    resume_after: tuple[int, int, int, int, int] | None = None,
-    resume_prefix: tuple[int, int] | None = None,
+    skip: int = 0,
 ) -> Iterator[VerificationRecord]:
     """Evaluate every grid point in canonical order, yielding its record.
 
-    resume_after skips all points up to and including the given canonical
-    (t, k, n, s, i) tuple, so a resumed run continues the same stream; the
-    skipped points are only walked as tuples, never built or evaluated.
-    resume_prefix is the (count, point_chain) of the records already
-    written; unless the skipped points give the same pair, a
-    ResumeMismatchError is raised before the first record is yielded."""
-    points = _grid_points(t_lo, t_hi, k_span, n_span)
-    if resume_after is not None:
-        skipped = chain = 0
-        for point in points:
-            if point > resume_after:
-                points = itertools.chain((point,), points)
-                break
-            skipped += 1
-            chain = point_chain(chain, point)
-        if resume_prefix is not None and resume_prefix != (skipped, chain):
-            raise ResumeMismatchError(
-                f"the {resume_prefix[0]} records up to {resume_after} are not "
-                f"the {skipped} grid points up to it"
-            )
-    for t, k, n, s, i in points:
+    skip leaves out the first skip points, so a resumed run continues the
+    same stream after the records it already holds; the caller has checked
+    those records against the grid, and they are neither built nor
+    evaluated again."""
+    for t, k, n, s, i in itertools.islice(
+        _grid_points(t_lo, t_hi, k_span, n_span), skip, None
+    ):
         yield evaluate_point(n, k, s, i, t)

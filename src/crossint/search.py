@@ -1322,6 +1322,8 @@ def verify_main_theorem_small(
     optionally stress-tests witnesses with random simultaneous shifts (which
     must preserve cross-t-intersection and the product exactly).
     """
+    if shift_trials < 0:
+        raise UsageError(f"shift trials must be >= 0, got {shift_trials}")
     result = genset_search_best_product(n, k, t)
     methods = [result.method]
     stats = dict(result.stats)

@@ -208,6 +208,33 @@ def test_verify_main_small(capsys, tmp_path) -> None:
     assert obj["stats"]["prune_suffix"] >= 0
 
 
+def test_verify_main_small_refuses_negative_shift_trials(capsys, tmp_path) -> None:
+    out = tmp_path / "main.json"
+    argv = ["verify-main-small", "--n", "9", "--k", "4", "--t", "3",
+            "--shift-trials", "-5", "--out", str(out)]
+    assert main(argv) == 1
+    assert "shift trials must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_write_failure_keeps_the_previous_file(tmp_path, monkeypatch) -> None:
+    out = tmp_path / "frankl.csv"
+    out.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError(f"no replace of {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    argv = ["frankl", "--n", "8", "--k", "4", "--t", "3", "--out", str(out)]
+    with pytest.raises(OSError, match="no replace"):
+        main(argv)
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frankl.csv"]
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[0] == "r,size,max,tie"
+
+
 # ---------------------------------------------------------------------------
 # record stream, summaries, resume
 
@@ -312,7 +339,7 @@ def test_sidecar_write_failure_keeps_the_previous_sidecar(tmp_path, monkeypatch)
     assert _snapshot(tmp_path) == before
 
 
-def test_resume_after_partial_tail_is_byte_identical(tmp_path) -> None:
+def test_resume_over_a_partial_tail_is_byte_identical(tmp_path) -> None:
     fresh = tmp_path / "fresh.jsonl"
     assert _sweep_to(fresh) == 0
     fresh_bytes = fresh.read_bytes()
@@ -423,15 +450,18 @@ def _snapshot(tmp_path) -> dict:
 
 
 def test_resume_with_a_grown_grid_is_refused_untouched(tmp_path, capsys) -> None:
-    # n span 2 then 5: the 21 records are not the 27 grid points up to the
-    # marker; appending after it would drop the 6 missing points silently
+    # n span 2 then 5: the records part from the grid at line 7, where the
+    # stream moves on to k = 6 and the grid still has n = 15 at k = 5;
+    # appending after the last record would drop the missing points silently
     out = tmp_path / "grid.jsonl"
     assert _grid_sweep(out, "--n-span", "2") == 0
     lines = out.read_bytes().splitlines(keepends=True)
     out.write_bytes(b"".join(lines) + lines[0][:20])  # an interrupted write too
     before = _snapshot(tmp_path)
     assert _grid_sweep(out, "--n-span", "5", "--resume") == 1
-    assert "21 records" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 7 holds (3, 6, 16, 6, 4)" in err
+    assert "the grid's point 7 is (3, 5, 15, 6, 4)" in err
     assert _snapshot(tmp_path) == before
 
 
@@ -440,6 +470,47 @@ def test_resume_with_a_shrunk_grid_is_refused_untouched(tmp_path) -> None:
     assert _grid_sweep(out, "--n-span", "5") == 0
     before = _snapshot(tmp_path)
     assert _grid_sweep(out, "--n-span", "2", "--resume") == 1
+    assert _snapshot(tmp_path) == before
+
+
+def test_resume_of_a_stream_longer_than_the_grid_is_refused_untouched(
+    tmp_path, capsys
+) -> None:
+    # t up to 4 then 3: the 12 records run past the 6 points of the grid;
+    # exit 2 first, at the documented lemma_g equality at (15,6,7,5,4)
+    out = tmp_path / "long.jsonl"
+    argv = ["sweep-inequalities", "--k-span", "2", "--n-span", "2", "--out", str(out)]
+    assert main(argv + ["--t-max", "4"]) == 2
+    assert len(out.read_bytes().splitlines()) == 12
+    before = _snapshot(tmp_path)
+    assert main(argv + ["--t-max", "3", "--resume"]) == 1
+    assert "line 7 holds (4, 6, 15, 7, 5), but the grid has only 6 points" in (
+        capsys.readouterr().err
+    )
+    assert _snapshot(tmp_path) == before
+
+
+def test_resume_refuses_swapped_lines_as_corruption_untouched(tmp_path, capsys) -> None:
+    # line 3 is a grid point out of place, but line 4 goes backwards: the
+    # stream is corrupt, whatever the flags, so exit 2 and not 1
+    out = tmp_path / "swapped.jsonl"
+    assert _sweep_to(out) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    lines[2], lines[3] = lines[3], lines[2]
+    out.write_bytes(b"".join(lines))
+    before = _snapshot(tmp_path)
+    assert _sweep_to(out, resume=True) == 2
+    assert "integrity: line 4: record out of canonical order" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+
+
+def test_fresh_sweep_with_bad_flags_leaves_the_stream_untouched(tmp_path, capsys) -> None:
+    out = tmp_path / "kept.jsonl"
+    assert _sweep_to(out) == 0
+    before = _snapshot(tmp_path)
+    argv = ["sweep-inequalities", "--t-min", "2", "--t-max", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert "t = 2 < 3" in capsys.readouterr().err
     assert _snapshot(tmp_path) == before
 
 

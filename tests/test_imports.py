@@ -1,20 +1,25 @@
-"""Every module-level import in the package and its tests is read.
+"""Every module-level import in the package and its tests is read, and so is
+every module-level function and class of the package.
 
 Parsed with the standard library's ``ast``, nothing imported or executed: a
 name bound by a module-level ``import`` must be read somewhere in its module.
 ``from __future__`` imports and names listed in ``__all__`` are exempt, and a
-name read only inside a string annotation counts as read.
+name read only inside a string annotation counts as read.  A function or
+class defined at the top of a package module must be read, as a name, an
+attribute or an imported name, somewhere in the package, its tests or the
+benchmark harness, outside its own definition.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "crossint").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "crossint").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+PROGRAM = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _module_imports(tree: ast.Module):
@@ -90,3 +95,60 @@ def test_unused_import_rule() -> None:
         "    return os.sep\n"
     )
     assert unused_imports(source) == [("j", 3), ("Iterable", 4), ("comb", 5)]
+
+
+def _reads(node: ast.AST) -> Counter[str]:
+    """How often each name is read under node: a loaded name, a loaded
+    attribute, or a name imported from a module."""
+    reads: Counter[str] = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            reads[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            reads.update(alias.name for alias in sub.names)
+    return reads
+
+
+def unread_definitions(source: str, reads: Counter[str]) -> list[tuple[str, int]]:
+    """(name, line) of each module-level function or class in source that
+    reads, counted over every source, holds only inside its own definition."""
+    return [
+        (node.name, node.lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and reads[node.name] <= _reads(node)[node.name]
+    ]
+
+
+def test_no_unread_package_definitions() -> None:
+    reads: Counter[str] = Counter()
+    for path in PROGRAM:
+        reads += _reads(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE
+        for name, line in unread_definitions(path.read_text(encoding="utf-8"), reads)
+    ]
+    assert unread == []
+
+
+def test_unread_definition_rule() -> None:
+    source = (
+        "def called():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "class Imported:\n"
+        "    def copy(self):\n"
+        "        return Imported()\n"
+        "class ByAttribute:\n"
+        "    pass\n"
+        "def rebound():\n"
+        "    pass\n"
+        "rebound = called()\n"
+    )
+    other = "from pkg.mod import Imported\nimport pkg.mod as m\nm.ByAttribute()\n"
+    reads = _reads(ast.parse(source)) + _reads(ast.parse(other))
+    assert unread_definitions(source, reads) == [("recursive", 3), ("rebound", 10)]

@@ -18,7 +18,7 @@ from math import gcd
 import pytest
 
 from crossint import inequalities
-from crossint.errors import DomainError, IntegrityError, ResumeMismatchError, UsageError
+from crossint.errors import DomainError, IntegrityError, UsageError
 from crossint.inequalities import (
     CHECK_ORDER,
     EXCLUDED_TRIPLE,
@@ -41,7 +41,6 @@ from crossint.inequalities import (
     key_ratio,
     lemma_f,
     lemma_g,
-    point_chain,
     lemma_h,
     lemma_phi,
     sweep,
@@ -381,28 +380,8 @@ def test_sweep_yields_the_records_of_the_grid_in_order() -> None:
 
 def test_sweep_resume_continues_the_same_stream() -> None:
     full = [r.point for r in sweep(3, 3, 3, 4)]
-    cut = full[4]
-    resumed = [r.point for r in sweep(3, 3, 3, 4, resume_after=cut)]
+    resumed = [r.point for r in sweep(3, 3, 3, 4, skip=5)]
     assert resumed == full[5:]
-
-
-def test_sweep_refuses_a_resume_prefix_that_is_not_the_grid() -> None:
-    full = [r.point for r in sweep(3, 3, 3, 4)]
-    chain = 0
-    for point in full[:5]:
-        chain = point_chain(chain, point)
-    resumed = [
-        r.point for r in sweep(3, 3, 3, 4, resume_after=full[4], resume_prefix=(5, chain))
-    ]
-    assert resumed == full[5:]
-    for prefix in ((4, chain), (5, chain + 1)):
-        records = sweep(3, 3, 3, 4, resume_after=full[4], resume_prefix=prefix)
-        # refused at the first next(), before any record is yielded
-        with pytest.raises(ResumeMismatchError):
-            next(records)
-    # a marker past the last grid point is checked too
-    with pytest.raises(ResumeMismatchError):
-        list(sweep(3, 3, 3, 4, resume_after=(9, 0, 0, 0, 0), resume_prefix=(5, chain)))
 
 
 def test_sweep_calls_evaluate_point_through_its_module_global(monkeypatch) -> None:
@@ -420,6 +399,6 @@ def test_sweep_calls_evaluate_point_through_its_module_global(monkeypatch) -> No
     assert len(calls) == len(fresh) > 0
     assert [(t, k, n, s, i) for n, k, s, i, t in calls] == [r.point for r in fresh]
     calls.clear()
-    resumed = list(sweep(3, 3, 3, 4, resume_after=fresh[4].point))
+    resumed = list(sweep(3, 3, 3, 4, skip=5))
     assert len(calls) == len(resumed) == len(fresh) - 5
     assert resumed == fresh[5:]
