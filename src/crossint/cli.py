@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import itertools
 import json
 import os
@@ -562,6 +563,15 @@ def _cmd_frankl(args: argparse.Namespace) -> int:
 # compress / genset file utilities
 
 
+def _rendered(write, obj) -> str:
+    """What write(obj, target) writes, as one string for _write_out.  The
+    commands call write_family and write_genset through this module, not
+    family_to_text, so that perfbench's tracer still times the writes."""
+    buf = io.StringIO()
+    write(obj, buf)
+    return buf.getvalue()
+
+
 def _cmd_compress(args: argparse.Namespace) -> int:
     family = read_family(sys.stdin.buffer if args.infile == "-" else args.infile)
     already = is_left_compressed(family)
@@ -571,7 +581,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             f"compression changed the family size: {len(family)} -> {len(compressed)}"
         )
     out = resolve_out(args.out, "compressed-family.txt")
-    write_family(compressed, sys.stdout if out == "-" else out)
+    _write_out(out, _rendered(write_family, compressed))
     _say(
         f"family n={family.n} k={family.k} members={len(family)}: "
         + ("already left-compressed" if already else "compressed")
@@ -584,7 +594,7 @@ def _cmd_genset(args: argparse.Namespace) -> int:
     if args.expand:
         genset = read_genset(sys.stdin.buffer if args.infile == "-" else args.infile)
         family = upset_k(genset)
-        write_family(family, sys.stdout if out == "-" else out)
+        _write_out(out, _rendered(write_family, family))
         _say(
             f"expanded {len(genset)} generator(s) on n={genset.n}, k={genset.k} "
             f"to {len(family)} member(s)"
@@ -597,7 +607,7 @@ def _cmd_genset(args: argparse.Namespace) -> int:
         raise IntegrityError(
             f"cell count {counted} disagrees with family size {len(family)}"
         )
-    write_genset(genset, sys.stdout if out == "-" else out)
+    _write_out(out, _rendered(write_genset, genset))
     _say(
         f"minimal generating set of n={family.n} k={family.k} "
         f"members={len(family)}: {len(genset)} element(s)"

@@ -8,6 +8,8 @@ installed console script to pin the packaging entry point.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import os
 import random
@@ -129,7 +131,41 @@ def test_compress_roundtrip(tmp_path, capsys) -> None:
     out = tmp_path / "compressed.txt"
     assert main(["compress", "--in", str(src), "--out", str(out)]) == 0
     assert out.read_text() == "5 3\n1,2,3\n1,2,4\n"
-    assert "compressed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "family n=5 k=3 members=2: compressed\n"
+    again = tmp_path / "again.txt"
+    assert main(["compress", "--in", str(out), "--out", str(again)]) == 0
+    assert again.read_text() == out.read_text()
+    assert capsys.readouterr().err == (
+        "family n=5 k=3 members=2: already left-compressed\n"
+    )
+
+
+def test_compress_in_place_replaces_the_file_whole(tmp_path) -> None:
+    fam = tmp_path / "fam.txt"
+    fam.write_text("5 3\n# a comment line longer than the compressed text\n4,3,5\n1,2,3\n")
+    assert main(["compress", "--in", str(fam), "--out", str(fam)]) == 0
+    assert fam.read_text() == "5 3\n1,2,3\n1,2,4\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt"]
+
+
+#: The relabelled up-set of the generators (1,2), (1,3,4), (2,3,5) in [16],
+#: k = 6, under element e -> _PIN_LABEL[e - 1]: 1,441 members.
+_PIN_LABEL = (11, 4, 16, 7, 1, 13, 9, 2, 15, 6, 10, 3, 14, 8, 5, 12)
+_PIN_COMPRESSED_SHA256 = "d64b4d9dc5768fe513bfb6b885e69fa7bb45e3f775ae70be03e31908b60e087d"
+
+
+def test_compress_output_bytes_are_pinned(tmp_path) -> None:
+    n, k = 16, 6
+    members = set()
+    for gen in ((1, 2), (1, 3, 4), (2, 3, 5)):
+        free = [e for e in range(1, n + 1) if e not in gen]
+        for extra in itertools.combinations(free, k - len(gen)):
+            members.add(tuple(sorted(_PIN_LABEL[e - 1] for e in gen + extra)))
+    assert len(members) == 1441
+    src, out = tmp_path / "fam.txt", tmp_path / "compressed.txt"
+    src.write_text(f"{n} {k}\n" + "".join(",".join(map(str, m)) + "\n" for m in sorted(members)))
+    assert main(["compress", "--in", str(src), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PIN_COMPRESSED_SHA256
 
 
 def test_compress_rejects_bytes_that_are_not_utf8(tmp_path, capsys) -> None:
@@ -152,6 +188,36 @@ def test_genset_and_expand_invert(tmp_path) -> None:
         == 0
     )
     assert back_path.read_text() == fam_path.read_text()
+
+
+def _refuse_replace(src, dst):
+    raise OSError(f"no replace of {dst}")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["compress"], "5 3\n4,3,5\n1,2,3\n"),
+        (["genset"], "5 3\n1,2,3\n1,2,4\n"),
+        (["genset", "--expand"], "5 3\n1,2\n"),
+    ],
+    ids=["compress", "genset", "genset-expand"],
+)
+def test_family_tool_write_failure_keeps_the_previous_file(
+    tmp_path, monkeypatch, argv, text
+) -> None:
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text(text)
+    out.write_text("previous\n")
+    monkeypatch.setattr(os, "replace", _refuse_replace)
+    full = argv + ["--in", str(src), "--out", str(out)]
+    with pytest.raises(OSError, match="no replace"):
+        main(full)
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "out.txt"]
+    monkeypatch.undo()
+    assert main(full) == 0
+    assert out.read_text().startswith("5 3\n") and out.read_text() != "previous\n"
 
 
 def test_verify_case4(capsys, tmp_path) -> None:

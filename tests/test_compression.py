@@ -51,6 +51,30 @@ def _random_family(rng: random.Random, n: int, k: int) -> UniformFamily:
     return UniformFamily.from_masks(n, k, rng.sample(layer, size))
 
 
+def _reference_shift(members: frozenset[int], i: int, j: int) -> frozenset[int]:
+    """d_ij computed member by member against the original membership table."""
+    bit_i, bit_j = 1 << (i - 1), 1 << (j - 1)
+    out = set()
+    for m in members:
+        image = (m & ~bit_j) | bit_i
+        out.add(image if m & bit_j and not m & bit_i and image not in members else m)
+    return frozenset(out)
+
+
+def _reference_compress(fam: UniformFamily) -> frozenset[int]:
+    """Simultaneous shifts d_ij (i < j) in lexicographic sweeps until nothing moves."""
+    members = fam.member_set
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, fam.n):
+            for j in range(i + 1, fam.n + 1):
+                shifted = _reference_shift(members, i, j)
+                changed |= shifted != members
+                members = shifted
+    return members
+
+
 def test_shift_preserves_size_randomized() -> None:
     rng = random.Random(97)
     for _ in range(400):
@@ -58,7 +82,20 @@ def test_shift_preserves_size_randomized() -> None:
         k = rng.randint(1, n - 1)
         fam = _random_family(rng, n, k)
         i, j = rng.sample(range(1, n + 1), 2)
-        assert len(shift_family(fam, i, j)) == len(fam)
+        shifted = shift_family(fam, i, j)
+        assert len(shifted) == len(fam)
+        assert shifted.member_set == _reference_shift(fam.member_set, i, j), (fam, i, j)
+
+
+def test_left_compress_matches_the_simultaneous_reference() -> None:
+    """300 families of any size up to the whole layer, n <= 10."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        k = rng.randint(0, n)
+        layer = enumerate_k_subsets(n, k).members
+        fam = UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(0, len(layer))))
+        assert left_compress(fam).member_set == _reference_compress(fam), fam
 
 
 def _random_cross_pair(
