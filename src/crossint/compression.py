@@ -4,9 +4,10 @@ The elementary shift d_ij replaces j by i in a member A when j is present, i is
 absent, and the replacement is not already a member; otherwise it leaves A
 alone.  Applied simultaneously to every member (against the *original*
 membership table) it preserves family size, and for i < j it preserves the
-t-intersecting and cross-t-intersecting properties.  Repeating all shifts with
-i < j until nothing moves yields the left-compressed fixpoint, the normal form
-on which generating-set arguments operate.
+t-intersecting and cross-t-intersecting properties.  One sweep of the shifts
+d_ij in lexicographic order (1,2), (1,3), ..., (n-1,n) yields a family that
+every d_ij with i < j fixes, the left-compressed normal form on which
+generating-set arguments operate (the proof is in `left_compress`).
 
 One routine, `_shift_in_place`, applies d_ij to a mutable set of incidence
 words, and both `shift_family` and `left_compress` use it.  Doing it in place
@@ -31,18 +32,15 @@ def _check_pair(n: int, i: int, j: int) -> None:
         raise UsageError(f"shift indices must differ, got i = j = {i}")
 
 
-def _shift_in_place(members: set[int], bit_i: int, bit_j: int) -> bool:
-    """Apply d_ij to the incidence words in members; True iff a member moved."""
+def _shift_in_place(members: set[int], bit_i: int, bit_j: int) -> None:
+    """Apply d_ij to the incidence words in members."""
     both = bit_i | bit_j
     movers = [m for m in members if m & both == bit_j]
-    moved = False
     for m in movers:
         image = m ^ both
         if image not in members:
             members.remove(m)
             members.add(image)
-            moved = True
-    return moved
 
 
 def shift_family(family: UniformFamily, i: int, j: int) -> UniformFamily:
@@ -75,15 +73,23 @@ def is_left_compressed(family: UniformFamily) -> bool:
 
 
 def left_compress(family: UniformFamily) -> UniformFamily:
-    """Iterate all shifts d_ij (i < j) in lexicographic sweeps until fixed."""
+    """Apply every shift d_ij (i < j) once, in lexicographic order of (i, j).
+
+    The result is fixed by every d_ij with i < j.  Call F (a,b)-stable when
+    d_ab(F) = F.  First, d_cd(F) is (c,d)-stable.  Second, stability under
+    an earlier pair (a,b) survives d_cd in two cases: the pairs are disjoint
+    or share a = c or b = d; or b = c while F is also (a,d)-stable.  The
+    only other shared element is d = a, with c < a.  In lexicographic order
+    (c,a) never comes after (a,b), and (a,d) comes before (b,d).  By
+    induction over the sweep, after d_cd the family is stable under (c,d)
+    and under every pair before it, so after the last pair it is stable
+    under all of them, and a second sweep would move nothing.
+    """
     n = family.n
-    pairs = [(1 << (i - 1), 1 << (j - 1)) for i in range(1, n) for j in range(i + 1, n + 1)]
     members = set(family.members)
-    changed = True
-    while changed:
-        changed = False
-        for bit_i, bit_j in pairs:
-            changed |= _shift_in_place(members, bit_i, bit_j)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            _shift_in_place(members, 1 << (i - 1), 1 << (j - 1))
     compressed = UniformFamily.from_masks(n, family.k, members)
     assert len(compressed) == len(family), "compression must preserve the family size"
     return compressed

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import CapacityError, UsageError
 
@@ -155,12 +155,8 @@ def shade(family: UniformFamily) -> UniformFamily:
 # ---------------------------------------------------------------------------
 
 
-def write_sets(n: int, k: int, masks: Iterable[int], target) -> None:
-    """Write the "n k" header and one set per line to a path or text file object."""
-    if isinstance(target, (str, bytes)):
-        with open(target, "w", encoding="utf-8") as fh:
-            write_sets(n, k, masks, fh)
-        return
+def write_sets(n: int, k: int, masks: Iterable[int], target: TextIO) -> None:
+    """Write the "n k" header and one set per line to a text stream."""
     target.write(f"{n} {k}\n")
     for m in masks:
         target.write(",".join(str(e) for e in elements_of(m)) + "\n")
@@ -203,8 +199,8 @@ def read_sets(source) -> tuple[int, int, list[int]]:
     return header[0], header[1], masks
 
 
-def write_family(family: UniformFamily, target) -> None:
-    """Write the family to a path or text file object."""
+def write_family(family: UniformFamily, target: TextIO) -> None:
+    """Write the family to a text stream."""
     write_sets(family.n, family.k, family.members, target)
 
 
@@ -221,7 +217,3 @@ def read_family(source) -> UniformFamily:
         return UniformFamily.from_masks(n, k, masks)
     except UsageError as exc:
         raise UsageError(f"invalid family in input: {exc}") from None
-
-
-def family_from_text(text: str) -> UniformFamily:
-    return read_family(io.StringIO(text))

@@ -20,8 +20,8 @@ cross-t-intersecting families, and for n > 2k - t the converse holds too
 (genset_cross_t), so cross-intersection is decided on the generators.
 
 The perturbation move (perturb_pair) trades cells between a
-cross-t-intersecting pair: push A's top slice down one element while deleting
-B's complementary slice (or the reverse).  The deleted cells are always
+cross-t-intersecting pair: delete A's top slice while pushing B's
+complementary slice down one element.  The deleted cells are always
 counted exactly; the added cells match the closed-form delta exactly when the
 genset is closed under left shifts in the sense of the structural lemma, and
 the move verifies this against the expanded families, refusing to return
@@ -396,16 +396,12 @@ def perturb_pair(
     gen_b: GenSet,
     i: int,
     t: int,
-    direction: str = "up-down",
 ) -> PerturbResult:
     """Trade cells between a cross-t-intersecting pair at complementary sizes.
 
-    direction "up-down": A gains D(g*_i(A)'), B loses D(g*_{s+t-i}(B));
-    direction "down-up": A loses D(g*_i(A)),  B gains D(g*_{s+t-i}(B)').
-    s is the larger of the two top elements; both slices are taken there.
+    A loses D(g*_i(A)) and B gains D(g*_{s+t-i}(B)'), where s is the larger
+    of the two top elements; both slices are taken there.
     """
-    if direction not in ("up-down", "down-up"):
-        raise UsageError(f"direction must be 'up-down' or 'down-up', got {direction!r}")
     for fam, gen, name in ((fam_a, gen_a, "A"), (fam_b, gen_b, "B")):
         if (gen.n, gen.k) != (fam.n, fam.k):
             raise UsageError(f"genset context does not match family {name}")
@@ -418,20 +414,10 @@ def perturb_pair(
     if not slice_a.elements:
         raise UsageError(f"empty top slice g*_{i}(A) at s = {s}; nothing to perturb")
     n, k = fam_a.n, fam_a.k
-    if direction == "up-down":
-        new_a_members = set(fam_a.members).union(
-            cells_union(strip_top(gen_a, i, s)).members
-        )
-        new_b_members = set(fam_b.members).difference(cells_union(slice_b).members)
-        delta_a_formula = len(slice_a) * comb(n - s, k - i + 1)
-        delta_b_formula = -len(slice_b) * comb(n - s, k + i - s - t)
-    else:
-        new_a_members = set(fam_a.members).difference(cells_union(slice_a).members)
-        new_b_members = set(fam_b.members).union(
-            cells_union(strip_top(gen_b, j, s)).members
-        )
-        delta_a_formula = -len(slice_a) * comb(n - s, k - i)
-        delta_b_formula = len(slice_b) * comb(n - s, k + i - s - t + 1)
+    new_a_members = set(fam_a.members).difference(cells_union(slice_a).members)
+    new_b_members = set(fam_b.members).union(cells_union(strip_top(gen_b, j, s)).members)
+    delta_a_formula = -len(slice_a) * comb(n - s, k - i)
+    delta_b_formula = len(slice_b) * comb(n - s, k + i - s - t + 1)
     new_a = UniformFamily.from_masks(n, k, new_a_members)
     new_b = UniformFamily.from_masks(n, k, new_b_members)
     delta_a = _checked_delta(len(new_a), len(fam_a), delta_a_formula, "perturb_pair A")
@@ -456,10 +442,6 @@ def genset_to_text(genset: GenSet) -> str:
 
 def read_genset(source) -> GenSet:
     return GenSet.from_masks(*read_sets(source))
-
-
-def genset_from_text(text: str) -> GenSet:
-    return read_genset(io.StringIO(text))
 
 
 def genset_cross_t(gen_a: GenSet, gen_b: GenSet, t: int) -> bool:

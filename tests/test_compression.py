@@ -98,6 +98,17 @@ def test_left_compress_matches_the_simultaneous_reference() -> None:
         assert left_compress(fam).member_set == _reference_compress(fam), fam
 
 
+def test_one_sweep_reaches_the_fixpoint_on_every_family_of_a_layer() -> None:
+    """All 2^15 families of the (6,2) layer: left_compress's single sweep is
+    left-compressed and equals the reference's sweeps to the fixpoint."""
+    layer = enumerate_k_subsets(6, 2).members
+    for bits in range(1 << len(layer)):
+        fam = UniformFamily.from_masks(6, 2, [m for e, m in enumerate(layer) if bits >> e & 1])
+        compressed = left_compress(fam)
+        assert is_left_compressed(compressed), fam
+        assert compressed.member_set == _reference_compress(fam), fam
+
+
 def _random_cross_pair(
     rng: random.Random,
 ) -> tuple[UniformFamily, UniformFamily, int]:

@@ -20,7 +20,6 @@ from crossint.families import (
     bottom_mask,
     elements_of,
     enumerate_k_subsets,
-    family_from_text,
     family_to_text,
     is_cross_t_intersecting,
     mask_of,
@@ -184,33 +183,34 @@ def test_family_text_roundtrip() -> None:
     fam = UniformFamily.from_sets(6, 3, [[1, 2, 3], [2, 4, 6], [1, 5, 6]])
     text = family_to_text(fam)
     assert text.splitlines()[0] == "6 3"
-    assert family_from_text(text) == fam
+    assert read_family(io.StringIO(text)) == fam
 
 
 def test_read_family_skips_comments_and_blanks() -> None:
     text = "# header comment\n\n5 2\n1,2  # star pair\n\n3,5\n"
-    fam = family_from_text(text)
+    fam = read_family(io.StringIO(text))
     assert fam == UniformFamily.from_sets(5, 2, [[1, 2], [3, 5]])
 
 
 def test_read_family_reports_line_numbers() -> None:
     with pytest.raises(UsageError, match="line 1"):
-        family_from_text("5 2 9\n1,2\n")
+        read_family(io.StringIO("5 2 9\n1,2\n"))
     with pytest.raises(UsageError, match="line 2"):
-        family_from_text("5 2\none,two\n")
+        read_family(io.StringIO("5 2\none,two\n"))
     with pytest.raises(UsageError):
-        family_from_text("")
+        read_family(io.StringIO(""))
 
 
 def test_read_family_rejects_wrong_member_size() -> None:
     with pytest.raises(UsageError, match="invalid family"):
-        family_from_text("5 2\n1,2,3\n")
+        read_family(io.StringIO("5 2\n1,2,3\n"))
 
 
-def test_write_family_accepts_path(tmp_path) -> None:
+def test_read_family_accepts_path(tmp_path) -> None:
     fam = enumerate_k_subsets(5, 2)
     path = tmp_path / "layer.fam"
-    write_family(fam, str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        write_family(fam, fh)
     assert read_family(str(path)) == fam
 
 

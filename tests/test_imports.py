@@ -7,7 +7,10 @@ name bound by a module-level ``import`` must be read somewhere in its module.
 name read only inside a string annotation counts as read.  A function or
 class defined at the top of a package module must be read, as a name, an
 attribute or an imported name, somewhere in the package, its tests or the
-benchmark harness, outside its own definition.
+benchmark harness, outside its own definition.  And a package module opens
+a file for writing only in the two functions that are meant to:
+``cli._replace_file``, the atomic writer behind every ``--out``, and
+``cli._cmd_sweep``, whose record stream is truncated and appended in place.
 """
 
 from __future__ import annotations
@@ -152,3 +155,61 @@ def test_unread_definition_rule() -> None:
     other = "from pkg.mod import Imported\nimport pkg.mod as m\nm.ByAttribute()\n"
     reads = _reads(ast.parse(source)) + _reads(ast.parse(other))
     assert unread_definitions(source, reads) == [("recursive", 3), ("rebound", 10)]
+
+
+#: (module file, top-level function) of each place in the package that may
+#: open a file to write.
+WRITE_OPENERS = {("cli.py", "_replace_file"), ("cli.py", "_cmd_sweep")}
+
+
+def write_opens(source: str) -> list[tuple[str, int]]:
+    """(enclosing top-level definition or "<module>", line) of each ``open``
+    call in source whose mode may write: a mode that is not a string
+    constant, or one holding w, a, x or +."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "open"
+            ):
+                continue
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(
+                not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                or set(mode.value) & set("wax+")
+                for mode in modes
+            ):
+                found.append((where, node.lineno))
+    return found
+
+
+def test_files_are_opened_to_write_only_where_allowed() -> None:
+    writes = sorted(
+        (path.name, where, line)
+        for path in PACKAGE
+        for where, line in write_opens(path.read_text(encoding="utf-8"))
+    )
+    assert {(name, where) for name, where, _ in writes} == WRITE_OPENERS, writes
+
+
+def test_write_open_rule() -> None:
+    source = (
+        "def reader(p):\n"
+        "    return open(p), open(p, 'rb'), open(p, mode='r')\n"
+        "def writer(p, m):\n"
+        "    open(p, 'w')\n"
+        "    open(p, mode='ab')\n"
+        "    open(p, 'r+b')\n"
+        "    open(p, m)\n"
+        "fh = open('x', 'x')\n"
+    )
+    assert write_opens(source) == [
+        ("writer", 4),
+        ("writer", 5),
+        ("writer", 6),
+        ("writer", 7),
+        ("<module>", 8),
+    ]
