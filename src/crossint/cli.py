@@ -70,7 +70,6 @@ from .inequalities import (
     STATUSES,
     VALUE_NAMES,
     VerificationRecord,
-    _check_statuses,
     _grid_points,
     sweep,
 )
@@ -141,16 +140,7 @@ class RecordDigest:
             if low is None or record.t_num * low.denominator < low.numerator * record.t_den:
                 self.min_ratio = Fraction(record.t_num, record.t_den)
         for name, slack_key in lemmas:
-            try:
-                slack = int(record.values[slack_key])
-            except KeyError:
-                raise IntegrityError(
-                    f"{slack_key} is missing, and {name} is not excluded"
-                ) from None
-            except ValueError:
-                raise IntegrityError(
-                    f"{slack_key} must be an integer, got {record.values[slack_key]!r}"
-                ) from None
+            slack = int(record.values[slack_key])
             if name not in self.min_slack or slack < self.min_slack[name]:
                 self.min_slack[name] = slack
         if violated and len(self.violations) < self.VIOLATION_CAP:
@@ -210,34 +200,21 @@ class RecordDigest:
 
 
 def parse_record_line(lineno: int, line: str) -> VerificationRecord:
-    """One JSON record line to a verification record, or integrity error.
-
-    Two routes give the same record.  A line in the exact canonical form
-    record_to_line writes is read by one match of _CANONICAL_LINE, with the
-    checks object parsed and validated once per distinct text.  Every other
-    line goes through json.loads and VerificationRecord.from_json_obj: that
-    general route accepts the parseable lines that are not canonical (key
-    order, spacing, escapes), which a resume keeps as they stand, and it
-    words every IntegrityError."""
+    """The record on a line in exactly the bytes record_to_line writes: one
+    match of _CANONICAL_LINE, with the checks object looked up once per
+    distinct text.  Any other line, even one a JSON reader would take for
+    the same record, is an IntegrityError naming the line."""
     match = _CANONICAL_LINE.fullmatch(line)
-    if match is not None:
-        t_den, t_num, checks_text, i, k, n, s, t = match.group(1, 2, 3, 4, 5, 6, 7, 8)
-        checks = _canonical_checks(checks_text)
-        if checks is not None:
-            return VerificationRecord(
-                int(n), int(k), int(s), int(i), int(t), int(t_num), int(t_den),
-                dict(checks), match.groupdict(),
-            )
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"line {lineno}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise IntegrityError(f"line {lineno}: record must be a JSON object")
-    try:
-        return VerificationRecord.from_json_obj(obj)
-    except IntegrityError as exc:
-        raise IntegrityError(f"line {lineno}: {exc}") from None
+    checks = None if match is None else _canonical_checks(match[3])
+    if checks is None:
+        raise IntegrityError(
+            f"line {lineno}: not a record line as sweep-inequalities writes it"
+        )
+    t_den, t_num, i, k, n, s, t = match.group(1, 2, 4, 5, 6, 7, 8)
+    return VerificationRecord(
+        int(n), int(k), int(s), int(i), int(t), int(t_num), int(t_den),
+        dict(checks), match.groupdict(),
+    )
 
 
 def _json_object(table: dict[str, str]) -> str:
@@ -254,8 +231,10 @@ def _checks_json(items: tuple[tuple[str, str], ...]) -> str:
 
 def record_to_line(record: VerificationRecord) -> str:
     """The canonical one-line serialization of a record (deterministic):
-    the bytes of json.dumps(record.to_json_obj(), sort_keys=True,
-    separators=(",", ":")), built directly in that sorted key order."""
+    the bytes json.dumps(..., sort_keys=True, separators=(",", ":")) writes
+    for the record's fields as one object, under the keys n, k, s, i, t,
+    T_num, T_den, checks and values, with T_num and T_den as decimal
+    strings; built directly in that sorted key order."""
     return (
         f'{{"T_den":"{record.t_den}","T_num":"{record.t_num}",'
         f'"checks":{_checks_json(tuple(record.checks.items()))},"i":{record.i},"k":{record.k},'
@@ -264,31 +243,42 @@ def record_to_line(record: VerificationRecord) -> str:
     )
 
 
-#: record_to_line's bytes for a record with every canonical value name: the
-#: keys in sorted order, the grid coordinates as JSON integers, T_num and
-#: T_den as the decimal strings str() writes (T_den positive), the checks
-#: object captured whole (up to its first "}") and each value a decimal
-#: string, in a group named after the value.
+#: The integers str() writes, and the positive ones.
+_INT = "0|-?[1-9][0-9]*"
+_POSITIVE = "[1-9][0-9]*"
+
+#: record_to_line's bytes for a record of canonical check and value names:
+#: the keys in sorted order, the grid coordinates as positive JSON integers,
+#: T_num and T_den as the decimal strings str() writes (T_den positive), the
+#: checks object captured whole (up to its first "}") and each value as the
+#: decimal string str() writes, in a group named after the value.
 _CANONICAL_LINE = re.compile(
-    r'\{"T_den":"([1-9][0-9]*)","T_num":"(0|-?[1-9][0-9]*)","checks":(\{[^}]*\}),'
-    + ",".join(f'"{name}":(-?(?:0|[1-9][0-9]*))' for name in "iknst")
+    rf'\{{"T_den":"({_POSITIVE})","T_num":"({_INT})","checks":(\{{[^}}]*\}}),'
+    + ",".join(f'"{name}":({_POSITIVE})' for name in "iknst")
     + r',"values":\{'
-    + ",".join(f'"{name}":"(?P<{name}>-?[0-9]+)"' for name in sorted(VALUE_NAMES))
+    + ",".join(f'"{name}":"(?P<{name}>{_INT})"' for name in sorted(VALUE_NAMES))
     + r"\}\}"
+)
+
+#: The checks object record_to_line writes: every check name, in sorted
+#: order, each with one of the statuses.
+_CANONICAL_CHECKS = re.compile(
+    r"\{"
+    + ",".join(f'"{name}":"({"|".join(STATUSES)})"' for name in sorted(CHECK_ORDER))
+    + r"\}"
 )
 
 
 @functools.lru_cache(maxsize=1024)
 def _canonical_checks(text: str) -> dict[str, str] | None:
-    """The checks object a canonical line holds, or None when it is not an
-    object of canonical check names to known statuses.  Cached, since a
+    """The checks object of a canonical line, in CHECK_ORDER as
+    evaluate_point writes it, or None when text is not one.  Cached, since a
     stream's records share a handful of them: callers copy the result."""
-    try:
-        checks = json.loads(text)
-        _check_statuses(tuple(checks.items()))
-    except (ValueError, TypeError, IntegrityError):
+    match = _CANONICAL_CHECKS.fullmatch(text)
+    if match is None:
         return None
-    return checks
+    statuses = dict(zip(sorted(CHECK_ORDER), match.groups()))
+    return {name: statuses[name] for name in CHECK_ORDER}
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +332,7 @@ def _trim_to_last_record(
     """Check an existing record stream against the grid, in one pass.
 
     Complete leading records are digested and kept; a partial, blank or
-    unparsable final line (an interrupted write) is to be trimmed away.
+    unreadable final line (an interrupted write) is to be trimmed away.
     Damage anywhere else, or a record that does not come after the one
     before it, is an integrity error: silently resuming over it would
     corrupt the stream.  Each kept record must equal the next of points, the
@@ -353,10 +343,11 @@ def _trim_to_last_record(
     file is to be cut.  The file itself is left alone, so that a resume
     refused later leaves it untouched.
 
-    Each line goes through parse_record_line: the lines this program wrote
-    take its canonical-pattern route, and any other line its general
-    json.loads route, which keeps a parseable non-canonical record as it
-    stands and words the error for a damaged one."""
+    Each line goes through parse_record_line, which reads only the bytes
+    record_to_line writes: a line in any other form is damage like a torn
+    one, trimmed when it is the last line and an integrity error before
+    that.  So every kept record is in the canonical form, and the resumed
+    stream is byte for byte the fresh one."""
     marker: tuple | None = None
     kept = 0
     damage: IntegrityError | None = None
@@ -366,7 +357,7 @@ def _trim_to_last_record(
             if damage is not None:
                 raise damage  # a bad line with more after it is no torn tail
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").removesuffix("\n")
             except UnicodeDecodeError as exc:
                 damage = IntegrityError(f"line {lineno}: not valid UTF-8: {exc.reason}")
                 continue
@@ -398,10 +389,7 @@ def _trim_to_last_record(
                         f"holds {point}, but {grid}; were the grid flags changed "
                         "since the stream was written?"
                     )
-            try:
-                digest.absorb(record)
-            except IntegrityError as exc:
-                raise IntegrityError(f"line {lineno}: {exc}") from None
+            digest.absorb(record)
             marker = point
             kept += len(raw)
     if refusal is not None:

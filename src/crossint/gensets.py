@@ -349,10 +349,8 @@ def upset_size(genset: GenSet) -> int:
     )
 
 
-def slice_top(genset: GenSet, i: int, top: int | None = None) -> GenSet:
-    """g*_i: elements of size i containing the top element (default s+(g))."""
-    if top is None:
-        top = s_plus(genset)
+def slice_top(genset: GenSet, i: int, top: int) -> GenSet:
+    """g*_i: elements of size i containing the top element."""
     bit = 1 << (top - 1)
     return GenSet.from_masks(
         genset.n,
@@ -362,10 +360,8 @@ def slice_top(genset: GenSet, i: int, top: int | None = None) -> GenSet:
     )
 
 
-def strip_top(genset: GenSet, i: int, top: int | None = None) -> GenSet:
+def strip_top(genset: GenSet, i: int, top: int) -> GenSet:
     """g*_i': the size-i top slice with the top element removed from each set."""
-    if top is None:
-        top = s_plus(genset)
     sliced = slice_top(genset, i, top)
     bit = 1 << (top - 1)
     return GenSet.from_masks(genset.n, genset.k, (m & ~bit for m in sliced.elements))

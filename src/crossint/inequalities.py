@@ -37,9 +37,7 @@ the tests hold the two routes to the same values.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -367,9 +365,6 @@ def basefact(a_val, b_val, a_inc, b_dec) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-_POSITIVE_DECIMAL = re.compile(r"0*[1-9][0-9]*")
-
 #: Canonical check names of a record, in the order evaluate_point writes them.
 CHECK_ORDER = (
     "thm32",
@@ -403,19 +398,6 @@ VALUE_NAMES = (
 )
 
 
-@functools.lru_cache(maxsize=1024)
-def _check_statuses(items: tuple[tuple[str, str], ...]) -> None:
-    """IntegrityError unless every check name is canonical and every status
-    known; cached, since a stream's records share a handful of such tuples."""
-    for name, status in items:
-        if name not in CHECK_ORDER:
-            raise IntegrityError(f"unknown check name {name!r}")
-        if status not in STATUSES:
-            raise IntegrityError(
-                f"check {name} must be one of {', '.join(STATUSES)}, got {status!r}"
-            )
-
-
 class VerificationRecord(NamedTuple):
     """One grid point's statuses and exact values.  An immutable tuple, so
     building one sets no attribute one by one; assigning a field raises
@@ -435,64 +417,6 @@ class VerificationRecord(NamedTuple):
     def point(self) -> tuple[int, int, int, int, int]:
         # canonical sweep order: (t, k, n, s, i)
         return (self.t, self.k, self.n, self.s, self.i)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "s": self.s,
-            "i": self.i,
-            "t": self.t,
-            "T_num": str(self.t_num),
-            "T_den": str(self.t_den),
-            "checks": dict(self.checks),
-            "values": dict(self.values),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "VerificationRecord":
-        """The record a parsed JSON line holds.  The grid coordinates must be
-        integers (not booleans), T_num and T_den decimal strings (T_den
-        positive), checks and values objects of strings to strings, every
-        check name one of CHECK_ORDER and every status one of STATUSES,
-        every value name one of VALUE_NAMES and every value a decimal
-        string; anything else is an IntegrityError, never a silent
-        conversion.  Names may be missing: the digest refuses a record
-        without a slack it needs."""
-        try:
-            n, k, s, i, t = obj["n"], obj["k"], obj["s"], obj["i"], obj["t"]
-            t_num, t_den = obj["T_num"], obj["T_den"]
-            checks, values = obj["checks"], obj["values"]
-        except KeyError as exc:
-            raise IntegrityError(f"malformed record object: missing {exc}") from None
-        if not type(n) is type(k) is type(s) is type(i) is type(t) is int:
-            name, value = next(
-                (name, obj[name]) for name in "nksit" if type(obj[name]) is not int
-            )
-            raise IntegrityError(f"{name} must be an integer, got {value!r}")
-        if type(t_num) is not str or not _DECIMAL.fullmatch(t_num):
-            raise IntegrityError(f"T_num must be a decimal string, got {t_num!r}")
-        if type(t_den) is not str or not _POSITIVE_DECIMAL.fullmatch(t_den):
-            raise IntegrityError(f"T_den must be a positive decimal string, got {t_den!r}")
-        try:
-            # a status that is a list or an object cannot be hashed: TypeError
-            _check_statuses(tuple(checks.items()))
-        except (AttributeError, TypeError):
-            raise IntegrityError(
-                f"checks must be an object of strings to strings, got {checks!r}"
-            ) from None
-        try:
-            items = values.items()
-        except AttributeError:
-            raise IntegrityError(
-                f"values must be an object of strings to strings, got {values!r}"
-            ) from None
-        for name, value in items:
-            if name not in VALUE_NAMES:
-                raise IntegrityError(f"unknown value name {name!r}")
-            if type(value) is not str or not _DECIMAL.fullmatch(value):
-                raise IntegrityError(f"{name} must be a decimal string, got {value!r}")
-        return cls(n, k, s, i, t, int(t_num), int(t_den), checks, values)
 
 
 def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord:

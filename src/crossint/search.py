@@ -596,12 +596,6 @@ class Section4Report:
     t: int
     checks: tuple[ConstructionCheck, ...]
 
-    def rows(self) -> tuple[ComparisonRow, ...]:
-        return tuple(row for check in self.checks for row in check.rows)
-
-    def informational_failures(self) -> tuple[ComparisonRow, ...]:
-        return tuple(r for r in self.rows() if not r.guard_met and not r.holds)
-
 
 _RELATIONS = {
     "<": lambda a, b: a < b,

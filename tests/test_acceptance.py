@@ -273,7 +273,7 @@ def test_criterion_6_counting_consistency() -> None:
         f"window-family closed-form size equals enumeration at {points} "
         f"(n,k,t,r) points; all printed comparisons hold under their "
         f"hypotheses at (10,6) and (12,6) "
-        f"({sum(len(r.rows()) for r in reports.values())} rows checked)",
+        f"({sum(len(c.rows) for r in reports.values() for c in r.checks)} rows checked)",
     )
 
 

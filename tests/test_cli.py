@@ -242,7 +242,8 @@ def test_verify_case4_guarded_failure_exits_two_and_writes_nothing(
 ) -> None:
     first = next(
         row
-        for row in search.verify_section4_constructions(10, 6).rows()
+        for check in search.verify_section4_constructions(10, 6).checks
+        for row in check.rows
         if row.relation == ">" and row.guard_met
     )
     monkeypatch.setitem(search._RELATIONS, ">", lambda a, b: False)
@@ -442,12 +443,8 @@ def test_resume_over_missing_file_starts_fresh(tmp_path) -> None:
 def test_resume_cuts_the_tail_in_place(tmp_path, tail) -> None:
     fresh = tmp_path / "fresh.jsonl"
     assert _sweep_to(fresh) == 0
-    lines = fresh.read_bytes().splitlines(keepends=True)
-    # a kept record that parses but is not canonical: a resume that
-    # re-serialised the records it keeps would change its bytes
-    lines[0] = json.dumps(json.loads(lines[0])).encode() + b"\n"
-    assert lines[0] != fresh.read_bytes().splitlines(keepends=True)[0]
-    expected = b"".join(lines)
+    expected = fresh.read_bytes()
+    lines = expected.splitlines(keepends=True)
     damaged = {
         "unterminated": b"".join(lines[:5]) + lines[5].rstrip(b"\n"),
         "blank line": expected + b"\n",
@@ -455,8 +452,52 @@ def test_resume_cuts_the_tail_in_place(tmp_path, tail) -> None:
     }[tail]
     resumed = tmp_path / "resumed.jsonl"
     resumed.write_bytes(damaged)
+    inode = resumed.stat().st_ino
     assert _sweep_to(resumed, resume=True) == 0
     assert resumed.read_bytes() == expected
+    # cut and appended in place, not written anew beside the old file
+    assert resumed.stat().st_ino == inode
+
+
+def test_resume_refuses_a_reformatted_record_before_the_last(tmp_path, capsys) -> None:
+    # the same record in another JSON layout, or padded with a space or a
+    # carriage return: kept as it stands, it would make the resumed stream
+    # differ from the fresh one
+    out = tmp_path / "reformatted.jsonl"
+    assert _sweep_to(out) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    for bad, tail in itertools.product(
+        (
+            json.dumps(json.loads(lines[2])).encode() + b"\n",
+            b" " + lines[2],
+            lines[2].replace(b"\n", b"\r\n"),
+        ),
+        (lines[-1], lines[-1][:30]),
+    ):
+        out.write_bytes(b"".join(lines[:2] + [bad] + lines[3:-1]) + tail)
+        before = _snapshot(tmp_path)
+        assert _sweep_to(out, resume=True) == 2
+        assert (
+            "integrity: line 3: not a record line as sweep-inequalities writes it"
+            in capsys.readouterr().err
+        )
+        assert _snapshot(tmp_path) == before
+
+
+def test_resume_rewrites_a_reformatted_last_record(tmp_path) -> None:
+    fresh = tmp_path / "fresh.jsonl"
+    assert _sweep_to(fresh) == 0
+    lines = fresh.read_bytes().splitlines(keepends=True)
+    reformatted = json.dumps(json.loads(lines[-1]), indent=1).replace("\n", "")
+    assert reformatted.encode() + b"\n" != lines[-1]
+    resumed = tmp_path / "resumed.jsonl"
+    resumed.write_bytes(b"".join(lines[:-1]) + reformatted.encode() + b"\n")
+    assert _sweep_to(resumed, resume=True) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    for sidecar in (".summary.csv", ".summary.json"):
+        assert (tmp_path / ("resumed.jsonl" + sidecar)).read_bytes() == (
+            tmp_path / ("fresh.jsonl" + sidecar)
+        ).read_bytes()
 
 
 def test_resume_rejects_midstream_damage(tmp_path, capsys) -> None:
@@ -610,15 +651,18 @@ def test_record_line_is_compact_and_sorted() -> None:
 _FLAGSHIP = record_to_line(evaluate_point(18, 7, 8, 6, 5))
 
 
+_NOT_A_RECORD = "not a record line as sweep-inequalities writes it"
+
+
 def test_parse_record_line_errors_name_the_line() -> None:
-    with pytest.raises(IntegrityError, match="line 7"):
-        parse_record_line(7, "{broken")
-    with pytest.raises(IntegrityError, match="line 9"):
-        parse_record_line(9, '["list", "not", "object"]')
-    with pytest.raises(IntegrityError, match="line 2"):
-        parse_record_line(2, '{"n": 18}')
-    with pytest.raises(IntegrityError, match="line 3: .*missing 'values'"):
-        parse_record_line(3, _FLAGSHIP[: _FLAGSHIP.index(',"values"')] + "}")
+    for lineno, line in (
+        (7, "{broken"),
+        (9, '["list", "not", "object"]'),
+        (2, '{"n": 18}'),
+        (3, _FLAGSHIP[: _FLAGSHIP.index(',"values"')] + "}"),
+    ):
+        with pytest.raises(IntegrityError, match=f"^line {lineno}: {_NOT_A_RECORD}$"):
+            parse_record_line(lineno, line)
 
 
 @pytest.mark.parametrize(
@@ -640,88 +684,119 @@ def test_parse_record_line_refuses_wrong_types(good, bad) -> None:
     # 1, "thm32": 1 as the status "1") and kept as it stands on --resume
     assert good in _FLAGSHIP
     damaged = _FLAGSHIP.replace(good, bad, 1)
-    with pytest.raises(IntegrityError, match="line 4: .*must be"):
+    with pytest.raises(IntegrityError, match=f"^line 4: {_NOT_A_RECORD}$"):
         parse_record_line(4, damaged)
 
 
+def test_parse_record_line_refuses_malformed_values() -> None:
+    # int() reads "1_13" as 113 and the Arabic-Indic digits as 82, so only
+    # the pattern of the written bytes tells these from the record
+    for good, bad in (
+        ('"S1":"82"', '"S9":"82"'),
+        ('"S1":"82"', '"S1":"1_13"'),
+        ('"S1":"82"', '"S1":" 82"'),
+        ('"S1":"82"', '"S1":"\u0668\u0662"'),
+        (',"lemma_h_slack":"26"', ""),
+    ):
+        assert good in _FLAGSHIP
+        with pytest.raises(IntegrityError, match=f"^line 5: {_NOT_A_RECORD}$"):
+            parse_record_line(5, _FLAGSHIP.replace(good, bad, 1))
+
+
 def test_record_line_matches_json_dumps() -> None:
-    records = [evaluate_point(p.n, p.k, p.s, p.i, p.t) for p in iter_grid(3, 5, 3, 2)]
-    records.append(VerificationRecord(8, 3, 6, 4, 3, 0, 1, {}, {}))
-    for record in records:
+    def dumped(record: VerificationRecord) -> str:
+        obj = {
+            "n": record.n,
+            "k": record.k,
+            "s": record.s,
+            "i": record.i,
+            "t": record.t,
+            "T_num": str(record.t_num),
+            "T_den": str(record.t_den),
+            "checks": record.checks,
+            "values": record.values,
+        }
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    for p in iter_grid(3, 5, 3, 2):
+        record = evaluate_point(p.n, p.k, p.s, p.i, p.t)
         line = record_to_line(record)
-        assert line == json.dumps(record.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        assert line == dumped(record)
         assert parse_record_line(1, line) == record
-    # escaping: made-up check names serialize like json.dumps, and a parse
-    # refuses them, since they are not canonical check names
+    # records no sweep writes serialize like json.dumps too, and a parse
+    # refuses them: no checks or values, or made-up names that need escaping
+    empty = VerificationRecord(8, 3, 6, 4, 3, 0, 1, {}, {})
     odd = VerificationRecord(
         15, 6, 7, 5, 4, -3, 7,
         {'quo"te': "back\\slash", "ctl\x01\x1f": "caf\u00e9", "\u2028": "\U0001f600"},
         {"z": "\x7f", "A\t": '"', "": ""},
     )
-    line = record_to_line(odd)
-    assert line == json.dumps(odd.to_json_obj(), sort_keys=True, separators=(",", ":"))
-    with pytest.raises(IntegrityError, match="line 1: unknown check name"):
-        parse_record_line(1, line)
+    for record in (empty, odd):
+        line = record_to_line(record)
+        assert line == dumped(record)
+        with pytest.raises(IntegrityError, match=f"^line 1: {_NOT_A_RECORD}$"):
+            parse_record_line(1, line)
 
 
-def _general_route(line: str) -> VerificationRecord | None:
-    """The record json.loads and from_json_obj give, or None if refused."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(obj, dict):
-        return None
-    try:
-        return VerificationRecord.from_json_obj(obj)
-    except IntegrityError:
-        return None
-
-
-def _parsed_or_none(line: str) -> VerificationRecord | None:
-    try:
-        return parse_record_line(1, line)
-    except IntegrityError:
-        return None
-
-
-# (text in the flagship line, its replacement, whether the general route
-# accepts the result)
+# (text in the flagship line, its replacement): each is the same record to
+# a JSON reader, or one that a JSON reader takes, but not the bytes
+# record_to_line writes
 _NEAR_CANONICAL = [
-    ('"i":6', '"i":07', False),
-    ('"T_num":"615"', '"T_num":"-0"', True),
-    ('"T_num":"615"', '"T_num":"007"', True),
-    ('"n":18', '"n":-18', True),
-    ('"n":18', '"n": 18', True),
-    ('"i":6,"k":7', '"k":7,"i":6', True),
-    ('"S1":', '"\\u0053\\u0031":', True),
-    ('"T_den":"572"', '"T_den":"0"', False),
-    ('"T_den":"572"', '"T_den":"0572"', True),
-    ('"lemma_h_slack":"26"', '"lemma_h_slack":"1_13"', False),
-    ('"lemma_h_slack":"26"', '"lemma_h_slack":"026"', True),
-    ('"appendix":"holds"', '"appendix": "holds"', True),
-    ('"appendix":"holds"', '"\\u0061ppendix":"holds"', True),
-    ('"appendix":"holds"', '"appendix":"holdz"', False),
-    ('"appendix":"holds"', '"appendix":["holds"]', False),
-    ('"appendix":"holds"', '"appendix":{"x":"holds"}', False),
-    ('"appendix":"holds"', '"appendix":"}"', False),
-    ('"checks":{', '"checks":{"thm32":"violated",', True),
+    ('"i":6', '"i":07'),
+    ('"T_num":"615"', '"T_num":"-0"'),
+    ('"T_num":"615"', '"T_num":"007"'),
+    ('"n":18', '"n":-18'),
+    ('"n":18', '"n": 18'),
+    ('"i":6,"k":7', '"k":7,"i":6'),
+    ('"S1":', '"\\u0053\\u0031":'),
+    ('"T_den":"572"', '"T_den":"0"'),
+    ('"T_den":"572"', '"T_den":"0572"'),
+    ('"lemma_h_slack":"26"', '"lemma_h_slack":"1_13"'),
+    ('"lemma_h_slack":"26"', '"lemma_h_slack":"026"'),
+    ('"lemma_h_slack":"26"', '"lemma_h_slack":"-0"'),
+    ('"appendix":"holds"', '"appendix": "holds"'),
+    ('"appendix":"holds"', '"\\u0061ppendix":"holds"'),
+    ('"appendix":"holds"', '"appendix":"holdz"'),
+    ('"appendix":"holds"', '"appendix":["holds"]'),
+    ('"appendix":"holds"', '"appendix":{"x":"holds"}'),
+    ('"appendix":"holds"', '"appendix":"}"'),
+    ('"checks":{', '"checks":{"thm32":"violated",'),
+    ('"values":{', '"values":{"S1":"82",'),
+    ('}}', '} }'),
 ]
 
 
-def test_parse_record_line_agrees_with_the_general_route(tmp_path) -> None:
-    # every line of a small grid, as written, with seeded one-byte edits and
-    # with near-canonical variants: parse_record_line must refuse what
-    # json.loads + from_json_obj refuse, and give the same record otherwise
-    out = tmp_path / "diff.jsonl"
+def test_near_canonical_variants_are_refused() -> None:
+    for good, bad in _NEAR_CANONICAL:
+        assert good in _FLAGSHIP
+        with pytest.raises(IntegrityError, match=_NOT_A_RECORD):
+            parse_record_line(1, _FLAGSHIP.replace(good, bad, 1))
+
+
+def _grid_lines(tmp_path) -> list[str]:
+    out = tmp_path / "grid.jsonl"
     argv = ["sweep-inequalities", "--t-max", "4", "--k-span", "3", "--n-span", "3",
             "--out", str(out)]
     assert main(argv) == 2  # t = 4 reaches the lemma_g equality at (15,6,7,5,4)
     lines = out.read_text().splitlines()
     assert len(lines) == 56
-    for line in lines:
-        assert cli._CANONICAL_LINE.fullmatch(line), line
-        assert parse_record_line(1, line) == _general_route(line)
+    return lines
+
+
+def test_every_line_of_a_grid_round_trips(tmp_path) -> None:
+    for line in _grid_lines(tmp_path):
+        record = parse_record_line(1, line)
+        t, k, n, s, i = record.point
+        fresh = evaluate_point(n, k, s, i, t)
+        assert record == fresh
+        assert list(record.checks) == list(fresh.checks) == list(CHECK_ORDER)
+        assert record_to_line(record) == line
+
+
+def test_seeded_edits_are_refused_or_round_trip(tmp_path) -> None:
+    # one-character edits of a grid's lines: a line that parses is one that
+    # record_to_line writes, byte for byte, so a resume keeps only those
+    lines = _grid_lines(tmp_path)
     rng = random.Random(20241)
     alphabet = '0123456789-+.eE"\\:,{}[] xSTl_'
     refused = 0
@@ -733,16 +808,13 @@ def test_parse_record_line_agrees_with_the_general_route(tmp_path) -> None:
             line = line[:at] + line[at + 1:]
         else:
             line = line[:at + (kind == 2)] + rng.choice(alphabet) + line[at + 1:]
-        expected = _general_route(line)
-        assert _parsed_or_none(line) == expected, line
-        refused += expected is None
+        try:
+            record = parse_record_line(1, line)
+        except IntegrityError:
+            refused += 1
+        else:
+            assert record_to_line(record) == line
     assert 0 < refused < 4000  # both outcomes are reached
-    for good, bad, accepted in _NEAR_CANONICAL:
-        assert good in _FLAGSHIP
-        line = _FLAGSHIP.replace(good, bad, 1)
-        expected = _general_route(line)
-        assert (expected is not None) == accepted, bad
-        assert _parsed_or_none(line) == expected, bad
 
 
 def test_parsed_records_own_their_dicts() -> None:
@@ -760,6 +832,22 @@ def test_parsed_records_own_their_dicts() -> None:
     assert second == evaluate_point(41, 7, 8, 6, 5)
     assert parse_record_line(3, first_line) == evaluate_point(40, 7, 8, 6, 5)
     assert parse_record_line(4, second_line) == evaluate_point(41, 7, 8, 6, 5)
+
+
+def test_digest_of_a_parsed_record_equals_the_fresh_one() -> None:
+    # two violated checks: the digest joins their names in checks order, so
+    # a parsed record must hold its checks in CHECK_ORDER as a fresh one does
+    flagship = evaluate_point(18, 7, 8, 6, 5)
+    record = flagship._replace(
+        checks={**flagship.checks, "thm32": "violated", "lemma_g": "violated"}
+    )
+    direct, parsed = RecordDigest(), RecordDigest()
+    direct.absorb(record)
+    parsed.absorb(parse_record_line(1, record_to_line(record)))
+    assert direct.violations == [(18, 7, 8, 6, 5, "thm32,lemma_g")]
+    assert parsed.to_csv() == direct.to_csv()
+    assert parsed.to_json_obj() == direct.to_json_obj()
+    assert json.dumps(parsed.to_json_obj()) == json.dumps(direct.to_json_obj())
 
 
 def test_emit_summary_empty_stream_is_zeroed() -> None:

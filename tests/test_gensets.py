@@ -197,9 +197,13 @@ def test_bitmap_closures_match_their_definitions() -> None:
 
 def test_slice_and_strip_top() -> None:
     g = compact("14,23,124,134", 6, 3)
-    assert slice_top(g, 3).element_sets() == ((1, 2, 4), (1, 3, 4))
-    assert strip_top(g, 3).element_sets() == ((1, 2), (1, 3))
-    assert slice_top(g, 2).element_sets() == ((1, 4),)
+    assert s_plus(g) == 4
+    assert slice_top(g, 3, 4).element_sets() == ((1, 2, 4), (1, 3, 4))
+    assert strip_top(g, 3, 4).element_sets() == ((1, 2), (1, 3))
+    assert slice_top(g, 2, 4).element_sets() == ((1, 4),)
+    # a lower top picks the slice through that element instead
+    assert slice_top(g, 3, 3).element_sets() == ((1, 3, 4),)
+    assert strip_top(g, 3, 3).element_sets() == ((1, 4),)
 
 
 def test_perturb_pair_down_up_mirrors() -> None:
@@ -207,7 +211,8 @@ def test_perturb_pair_down_up_mirrors() -> None:
     fam = upset_k(g)
     result = perturb_pair(fam, fam, g, g, 3, 2)
     new_a, new_b = result.families
-    assert result.deltas == (-len(slice_top(g, 3)) * comb(2, 0), len(slice_top(g, 3)) * comb(2, 1))
+    sliced = len(slice_top(g, 3, result.s))
+    assert result.deltas == (-sliced * comb(2, 0), sliced * comb(2, 1))
     assert len(new_a) == len(fam) + result.deltas[0]
     assert len(new_b) == len(fam) + result.deltas[1]
 

@@ -11,6 +11,8 @@ benchmark harness, outside its own definition.  And a package module opens
 a file for writing only in the two functions that are meant to:
 ``cli._replace_file``, the atomic writer behind every ``--out``, and
 ``cli._cmd_sweep``, whose record stream is truncated and appended in place.
+No package module reads JSON: the record stream is read back by the one
+pattern of the bytes its writer writes, and nothing else reads JSON.
 """
 
 from __future__ import annotations
@@ -213,3 +215,55 @@ def test_write_open_rule() -> None:
         ("writer", 7),
         ("<module>", 8),
     ]
+
+
+def json_reads(source: str) -> list[int]:
+    """Line of each ``json.load`` or ``json.loads`` read in source, through
+    the module under any name it is imported as, or imported from it."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("load", "loads")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(alias.name in ("load", "loads") for alias in node.names)
+        )
+    )
+
+
+def test_package_reads_no_json() -> None:
+    reads = [
+        f"{path.name}:{line}"
+        for path in PACKAGE
+        for line in json_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert reads == []
+
+
+def test_json_read_rule() -> None:
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps, loads\n"
+        "json.dumps({})\n"
+        "json.loads('{}')\n"
+        "reader = j.load\n"
+        "other.loads('{}')\n"
+        "def f(fh):\n"
+        "    return json.load(fh)\n"
+    )
+    assert json_reads(source) == [3, 5, 6, 9]

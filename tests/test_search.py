@@ -295,7 +295,7 @@ def test_section4_reports_run_every_construction() -> None:
         report = verify_section4_constructions(n, k)
         # layer-vs-block gives 8 rows at s = 4 and 9 at each s in [5, k];
         # the other constructions give 55 rows between them
-        assert len(report.rows()) == 9 * k + 27, (n, k)
+        assert sum(len(c.rows) for c in report.checks) == 9 * k + 27, (n, k)
         assert not any(c.skipped for c in report.checks), (n, k)
         names = {c.name for c in report.checks}
         assert {
@@ -317,7 +317,9 @@ def test_section4_known_informational_failures() -> None:
     report = verify_section4_constructions(10, 6)
     failures = {
         (row.construction, row.label): (row.lhs, row.rhs)
-        for row in report.informational_failures()
+        for check in report.checks
+        for row in check.rows
+        if not row.guard_met and not row.holds
     }
     assert any(
         lhs == 1625 and rhs == 1225 for lhs, rhs in failures.values()
@@ -329,7 +331,7 @@ def test_section4_sizes_match_expansion_where_expandable() -> None:
     expanded = [c for c in report.checks if c.expanded and not c.skipped]
     assert expanded  # at word scale everything should expand
     report_big = verify_section4_constructions(40, 20)
-    assert len(report_big.rows()) == 9 * 20 + 27
+    assert sum(len(c.rows) for c in report_big.checks) == 9 * 20 + 27
     assert not any(c.expanded for c in report_big.checks)  # cells and profile only
 
 
