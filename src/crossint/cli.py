@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import itertools
 import json
 import os
@@ -37,7 +36,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, TextIO
+from typing import Iterator
 
 from .compression import is_left_compressed, left_compress
 from .errors import (
@@ -50,7 +49,6 @@ from .errors import (
 from .families import (
     WORD_CAP,
     elements_of,
-    family_to_text,
     read_family,
     write_family,
 )
@@ -58,7 +56,6 @@ from .frankl import FranklParams, ak_regime, frankl_max, frankl_size, valid_r_ra
 from .gensets import (
     EXPAND_CAP,
     GenSet,
-    genset_to_text,
     minimal_genset,
     read_genset,
     size_from_genset,
@@ -87,9 +84,6 @@ from .search import (
 OUT_DIR_ENV = "CROSSINT_OUT_DIR"
 
 _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
-
-#: The string escaping json.dumps applies with its default ensure_ascii.
-_encode_str = json.encoder.encode_basestring_ascii
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +134,7 @@ class RecordDigest:
             if low is None or record.t_num * low.denominator < low.numerator * record.t_den:
                 self.min_ratio = Fraction(record.t_num, record.t_den)
         for name, slack_key in lemmas:
-            slack = int(record.values[slack_key])
+            slack = record.values[slack_key]
             if name not in self.min_slack or slack < self.min_slack[name]:
                 self.min_slack[name] = slack
         if violated and len(self.violations) < self.VIOLATION_CAP:
@@ -201,45 +195,49 @@ class RecordDigest:
 
 def parse_record_line(lineno: int, line: str) -> VerificationRecord:
     """The record on a line in exactly the bytes record_to_line writes: one
-    match of _CANONICAL_LINE, with the checks object looked up once per
-    distinct text.  Any other line, even one a JSON reader would take for
-    the same record, is an IntegrityError naming the line."""
+    match of _CANONICAL_LINE, its numbers turned into ints once, with the
+    checks object looked up once per distinct text.  Any other line, even
+    one a JSON reader would take for the same record, is an IntegrityError
+    naming the line."""
     match = _CANONICAL_LINE.fullmatch(line)
     checks = None if match is None else _canonical_checks(match[3])
     if checks is None:
         raise IntegrityError(
             f"line {lineno}: not a record line as sweep-inequalities writes it"
         )
-    t_den, t_num, i, k, n, s, t = match.group(1, 2, 4, 5, 6, 7, 8)
+    t_den, t_num, _, i, k, n, s, t, *values = match.groups()
     return VerificationRecord(
         int(n), int(k), int(s), int(i), int(t), int(t_num), int(t_den),
-        dict(checks), match.groupdict(),
+        dict(checks), dict(zip(_VALUE_KEYS, map(int, values))),
     )
 
 
-def _json_object(table: dict[str, str]) -> str:
-    return "{" + ",".join(
-        [f"{_encode_str(key)}:{_encode_str(value)}" for key, value in sorted(table.items())]
-    ) + "}"
+#: The check and value names in the sorted order of record_to_line's keys,
+#: and its checks and values objects as templates over those names.
+_CHECK_KEYS = sorted(CHECK_ORDER)
+_VALUE_KEYS = sorted(VALUE_NAMES)
+_CHECKS_TEMPLATE = "{{" + ",".join(f'"{name}":"{{{name}}}"' for name in _CHECK_KEYS) + "}}"
+_VALUES_TEMPLATE = "{{" + ",".join(f'"{name}":"{{{name}}}"' for name in _VALUE_KEYS) + "}}"
 
 
 @functools.lru_cache(maxsize=1024)
 def _checks_json(items: tuple[tuple[str, str], ...]) -> str:
     # a sweep's records share a handful of check-status tuples
-    return _json_object(dict(items))
+    return _CHECKS_TEMPLATE.format_map(dict(items))
 
 
 def record_to_line(record: VerificationRecord) -> str:
     """The canonical one-line serialization of a record (deterministic):
     the bytes json.dumps(..., sort_keys=True, separators=(",", ":")) writes
     for the record's fields as one object, under the keys n, k, s, i, t,
-    T_num, T_den, checks and values, with T_num and T_den as decimal
-    strings; built directly in that sorted key order."""
+    T_num, T_den, checks and values, with T_num, T_den and every value as
+    the decimal string str() writes; built directly in that sorted key
+    order from the templates of the checks and values objects."""
     return (
         f'{{"T_den":"{record.t_den}","T_num":"{record.t_num}",'
         f'"checks":{_checks_json(tuple(record.checks.items()))},"i":{record.i},"k":{record.k},'
         f'"n":{record.n},"s":{record.s},"t":{record.t},'
-        f'"values":{_json_object(record.values)}}}'
+        f'"values":{_VALUES_TEMPLATE.format_map(record.values)}}}'
     )
 
 
@@ -251,12 +249,12 @@ _POSITIVE = "[1-9][0-9]*"
 #: the keys in sorted order, the grid coordinates as positive JSON integers,
 #: T_num and T_den as the decimal strings str() writes (T_den positive), the
 #: checks object captured whole (up to its first "}") and each value as the
-#: decimal string str() writes, in a group named after the value.
+#: decimal string str() writes, in sorted name order.
 _CANONICAL_LINE = re.compile(
     rf'\{{"T_den":"({_POSITIVE})","T_num":"({_INT})","checks":(\{{[^}}]*\}}),'
     + ",".join(f'"{name}":({_POSITIVE})' for name in "iknst")
     + r',"values":\{'
-    + ",".join(f'"{name}":"(?P<{name}>{_INT})"' for name in sorted(VALUE_NAMES))
+    + ",".join(f'"{name}":"({_INT})"' for name in _VALUE_KEYS)
     + r"\}\}"
 )
 
@@ -264,7 +262,7 @@ _CANONICAL_LINE = re.compile(
 #: order, each with one of the statuses.
 _CANONICAL_CHECKS = re.compile(
     r"\{"
-    + ",".join(f'"{name}":"({"|".join(STATUSES)})"' for name in sorted(CHECK_ORDER))
+    + ",".join(f'"{name}":"({"|".join(STATUSES)})"' for name in _CHECK_KEYS)
     + r"\}"
 )
 
@@ -277,7 +275,7 @@ def _canonical_checks(text: str) -> dict[str, str] | None:
     match = _CANONICAL_CHECKS.fullmatch(text)
     if match is None:
         return None
-    statuses = dict(zip(sorted(CHECK_ORDER), match.groups()))
+    statuses = dict(zip(_CHECK_KEYS, match.groups()))
     return {name: statuses[name] for name in CHECK_ORDER}
 
 
@@ -414,12 +412,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # the first record is pulled before --out is opened, so that grid flags
     # sweep() refuses leave an existing stream untouched
     first = next(records, None)
-    if out == "-":
-        fh: TextIO = sys.stdout
-    else:
-        if resumed:
-            os.truncate(out, kept)  # in place: the intact records stay as written
-        fh = open(out, "a" if resumed else "w", encoding="utf-8")
+    if resumed:
+        os.truncate(out, kept)  # in place: the intact records stay as written
+    fh = sys.stdout if out == "-" else open(out, "a" if resumed else "w", encoding="utf-8")
     try:
         if first is not None:
             for record in itertools.chain((first,), records):
@@ -475,12 +470,12 @@ def _side_obj(side, n: int, k: int) -> dict:
         obj: dict = {
             "kind": "genset",
             "elements": [list(elements_of(m)) for m in side.elements],
-            "genset": genset_to_text(side),
+            "genset": write_genset(side),
         }
         if _expandable(n, k):
-            obj["family"] = family_to_text(upset_k(side))
+            obj["family"] = write_family(upset_k(side))
         return obj
-    return {"kind": "family", "family": family_to_text(side)}
+    return {"kind": "family", "family": write_family(side)}
 
 
 def _witnesses_obj(witnesses, n: int, k: int) -> list[dict]:
@@ -509,7 +504,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 "the genset method maximizes the product only; "
                 "use --method brute for the sum objective"
             )
-        result = genset_search_best_product(args.n, args.k, args.t, s_max=args.s_max)
+        result = genset_search_best_product(args.n, args.k, args.t)
     out = resolve_out(args.out, f"search-{args.n}-{args.k}-{args.t}.json")
     _write_out(out, json.dumps(_search_json_obj(result), sort_keys=True, indent=2) + "\n")
     _say(
@@ -551,15 +546,6 @@ def _cmd_frankl(args: argparse.Namespace) -> int:
 # compress / genset file utilities
 
 
-def _rendered(write, obj) -> str:
-    """What write(obj, target) writes, as one string for _write_out.  The
-    commands call write_family and write_genset through this module, not
-    family_to_text, so that perfbench's tracer still times the writes."""
-    buf = io.StringIO()
-    write(obj, buf)
-    return buf.getvalue()
-
-
 def _cmd_compress(args: argparse.Namespace) -> int:
     family = read_family(sys.stdin.buffer if args.infile == "-" else args.infile)
     already = is_left_compressed(family)
@@ -569,7 +555,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             f"compression changed the family size: {len(family)} -> {len(compressed)}"
         )
     out = resolve_out(args.out, "compressed-family.txt")
-    _write_out(out, _rendered(write_family, compressed))
+    _write_out(out, write_family(compressed))
     _say(
         f"family n={family.n} k={family.k} members={len(family)}: "
         + ("already left-compressed" if already else "compressed")
@@ -582,7 +568,7 @@ def _cmd_genset(args: argparse.Namespace) -> int:
     if args.expand:
         genset = read_genset(sys.stdin.buffer if args.infile == "-" else args.infile)
         family = upset_k(genset)
-        _write_out(out, _rendered(write_family, family))
+        _write_out(out, write_family(family))
         _say(
             f"expanded {len(genset)} generator(s) on n={genset.n}, k={genset.k} "
             f"to {len(family)} member(s)"
@@ -595,7 +581,7 @@ def _cmd_genset(args: argparse.Namespace) -> int:
         raise IntegrityError(
             f"cell count {counted} disagrees with family size {len(family)}"
         )
-    _write_out(out, _rendered(write_genset, genset))
+    _write_out(out, write_genset(genset))
     _say(
         f"minimal generating set of n={family.n} k={family.k} "
         f"members={len(family)}: {len(genset)} element(s)"
@@ -736,7 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--objective", choices=("product", "sum"), default="product")
     p.add_argument("--method", choices=("brute", "genset"), default="genset")
-    p.add_argument("--s-max", type=int, default=None, help="generator window cap")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 

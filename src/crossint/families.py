@@ -15,10 +15,9 @@ F are cross-t-intersecting (A = B included, so a nonempty family needs k >= t).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, UsageError
 
@@ -149,17 +148,18 @@ def shade(family: UniformFamily) -> UniformFamily:
 
 
 # ---------------------------------------------------------------------------
-# Text round-trip, shared by families and generating sets: header "n k", then
+# Set-list text, shared by families and generating sets: header "n k", then
 # one set per line, comma-separated ascending elements.  '#' starts a comment;
-# blank lines are skipped.
+# blank lines are skipped.  write_sets is the one writer and returns the whole
+# text as a str; read_sets is the one reader.
 # ---------------------------------------------------------------------------
 
 
-def write_sets(n: int, k: int, masks: Iterable[int], target: TextIO) -> None:
-    """Write the "n k" header and one set per line to a text stream."""
-    target.write(f"{n} {k}\n")
-    for m in masks:
-        target.write(",".join(str(e) for e in elements_of(m)) + "\n")
+def write_sets(n: int, k: int, masks: Iterable[int]) -> str:
+    """The set-list text: the "n k" header and one set per line."""
+    lines = [f"{n} {k}"]
+    lines.extend(",".join(map(str, elements_of(m))) for m in masks)
+    return "\n".join(lines) + "\n"
 
 
 def read_sets(source) -> tuple[int, int, list[int]]:
@@ -199,15 +199,9 @@ def read_sets(source) -> tuple[int, int, list[int]]:
     return header[0], header[1], masks
 
 
-def write_family(family: UniformFamily, target: TextIO) -> None:
-    """Write the family to a text stream."""
-    write_sets(family.n, family.k, family.members, target)
-
-
-def family_to_text(family: UniformFamily) -> str:
-    buf = io.StringIO()
-    write_family(family, buf)
-    return buf.getvalue()
+def write_family(family: UniformFamily) -> str:
+    """The family's set-list text."""
+    return write_sets(family.n, family.k, family.members)
 
 
 def read_family(source) -> UniformFamily:

@@ -30,7 +30,6 @@ silently wrong deltas.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -422,18 +421,13 @@ def perturb_pair(
 
 
 # ---------------------------------------------------------------------------
-# Text round-trip: the set-list format of families.read_sets / write_sets.
+# Text round-trip: the set-list text of families.write_sets / read_sets.
 # ---------------------------------------------------------------------------
 
 
-def write_genset(genset: GenSet, target) -> None:
-    write_sets(genset.n, genset.k, genset.elements, target)
-
-
-def genset_to_text(genset: GenSet) -> str:
-    buf = io.StringIO()
-    write_genset(genset, buf)
-    return buf.getvalue()
+def write_genset(genset: GenSet) -> str:
+    """The genset's set-list text."""
+    return write_sets(genset.n, genset.k, genset.elements)
 
 
 def read_genset(source) -> GenSet:

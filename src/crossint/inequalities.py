@@ -401,7 +401,8 @@ VALUE_NAMES = (
 class VerificationRecord(NamedTuple):
     """One grid point's statuses and exact values.  An immutable tuple, so
     building one sets no attribute one by one; assigning a field raises
-    AttributeError."""
+    AttributeError.  values maps each of VALUE_NAMES to an exact int; the
+    only text of a record is the line the sweep writes and reads back."""
 
     n: int
     k: int
@@ -411,7 +412,7 @@ class VerificationRecord(NamedTuple):
     t_num: int  # reduced key ratio numerator
     t_den: int
     checks: dict[str, str]
-    values: dict[str, str]
+    values: dict[str, int]
 
     @property
     def point(self) -> tuple[int, int, int, int, int]:
@@ -555,15 +556,15 @@ def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord
             "appendix": appendix,
         },
         {
-            "S1": str(s1),
-            "S2": str(s2),
-            "T1": str(t1),
-            "T2": str(t2),
-            "lemma_f_slack": str(f_slack),
-            "lemma_g_slack": str(g_slack),
-            "lemma_h_slack": str(h_slack),
-            "lemma_phi_slack": str(phi_slack),
-            "equa3": "1" if entry else "0",
+            "S1": s1,
+            "S2": s2,
+            "T1": t1,
+            "T2": t2,
+            "lemma_f_slack": f_slack,
+            "lemma_g_slack": g_slack,
+            "lemma_h_slack": h_slack,
+            "lemma_phi_slack": phi_slack,
+            "equa3": int(entry),
         },
     )
 
@@ -621,7 +622,7 @@ class SweepSummary:
             elif status == "excluded":
                 excluded_here = True
         for name in ("lemma_f", "lemma_g", "lemma_h", "lemma_phi"):
-            slack = int(record.values[name + "_slack"])
+            slack = record.values[name + "_slack"]
             if record.checks[name] != "excluded":
                 if name not in self.min_slack or slack < self.min_slack[name]:
                     self.min_slack[name] = slack

@@ -87,7 +87,7 @@ GENSET_GROUND_CAP = 16
 #: Distinct optimal witness pairs kept in a result.
 MAX_WITNESSES = 64
 
-#: Raw tie keys retained during a scan (enough to survive canonical dedup).
+#: Tie keys retained during a scan; the ``ties`` count stops here.
 _TIE_SOFT_CAP = 4_096
 
 
@@ -330,24 +330,19 @@ def _trivial_full_pair(n: int, k: int, t: int) -> SearchResult:
     return result
 
 
-def genset_search_best_product(
-    n: int,
-    k: int,
-    t: int,
-    *,
-    s_max: int | None = None,
-    node_cap: int = GENSET_NODE_CAP,
-) -> SearchResult:
+def genset_search_best_product(n: int, k: int, t: int) -> SearchResult:
     """Exact product maximum over pairs generated by antichains on [s].
 
-    For n > 2k-t the search is complete over all pairs whose generating sets
-    live on a window [s] with s <= s_max (default 2k-t, the bound forced on
-    maximal left-compressed pairs by the trace-pairing lemma: paired
-    generator slices have sizes i and s+t-i, both at most k).  Every
-    generator has size between t and k; for a fixed A side the optimal
-    partner is generated by all compatible candidates, so only one side is
-    enumerated.  For n <= 2k-t any two k-sets meet in >= t points and the
-    doubled full layer is returned directly.
+    For n > 2k-t the search is complete: the generating sets live on the
+    window [s] with s = 2k-t, the bound forced on maximal left-compressed
+    pairs by the trace-pairing lemma (paired generator slices have sizes i
+    and s+t-i, both at most k).  Every generator has size between
+    max(t, k-(n-s)) and k: a k-set meets [s] in at least k-(n-s) points, so
+    a smaller generator gives the family its supersets of that size give.
+    For a fixed A side the optimal partner is generated by all compatible
+    candidates, so only one side is enumerated.  For n <= 2k-t any two
+    k-sets meet in >= t points and the doubled full layer is returned
+    directly.
 
     Only shifted A sides are enumerated, which is exact.  A family generated
     on [s] is {X : X cap [s] in T} for an up-set T of 2^[s]; a shift d_ij
@@ -366,25 +361,21 @@ def genset_search_best_product(
     left-compressed.
 
     ``stats`` counts nodes, ties, incumbent improvements and the cuts of
-    each prune rule.  Exceeding ``node_cap`` raises a capacity error whose
-    ``partial_best`` carries the best result found so far.
+    each prune rule.  Exceeding GENSET_NODE_CAP nodes raises a capacity
+    error whose ``partial_best`` carries the best result found so far.
     """
     if not 1 <= t <= k <= n:
         raise DomainError(f"need 1 <= t <= k <= n, got t = {t}, k = {k}, n = {n}")
     if n <= 2 * k - t:
         return _trivial_full_pair(n, k, t)
-    if s_max is None:
-        s_max = 2 * k - t
-    if s_max < t:
-        raise UsageError(f"window s_max = {s_max} cannot host a size-{t} generator")
-    s = min(s_max, n)
+    s = 2 * k - t
     if s > GENSET_GROUND_CAP:
         raise CapacityError(
             f"window [s] with s = {s} exceeds the ground cap {GENSET_GROUND_CAP}"
         )
 
     cands: list[int] = []
-    for size in range(t, min(k, s) + 1):
+    for size in range(max(t, k - (n - s)), k + 1):
         cands.extend(enumerate_k_subsets(s, size).members)
     cands.sort(key=lambda m: (m.bit_count(), m))
     m_count = len(cands)
@@ -456,7 +447,7 @@ def genset_search_best_product(
 
     def current_result(capped: bool) -> SearchResult:
         band = sum(bucket for bucket, _ in active)  # trace sizes of k-sets
-        witnesses = _materialize_genset_ties(n, k, s, band, sorted(ties)[: 4 * MAX_WITNESSES])
+        witnesses = _materialize_genset_ties(n, k, s, band, sorted(ties)[:MAX_WITNESSES])
         return SearchResult(
             n=n,
             k=k,
@@ -488,9 +479,9 @@ def genset_search_best_product(
             if new_cmask == 0:
                 continue
             counts["nodes"] += 1
-            if counts["nodes"] > node_cap:
+            if counts["nodes"] > GENSET_NODE_CAP:
                 raise CapacityError(
-                    f"antichain node cap {node_cap} exceeded at (n,k,t) = "
+                    f"antichain node cap {GENSET_NODE_CAP} exceeded at (n,k,t) = "
                     f"({n},{k},{t}), s = {s}; "
                     + ", ".join(f"{name} {value}" for name, value in counts.items()),
                     partial_best=current_result(capped=True),
@@ -532,9 +523,11 @@ def _materialize_genset_ties(
     The pairs are jointly left-compressed already.  Each side's generators
     are what ``minimal_genset`` finds on its expansion: the minimal nonempty
     e with at most k elements that no trace in ``band`` (the sizes k-sets
-    have) outside the bitmap contains.  When the band holds every candidate
-    size these are the bitmap's minimal sets; otherwise this merges bitmaps
-    that generate one family.
+    have) outside the bitmap contains.  These may be smaller than any
+    candidate, so they are not always the bitmap's minimal sets.  Every
+    candidate size lies in the band, so a union of candidate up-sets is
+    fixed by its traces in the band: distinct antichains give distinct
+    families, and distinct keys give distinct witness pairs.
     """
     sized = downset_closure_bitmap(band, s) & ~1  # nonempty, at most k elements
 
@@ -542,13 +535,9 @@ def _materialize_genset_ties(
         safe = sized & ~downset_closure_bitmap(band & ~bitmap, s)
         return GenSet.from_masks(n, k, _bitmap_minimal_elements(safe), minimal=True)
 
-    seen: dict[tuple, tuple] = {}
-    for pair in keys:
-        gens = sorted(map(generators, pair), key=lambda g: g.elements)
-        seen.setdefault((gens[0].elements, gens[1].elements), (gens[0], gens[1]))
-        if len(seen) >= MAX_WITNESSES:
-            break
-    return tuple(seen[key] for key in sorted(seen))
+    pairs = [sorted(map(generators, pair), key=lambda g: g.elements) for pair in keys]
+    pairs.sort(key=lambda pair: (pair[0].elements, pair[1].elements))
+    return tuple((a, b) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from crossint.families import (
     bottom_mask,
     elements_of,
     enumerate_k_subsets,
-    family_to_text,
     is_cross_t_intersecting,
     mask_of,
     read_family,
@@ -181,7 +180,7 @@ def test_normalized_matching_cross_multiplied() -> None:
 
 def test_family_text_roundtrip() -> None:
     fam = UniformFamily.from_sets(6, 3, [[1, 2, 3], [2, 4, 6], [1, 5, 6]])
-    text = family_to_text(fam)
+    text = write_family(fam)
     assert text.splitlines()[0] == "6 3"
     assert read_family(io.StringIO(text)) == fam
 
@@ -209,13 +208,12 @@ def test_read_family_rejects_wrong_member_size() -> None:
 def test_read_family_accepts_path(tmp_path) -> None:
     fam = enumerate_k_subsets(5, 2)
     path = tmp_path / "layer.fam"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_family(fam, fh)
+    path.write_text(write_family(fam), encoding="utf-8")
     assert read_family(str(path)) == fam
 
 
-def test_write_family_accepts_file_object() -> None:
-    fam = UniformFamily.from_sets(4, 2, [[1, 4]])
-    buf = io.StringIO()
-    write_family(fam, buf)
-    assert read_family(io.StringIO(buf.getvalue())) == fam
+def test_write_family_returns_the_text() -> None:
+    # the header, then one member per line in incidence-word order
+    fam = UniformFamily.from_sets(4, 2, [[1, 4], [2, 3]])
+    assert write_family(fam) == "4 2\n2,3\n1,4\n"
+    assert write_family(UniformFamily(4, 2, ())) == "4 2\n"

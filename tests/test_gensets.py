@@ -31,7 +31,6 @@ from crossint.gensets import (
     downset_closure_bitmap,
     full_layer_genset,
     genset_cross_t,
-    genset_to_text,
     minimal_genset,
     perturb_pair,
     profile_counts,
@@ -45,6 +44,7 @@ from crossint.gensets import (
     upset_closure_bitmap,
     upset_k,
     upset_size,
+    write_genset,
 )
 
 
@@ -258,8 +258,8 @@ def test_full_layer_genset() -> None:
 
 def test_genset_text_roundtrip() -> None:
     g = compact("14,23,124", 7, 3)
-    text = genset_to_text(g)
-    assert text.splitlines()[0] == "7 3"
+    text = write_genset(g)
+    assert text == "7 3\n2,3\n1,4\n1,2,4\n"  # elements by (size, word)
     # the minimal flag is not serialized
     assert read_genset(io.StringIO(text)) == GenSet(g.n, g.k, g.elements)
 

@@ -12,7 +12,9 @@ a file for writing only in the two functions that are meant to:
 ``cli._replace_file``, the atomic writer behind every ``--out``, and
 ``cli._cmd_sweep``, whose record stream is truncated and appended in place.
 No package module reads JSON: the record stream is read back by the one
-pattern of the bytes its writer writes, and nothing else reads JSON.
+pattern of the bytes its writer writes, and nothing else reads JSON.  And no
+package module imports ``io``: each text format has one writer that returns
+its text as a ``str``, so no text is built up in a stream buffer.
 """
 
 from __future__ import annotations
@@ -267,3 +269,41 @@ def test_json_read_rule() -> None:
         "    return json.load(fh)\n"
     )
     assert json_reads(source) == [3, 5, 6, 9]
+
+
+def io_imports(source: str) -> list[int]:
+    """Line of each import of the ``io`` module or of a name from it,
+    anywhere in source."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name == "io" for alias in node.names)
+        )
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "io")
+    )
+
+
+def test_package_imports_no_io() -> None:
+    imports = [
+        f"{path.name}:{line}"
+        for path in PACKAGE
+        for line in io_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert imports == []
+
+
+def test_io_import_rule() -> None:
+    source = (
+        "import io\n"
+        "import os, io as stream\n"
+        "from io import StringIO\n"
+        "import iox\n"
+        "from . import io\n"
+        "from iox import StringIO\n"
+        "def f():\n"
+        "    import io\n"
+        "    return io.StringIO()\n"
+    )
+    assert io_imports(source) == [1, 2, 3, 8]

@@ -101,13 +101,13 @@ def test_evaluate_point_matches_the_per_point_api() -> None:
         assert record.checks["ratio_identity"] == identity
         core = {"S1": q.s1, "S2": q.s2, "T1": q.t1, "T2": q.t2}
         for name, value in core.items():
-            assert record.values[name] == str(value), (p, name)
+            assert record.values[name] == value, (p, name)
         for fn in (lemma_f, lemma_g, lemma_h, lemma_phi):
             res = fn(p, q)
             assert record.checks[res.name] == res.status, (p, res)
-            assert record.values[res.name + "_slack"] == str(res.slack), (p, res)
+            assert record.values[res.name + "_slack"] == res.slack, (p, res)
         entry, chain = chain_checks(p, q)
-        assert record.values["equa3"] == ("1" if entry else "0")
+        assert record.values["equa3"] == int(entry)
         for name, status in chain.items():
             assert record.checks[name] == status, (p, name)
         if p.triple in SPECIAL_TRIPLES and p.k >= p.s + p.t - p.i:
@@ -314,6 +314,16 @@ def test_record_roundtrip_and_checks() -> None:
     with pytest.raises(AttributeError):
         rec.n = 19
     assert rec.n == 18
+
+
+def test_record_values_are_exact_ints() -> None:
+    # text exists only in the stream: a record holds the integers themselves
+    values = evaluate_point(18, 7, 8, 6, 5).values
+    assert values == {
+        "S1": 82, "S2": 88, "T1": 64, "T2": 78, "lemma_f_slack": 4,
+        "lemma_g_slack": 2, "lemma_h_slack": 26, "lemma_phi_slack": 2, "equa3": 0,
+    }
+    assert all(type(value) is int for value in values.values()), values
 
 
 def test_iter_grid_canonical_order_and_validation() -> None:

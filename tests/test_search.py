@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+from crossint import search
 from crossint.errors import CapacityError, DomainError, IntegrityError, UsageError
 from crossint.families import (
     UniformFamily,
@@ -220,9 +221,11 @@ def test_genset_search_trivial_regime() -> None:
     validate_result(res)
 
 
-def test_genset_search_node_cap_surfaces_partial_best() -> None:
-    with pytest.raises(CapacityError) as exc_info:
-        genset_search_best_product(10, 6, 3, node_cap=10_000)
+def test_genset_search_node_cap_surfaces_partial_best(monkeypatch) -> None:
+    # (10,6,3) takes 10,257 nodes, so a cap of 2,000 stops it mid-scan
+    monkeypatch.setattr(search, "GENSET_NODE_CAP", 2_000)
+    with pytest.raises(CapacityError, match="node cap 2000 exceeded") as exc_info:
+        genset_search_best_product(10, 6, 3)
     partial = exc_info.value.partial_best
     assert partial is not None
     assert partial.value >= frankl_size(FranklParams(10, 6, 3, 1)) ** 2
@@ -254,6 +257,17 @@ def test_genset_search_completes_at_9_4_1() -> None:
     assert res.stats["capped"] == 0
 
 
+def test_genset_search_visits_only_band_sized_generators() -> None:
+    # n - s = 2 < k - t = 3 at (9,4,1), s = 7: every k-set meets [7] in at
+    # least 2 points, so a 1-element generator would generate the family of
+    # its 2-element supersets a second time.  Only the band sizes 2..4 are
+    # candidates, and the one optimal family pair is tied once.
+    res = genset_search_best_product(9, 4, 1)
+    assert res.stats["candidates"] == sum(comb(7, j) for j in range(2, 5))
+    assert res.stats["ties"] == 1
+    assert len(res.witnesses) == 1
+
+
 def test_genset_search_prune_counters_repeat() -> None:
     first = genset_search_best_product(10, 5, 3).stats
     second = genset_search_best_product(10, 5, 3).stats
@@ -266,8 +280,6 @@ def test_genset_search_prune_counters_repeat() -> None:
 def test_genset_search_validation() -> None:
     with pytest.raises(DomainError):
         genset_search_best_product(6, 7, 3)
-    with pytest.raises(UsageError):
-        genset_search_best_product(12, 5, 3, s_max=2)
 
 
 def test_genset_witnesses_survive_joint_shifts() -> None:
