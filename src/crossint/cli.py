@@ -33,7 +33,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -62,14 +61,7 @@ from .gensets import (
     upset_k,
     write_genset,
 )
-from .inequalities import (
-    CHECK_ORDER,
-    STATUSES,
-    VALUE_NAMES,
-    VerificationRecord,
-    _grid_points,
-    sweep,
-)
+from .records import CHECK_ORDER, STATUSES, VALUE_NAMES, VerificationRecord
 from .search import (
     MainTheoremReport,
     SearchResult,
@@ -77,7 +69,6 @@ from .search import (
     brute_force_best,
     genset_search_best_product,
     verify_main_theorem_small,
-    verify_section4_constructions,
 )
 
 #: Environment variable naming the default output directory for --out.
@@ -90,7 +81,6 @@ _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 # Record-stream digestion and summary emission
 
 
-@dataclass
 class RecordDigest:
     """Running totals over a stream of verification records.
 
@@ -99,15 +89,16 @@ class RecordDigest:
     the lemmas whose slack enters the minima, and whether the key ratio
     does."""
 
-    records: int = 0
-    min_slack: dict[str, int] = field(default_factory=dict)
-    min_ratio: Fraction | None = None
-    violations: list[tuple[int, int, int, int, int, str]] = field(default_factory=list)
-    last_point: tuple[int, int, int, int, int] | None = None
-    # checks items -> [records, violated names, (lemma, slack key) pairs, ranked]
-    _by_checks: dict[tuple, list] = field(default_factory=dict, init=False, repr=False)
-
     VIOLATION_CAP = 1000
+
+    def __init__(self) -> None:
+        self.records = 0
+        self.min_slack: dict[str, int] = {}
+        self.min_ratio: Fraction | None = None
+        self.violations: list[tuple[int, int, int, int, int, str]] = []
+        self.last_point: tuple[int, int, int, int, int] | None = None
+        # checks items -> [records, violated names, (lemma, slack key) pairs, ranked]
+        self._by_checks: dict[tuple, list] = {}
 
     def absorb(self, record: VerificationRecord) -> None:
         self.records += 1
@@ -338,8 +329,9 @@ def _trim_to_last_record(
     parts from them is a usage error naming the line, raised once the whole
     stream has been read, so that damage further on is still reported as
     such.  Returns the byte length of the kept records, which is where the
-    file is to be cut.  The file itself is left alone, so that a resume
-    refused later leaves it untouched.
+    file is to be cut, and leaves points at the first point after them,
+    where the sweep goes on.  The file itself is left alone, so that a
+    resume refused later leaves it untouched.
 
     Each line goes through parse_record_line, which reads only the bytes
     record_to_line writes: a line in any other form is damage like a torn
@@ -396,21 +388,25 @@ def _trim_to_last_record(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # the one command that runs the inequality engine, so the one that imports it
+    from .inequalities import _grid_points, evaluate_points
+
     out = resolve_out(args.out, "sweep-records.jsonl")
     if args.resume and out == "-":
         raise UsageError("--resume needs --out pointing at a file")
-    grid = (args.t_min, args.t_max, args.k_span, args.n_span)
+    points = _grid_points(args.t_min, args.t_max, args.k_span, args.n_span)
     digest = RecordDigest()
     kept = 0
     if args.resume and os.path.exists(out):
-        kept = _trim_to_last_record(out, digest, _grid_points(*grid))
+        kept = _trim_to_last_record(out, digest, points)
     resumed = digest.records > 0
     if resumed:
         _say(f"resuming after canonical point (t,k,n,s,i) = {digest.last_point}")
 
-    records = sweep(*grid, skip=digest.records)
+    # points stands after the kept records, so the walk goes on from there
+    records = evaluate_points(points)
     # the first record is pulled before --out is opened, so that grid flags
-    # sweep() refuses leave an existing stream untouched
+    # the grid walk refuses leave an existing stream untouched
     first = next(records, None)
     if resumed:
         os.truncate(out, kept)  # in place: the intact records stay as written
@@ -625,6 +621,9 @@ def _section4_json_obj(report: Section4Report) -> dict:
 
 
 def _cmd_verify_case4(args: argparse.Namespace) -> int:
+    # the one command that runs the construction checks, so the one that imports them
+    from .constructions import verify_section4_constructions
+
     report = verify_section4_constructions(args.n, args.k, args.t)
     out = resolve_out(args.out, f"case4-{args.n}-{args.k}-{args.t}.json")
     _write_out(out, json.dumps(_section4_json_obj(report), sort_keys=True, indent=2) + "\n")

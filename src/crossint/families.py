@@ -15,11 +15,10 @@ F are cross-t-intersecting (A = B included, so a nonempty family needs k >= t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, UsageError
+from .records import Frozen
 
 # Family-level operations hold whole subsets in one machine word.
 WORD_CAP = 64
@@ -52,30 +51,29 @@ def bottom_mask(m: int) -> int:
     return (1 << m) - 1
 
 
-@dataclass(frozen=True)
-class UniformFamily:
+class UniformFamily(Frozen):
     """A duplicate-free family of k-subsets of [n], members sorted numerically."""
 
-    n: int
-    k: int
-    members: tuple[int, ...]
+    _fields = ("n", "k", "members")
+    __slots__ = _fields + ("_member_set",)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= WORD_CAP:
-            raise CapacityError(f"ground set size {self.n} outside [1, {WORD_CAP}]")
-        if not 0 <= self.k <= self.n:
-            raise UsageError(f"subset size {self.k} outside [0, {self.n}]")
+    def __init__(self, n: int, k: int, members: tuple[int, ...]) -> None:
+        if not 1 <= n <= WORD_CAP:
+            raise CapacityError(f"ground set size {n} outside [1, {WORD_CAP}]")
+        if not 0 <= k <= n:
+            raise UsageError(f"subset size {k} outside [0, {n}]")
         prev = -1
-        for m in self.members:
+        for m in members:
             if m <= prev:
                 raise UsageError("members must be strictly increasing incidence words")
-            if m >> self.n:
-                raise UsageError(f"member {m:#x} not within [{self.n}]")
-            if m.bit_count() != self.k:
+            if m >> n:
+                raise UsageError(f"member {m:#x} not within [{n}]")
+            if m.bit_count() != k:
                 raise UsageError(
-                    f"member {elements_of(m)} has size {m.bit_count()}, expected {self.k}"
+                    f"member {elements_of(m)} has size {m.bit_count()}, expected {k}"
                 )
             prev = m
+        self._init(n, k, members)
 
     @classmethod
     def from_masks(cls, n: int, k: int, masks: Iterable[int]) -> "UniformFamily":
@@ -85,9 +83,15 @@ class UniformFamily:
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "UniformFamily":
         return cls.from_masks(n, k, (mask_of(s, n) for s in sets))
 
-    @cached_property
+    @property
     def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
+        """The members as a frozenset, built on first use."""
+        try:
+            return self._member_set
+        except AttributeError:
+            members = frozenset(self.members)
+            object.__setattr__(self, "_member_set", members)
+            return members
 
     def __len__(self) -> int:
         return len(self.members)

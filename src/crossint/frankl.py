@@ -9,31 +9,30 @@ computed exactly for unbounded n; expansion is offered at word scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import CapacityError, OutOfScopeError, UsageError
 from .families import WORD_CAP, UniformFamily, mask_of
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class FranklParams:
-    n: int
-    k: int
-    t: int
-    r: int
+class FranklParams(Frozen):
+    """The parameters of F(n, k, t, r): 1 <= t <= k <= n, r >= 0, and the
+    window [t + 2r] inside [n]."""
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.t <= self.k <= self.n:
-            raise UsageError(f"need 1 <= t <= k <= n, got t={self.t}, k={self.k}, n={self.n}")
-        if self.r < 0:
-            raise UsageError(f"r must be nonnegative, got {self.r}")
-        if self.t + 2 * self.r > self.n:
-            raise UsageError(
-                f"window t + 2r = {self.t + 2 * self.r} exceeds the ground set [{self.n}]"
-            )
+    _fields = __slots__ = ("n", "k", "t", "r")
+
+    def __init__(self, n: int, k: int, t: int, r: int) -> None:
+        if not 1 <= t <= k <= n:
+            raise UsageError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
+        if r < 0:
+            raise UsageError(f"r must be nonnegative, got {r}")
+        if t + 2 * r > n:
+            raise UsageError(f"window t + 2r = {t + 2 * r} exceeds the ground set [{n}]")
+        self._init(n, k, t, r)
 
     @property
     def window(self) -> int:
@@ -66,8 +65,7 @@ def frankl_family(params: FranklParams) -> UniformFamily:
     return UniformFamily.from_masks(n, k, members)
 
 
-@dataclass(frozen=True)
-class FranklMax:
+class FranklMax(NamedTuple):
     """argmax of r -> |F(n,k,t,r)|, with all ties."""
 
     n: int
@@ -96,8 +94,7 @@ def frankl_max(n: int, k: int, t: int) -> FranklMax:
     return FranklMax(n, k, t, tuple(best), best_size)
 
 
-@dataclass(frozen=True)
-class AKRegime:
+class AKRegime(NamedTuple):
     """Position of n on the r-threshold scale.
 
     kind "strict": a unique r maximizes; kind "boundary": n sits exactly on a

@@ -30,8 +30,8 @@ silently wrong deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CapacityError, IntegrityError, UsageError
 from .families import (
@@ -44,6 +44,7 @@ from .families import (
     read_sets,
     write_sets,
 )
+from .records import Frozen
 from math import comb
 
 # Expanding an up-set to an explicit family is refused beyond this many sets.
@@ -58,8 +59,7 @@ def _sorted_elements(masks) -> tuple[int, ...]:
     return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
 
 
-@dataclass(frozen=True)
-class GenSet:
+class GenSet(Frozen):
     """A genset: context parameters (n, k) plus element incidence words.
 
     Elements are nonempty subsets of [n] of size <= k, kept sorted by
@@ -68,38 +68,38 @@ class GenSet:
     elements must form an antichain.
     """
 
-    n: int
-    k: int
-    elements: tuple[int, ...]
-    minimal: bool = False
+    _fields = __slots__ = ("n", "k", "elements", "minimal")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise UsageError(f"ground set size must be positive, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise UsageError(f"subset size {self.k} outside [0, {self.n}]")
+    def __init__(
+        self, n: int, k: int, elements: tuple[int, ...], minimal: bool = False
+    ) -> None:
+        if n < 1:
+            raise UsageError(f"ground set size must be positive, got {n}")
+        if not 0 <= k <= n:
+            raise UsageError(f"subset size {k} outside [0, {n}]")
         prev = None
-        for m in self.elements:
+        for m in elements:
             if m == 0:
                 raise UsageError("genset elements must be nonempty")
-            if m >> self.n:
-                raise UsageError(f"element {elements_of(m)} not within [{self.n}]")
-            if m.bit_count() > self.k:
+            if m >> n:
+                raise UsageError(f"element {elements_of(m)} not within [{n}]")
+            if m.bit_count() > k:
                 raise UsageError(
-                    f"element {elements_of(m)} larger than the layer size {self.k}"
+                    f"element {elements_of(m)} larger than the layer size {k}"
                 )
             key = (m.bit_count(), m)
             if prev is not None and key <= prev:
                 raise UsageError("elements must be sorted by (size, word), no repeats")
             prev = key
-        if self.minimal:
-            for a in self.elements:
-                for b in self.elements:
+        if minimal:
+            for a in elements:
+                for b in elements:
                     if a != b and a & b == a:
                         raise UsageError(
                             f"flagged minimal but {elements_of(a)} is contained "
                             f"in {elements_of(b)}"
                         )
+        self._init(n, k, elements, minimal)
 
     @classmethod
     def from_masks(cls, n: int, k: int, masks, minimal: bool = False) -> "GenSet":
@@ -366,8 +366,7 @@ def strip_top(genset: GenSet, i: int, top: int) -> GenSet:
     return GenSet.from_masks(genset.n, genset.k, (m & ~bit for m in sliced.elements))
 
 
-@dataclass(frozen=True)
-class PerturbResult:
+class PerturbResult(NamedTuple):
     """Outcome of a cell-trading move: new families plus closed-form deltas."""
 
     families: tuple[UniformFamily, ...]

@@ -33,18 +33,20 @@ point, is a single flat pass over the five integers: an inline domain test,
 then every quantity, both of its algebraic forms and every status, written
 straight into the VerificationRecord.  It calls nothing of the per-point API;
 the tests hold the two routes to the same values.
+
+The record schema (CHECK_ORDER, VALUE_NAMES, VerificationRecord) lives in
+records, so that only the sweep command imports this engine.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 from numbers import Rational
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, IntegrityError, UsageError
+from .records import Frozen, VerificationRecord
 
 EXCLUDED_TRIPLE = (6, 4, 3)
 
@@ -56,20 +58,14 @@ F_LEMMA_EXCLUSIONS = frozenset(
 G_LEMMA_EXCLUSIONS = frozenset({(7, 5, 3), (7, 4, 3), (6, 4, 3)})
 
 
-@dataclass(frozen=True)
-class SectionParams:
+class SectionParams(Frozen):
     """A grid point; construction validates the full domain, naming the first
     violated constraint.  t <= 2 is rejected at the type level: the margin
     lemmas are false there and no claim is made."""
 
-    n: int
-    k: int
-    s: int
-    i: int
-    t: int
+    _fields = __slots__ = ("n", "k", "s", "i", "t")
 
-    def __post_init__(self) -> None:
-        n, k, s, i, t = self.n, self.k, self.s, self.i, self.t
+    def __init__(self, n: int, k: int, s: int, i: int, t: int) -> None:
         for name, value in (("n", n), ("k", k), ("s", s), ("i", i), ("t", t)):
             if value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value}")
@@ -86,14 +82,14 @@ class SectionParams:
             raise DomainError(f"i = {i} outside [max(t+1, s+t-k), min(k, (s+t)/2)] = [{lo}, {hi}]")
         # consequences of the domain, kept as cheap sanity checks
         assert k >= t + 2 and 2 * i - t <= s <= k + i - t
+        self._init(n, k, s, i, t)
 
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.s, self.i, self.t)
 
 
-@dataclass(frozen=True)
-class CoreQuantities:
+class CoreQuantities(NamedTuple):
     s1: int
     s2: int
     t1: int
@@ -120,8 +116,7 @@ def eval_core(p: SectionParams) -> CoreQuantities:
     return q
 
 
-@dataclass(frozen=True)
-class KeyIneqResult:
+class KeyIneqResult(NamedTuple):
     status: str  # holds | violated | excluded
     num: int
     den: int
@@ -162,8 +157,7 @@ def check_ratio_identity(p: SectionParams) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class LemmaResult:
+class LemmaResult(NamedTuple):
     name: str
     slack: int
     status: str  # holds | violated | excluded
@@ -299,8 +293,7 @@ _SPECIAL_FORMS: dict[
 SPECIAL_TRIPLES = frozenset(_SPECIAL_FORMS)
 
 
-@dataclass(frozen=True)
-class AppendixResult:
+class AppendixResult(NamedTuple):
     params: SectionParams
     num: int
     den: int
@@ -363,61 +356,6 @@ def basefact(a_val, b_val, a_inc, b_dec) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 # Per-point records and grid sweeps
 # ---------------------------------------------------------------------------
-
-
-#: Canonical check names of a record, in the order evaluate_point writes them.
-CHECK_ORDER = (
-    "thm32",
-    "ratio_identity",
-    "lemma_f",
-    "lemma_g",
-    "lemma_h",
-    "lemma_phi",
-    "equa1",
-    "equac2",
-    "st",
-    "equac1",
-    "equac3",
-    "appendix",
-)
-
-#: The statuses a check can have.
-STATUSES = ("holds", "excluded", "violated", "skipped")
-
-#: Canonical value names of a record, in the order evaluate_point writes them.
-VALUE_NAMES = (
-    "S1",
-    "S2",
-    "T1",
-    "T2",
-    "lemma_f_slack",
-    "lemma_g_slack",
-    "lemma_h_slack",
-    "lemma_phi_slack",
-    "equa3",
-)
-
-
-class VerificationRecord(NamedTuple):
-    """One grid point's statuses and exact values.  An immutable tuple, so
-    building one sets no attribute one by one; assigning a field raises
-    AttributeError.  values maps each of VALUE_NAMES to an exact int; the
-    only text of a record is the line the sweep writes and reads back."""
-
-    n: int
-    k: int
-    s: int
-    i: int
-    t: int
-    t_num: int  # reduced key ratio numerator
-    t_den: int
-    checks: dict[str, str]
-    values: dict[str, int]
-
-    @property
-    def point(self) -> tuple[int, int, int, int, int]:
-        # canonical sweep order: (t, k, n, s, i)
-        return (self.t, self.k, self.n, self.s, self.i)
 
 
 def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord:
@@ -596,18 +534,21 @@ def iter_grid(
         yield SectionParams(n, k, s, i, t)
 
 
-@dataclass
 class SweepSummary:
-    checked: int = 0
-    clean: int = 0  # every evaluated check holds
-    with_exclusion: int = 0  # at least one excluded status, none violated
-    with_violation: int = 0
-    violations: list[tuple[int, int, int, int, int, str]] = field(default_factory=list)
-    status_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    min_slack: dict[str, int] = field(default_factory=dict)
-    last_point: tuple[int, int, int, int, int] | None = None
+    """Running totals over sweep records: status counts per check, the
+    lemma slack minima and the violated points."""
 
     VIOLATION_CAP = 1000
+
+    def __init__(self) -> None:
+        self.checked = 0
+        self.clean = 0  # every evaluated check holds
+        self.with_exclusion = 0  # at least one excluded status, none violated
+        self.with_violation = 0
+        self.violations: list[tuple[int, int, int, int, int, str]] = []
+        self.status_counts: dict[str, dict[str, int]] = {}
+        self.min_slack: dict[str, int] = {}
+        self.last_point: tuple[int, int, int, int, int] | None = None
 
     def absorb(self, record: VerificationRecord) -> None:
         self.checked += 1
@@ -655,15 +596,17 @@ def sweep(
     t_hi: int = 8,
     k_span: int = 12,
     n_span: int = 40,
-    skip: int = 0,
 ) -> Iterator[VerificationRecord]:
-    """Evaluate every grid point in canonical order, yielding its record.
+    """Evaluate every grid point in canonical order, yielding its record."""
+    return evaluate_points(_grid_points(t_lo, t_hi, k_span, n_span))
 
-    skip leaves out the first skip points, so a resumed run continues the
-    same stream after the records it already holds; the caller has checked
-    those records against the grid, and they are neither built nor
-    evaluated again."""
-    for t, k, n, s, i in itertools.islice(
-        _grid_points(t_lo, t_hi, k_span, n_span), skip, None
-    ):
+
+def evaluate_points(
+    points: Iterable[tuple[int, int, int, int, int]]
+) -> Iterator[VerificationRecord]:
+    """The record of each canonical (t, k, n, s, i) point, in order.  A
+    resumed sweep passes the grid's iterator after the records it has
+    checked and kept, so the walk goes on from there and the kept points
+    are neither walked again nor evaluated."""
+    for t, k, n, s, i in points:
         yield evaluate_point(n, k, s, i, t)

@@ -18,6 +18,7 @@ import pytest
 
 from crossint.cli import record_to_line
 from crossint.compression import shift_family
+from crossint.constructions import verify_section4_constructions
 from crossint.families import (
     UniformFamily,
     enumerate_k_subsets,
@@ -43,7 +44,6 @@ from crossint.search import (
     closure_t,
     genset_search_best_product,
     validate_result,
-    verify_section4_constructions,
 )
 
 

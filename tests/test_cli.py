@@ -21,9 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from crossint import cli, search
+from crossint import cli, constructions, inequalities, search
 from crossint.cli import (
-    CHECK_ORDER,
     RecordDigest,
     main,
     parse_record_line,
@@ -33,13 +32,8 @@ from crossint.cli import (
 from crossint.errors import IntegrityError
 from crossint.families import read_family
 from crossint.gensets import read_genset, upset_k
-from crossint.inequalities import (
-    SweepSummary,
-    VerificationRecord,
-    evaluate_point,
-    iter_grid,
-    sweep,
-)
+from crossint.inequalities import SweepSummary, evaluate_point, iter_grid, sweep
+from crossint.records import CHECK_ORDER, VerificationRecord
 
 
 SMALL_SWEEP = [
@@ -285,7 +279,7 @@ def test_verify_case4_guarded_failure_exits_two_and_writes_nothing(
 ) -> None:
     first = next(
         row
-        for check in search.verify_section4_constructions(10, 6).checks
+        for check in constructions.verify_section4_constructions(10, 6).checks
         for row in check.rows
         if row.relation == ">" and row.guard_met
     )
@@ -466,6 +460,38 @@ def test_resume_over_a_partial_tail_is_byte_identical(tmp_path) -> None:
     assert (tmp_path / "resumed.jsonl.summary.json").read_text() == (
         tmp_path / "fresh.jsonl.summary.json"
     ).read_text()
+
+
+def test_resume_walks_the_grid_once(tmp_path, monkeypatch) -> None:
+    # the reader checks the kept records against the grid walk, and the sweep
+    # goes on from where that walk stands: kept plus evaluated points are the
+    # grid, each stepped once
+    out = tmp_path / "walk.jsonl"
+    assert _sweep_to(out) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(b"".join(lines[:5]) + lines[5][:30])
+    walk, flat = inequalities._grid_points, inequalities.evaluate_point
+    steps, evaluated = [], []
+
+    def profile(frame, event, arg) -> None:
+        # the walk's generator frame returns once per point it yields, under
+        # whatever name the walk was called
+        if event == "return" and frame.f_code is walk.__code__ and arg is not None:
+            steps.append(arg)
+
+    def counting_evaluate(*point):
+        evaluated.append(point)
+        return flat(*point)
+
+    monkeypatch.setattr(inequalities, "evaluate_point", counting_evaluate)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert _sweep_to(out, resume=True) == 0
+    finally:
+        sys.setprofile(previous)
+    assert steps == list(walk(3, 3, 2, 3))
+    assert len(steps) == 5 + len(evaluated) == len(lines) == 8
 
 
 def test_resume_on_complete_stream_is_byte_identical(tmp_path) -> None:
@@ -953,6 +979,57 @@ def test_console_script_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "r,size,max,tie"
+
+
+#: Modules that only some commands need, and the commands that may import them.
+_HEAVY_MODULES = {
+    "crossint.inequalities": {"sweep-inequalities"},
+    "crossint.constructions": {"verify-case4"},
+    "dataclasses": set(),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compress", "--in", "family.txt"],
+        ["genset", "--in", "family.txt"],
+        ["genset", "--expand", "--in", "genset.txt"],
+        ["frankl", "--n", "8", "--k", "4", "--t", "3"],
+        ["verify-main-small", "--n", "8", "--k", "4", "--t", "3", "--shift-trials", "5"],
+        ["sweep-inequalities", "--t-max", "3", "--k-span", "1", "--n-span", "1"],
+    ],
+    ids=["compress", "genset", "genset-expand", "frankl", "verify-main-small", "sweep"],
+)
+def test_each_command_imports_only_what_it_runs(tmp_path, argv) -> None:
+    # start-up is most of a short command's cost: each command compiles and
+    # builds only the modules it runs, and no package module imports dataclasses
+    (tmp_path / "family.txt").write_text("5 3\n1,2,3\n1,2,4\n1,3,5\n")
+    (tmp_path / "genset.txt").write_text("5 3\n1,2\n")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from crossint import cli\n"
+        "rc = cli.main(sys.argv[1:] + ['--out', 'out.txt'])\n"
+        "print(rc, *sorted(set(sys.modules) - before))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    rc, *loaded = proc.stdout.split()
+    assert rc == "0", proc.stderr
+    assert "crossint.cli" in loaded
+    unwanted = [
+        name for name, users in _HEAVY_MODULES.items()
+        if name in loaded and argv[0] not in users
+    ]
+    assert unwanted == []
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps() -> None:

@@ -271,17 +271,17 @@ def test_json_read_rule() -> None:
     assert json_reads(source) == [3, 5, 6, 9]
 
 
-def io_imports(source: str) -> list[int]:
-    """Line of each import of the ``io`` module or of a name from it,
-    anywhere in source."""
+def module_imports(module: str, source: str) -> list[int]:
+    """Line of each import of the top-level module ``module`` or of a name
+    from it, anywhere in source."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if (
             isinstance(node, ast.Import)
-            and any(alias.name == "io" for alias in node.names)
+            and any(alias.name == module for alias in node.names)
         )
-        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "io")
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module)
     )
 
 
@@ -289,7 +289,7 @@ def test_package_imports_no_io() -> None:
     imports = [
         f"{path.name}:{line}"
         for path in PACKAGE
-        for line in io_imports(path.read_text(encoding="utf-8"))
+        for line in module_imports("io", path.read_text(encoding="utf-8"))
     ]
     assert imports == []
 
@@ -306,4 +306,28 @@ def test_io_import_rule() -> None:
         "    import io\n"
         "    return io.StringIO()\n"
     )
-    assert io_imports(source) == [1, 2, 3, 8]
+    assert module_imports("io", source) == [1, 2, 3, 8]
+
+
+def test_package_imports_no_dataclasses() -> None:
+    imports = [
+        f"{path.name}:{line}"
+        for path in PACKAGE
+        for line in module_imports("dataclasses", path.read_text(encoding="utf-8"))
+    ]
+    assert imports == []
+
+
+def test_dataclasses_import_rule() -> None:
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses as dc\n"
+        "import typing, dataclasses\n"
+        "from typing import NamedTuple\n"
+        "from .records import dataclasses\n"
+        "import dataclasses_json\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "    return replace\n"
+    )
+    assert module_imports("dataclasses", source) == [1, 2, 3, 8]

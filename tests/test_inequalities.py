@@ -19,15 +19,14 @@ import pytest
 from crossint import inequalities
 from crossint.errors import DomainError, IntegrityError, UsageError
 from crossint.inequalities import (
-    CHECK_ORDER,
     EXCLUDED_TRIPLE,
     F_LEMMA_EXCLUSIONS,
     G_LEMMA_EXCLUSIONS,
     SPECIAL_TRIPLES,
     _SPECIAL_FORMS,
     SectionParams,
-    VALUE_NAMES,
     SweepSummary,
+    _grid_points,
     appendix_case,
     basefact,
     chain_checks,
@@ -35,6 +34,7 @@ from crossint.inequalities import (
     check_ratio_identity,
     eval_core,
     evaluate_point,
+    evaluate_points,
     iter_grid,
     key_ratio,
     lemma_f,
@@ -43,6 +43,7 @@ from crossint.inequalities import (
     lemma_phi,
     sweep,
 )
+from crossint.records import CHECK_ORDER, VALUE_NAMES
 
 
 #: Off-grid points as (n, k, s, i, t), each violating one constraint.
@@ -361,9 +362,18 @@ def test_sweep_yields_the_records_of_the_grid_in_order() -> None:
     ]
 
 
+def _grid_after(skip: int, *grid: int):
+    """The grid's point iterator advanced past its first skip points, as the
+    resume reader leaves it."""
+    points = _grid_points(*grid)
+    for _ in range(skip):
+        next(points)
+    return points
+
+
 def test_sweep_resume_continues_the_same_stream() -> None:
     full = [r.point for r in sweep(3, 3, 3, 4)]
-    resumed = [r.point for r in sweep(3, 3, 3, 4, skip=5)]
+    resumed = [r.point for r in evaluate_points(_grid_after(5, 3, 3, 3, 4))]
     assert resumed == full[5:]
 
 
@@ -382,6 +392,6 @@ def test_sweep_calls_evaluate_point_through_its_module_global(monkeypatch) -> No
     assert len(calls) == len(fresh) > 0
     assert [(t, k, n, s, i) for n, k, s, i, t in calls] == [r.point for r in fresh]
     calls.clear()
-    resumed = list(sweep(3, 3, 3, 4, skip=5))
+    resumed = list(evaluate_points(_grid_after(5, 3, 3, 3, 4)))
     assert len(calls) == len(resumed) == len(fresh) - 5
     assert resumed == fresh[5:]

@@ -22,6 +22,7 @@ from crossint.families import (
     is_cross_t_intersecting,
 )
 from crossint.compression import shift_family
+from crossint.constructions import verify_section4_constructions
 from crossint.frankl import FranklParams, frankl_size
 from crossint.gensets import compact, full_layer_genset, upset_size
 from crossint.search import (
@@ -32,7 +33,6 @@ from crossint.search import (
     genset_search_best_product,
     validate_result,
     verify_main_theorem_small,
-    verify_section4_constructions,
 )
 
 
@@ -149,7 +149,8 @@ def test_brute_force_validation() -> None:
 def test_validate_result_catches_tampering() -> None:
     res = brute_force_best(6, 2, 1)
     bad = SearchResult(
-        res.n, res.k, res.t, res.objective, res.method, res.value + 1, res.witnesses
+        res.n, res.k, res.t, res.objective, res.method, res.value + 1, res.witnesses,
+        res.stats,
     )
     with pytest.raises(IntegrityError):
         validate_result(bad)
@@ -157,7 +158,7 @@ def test_validate_result_catches_tampering() -> None:
         UniformFamily.from_sets(6, 2, [[1, 2]]),
         UniformFamily.from_sets(6, 2, [[3, 4]]),
     )
-    bad = SearchResult(6, 2, 1, "product", "brute", 1, (disjoint,))
+    bad = SearchResult(6, 2, 1, "product", "brute", 1, (disjoint,), {})
     with pytest.raises(IntegrityError):
         validate_result(bad)
 
