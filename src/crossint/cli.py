@@ -61,7 +61,7 @@ from .gensets import (
     upset_k,
     write_genset,
 )
-from .records import CHECK_ORDER, STATUSES, VALUE_NAMES, VerificationRecord
+from .records import CHECK_ORDER, STATUSES, VALUE_NAMES, Checks, Values, VerificationRecord
 from .search import (
     MainTheoremReport,
     SearchResult,
@@ -84,10 +84,10 @@ _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 class RecordDigest:
     """Running totals over a stream of verification records.
 
-    Records share a handful of check-status tuples, so the status counts are
-    kept per tuple, next to what the tuple implies: its violated check names,
-    the lemmas whose slack enters the minima, and whether the key ratio
-    does."""
+    Records share a handful of Checks, so the status counts are kept per
+    Checks, next to what it implies: its violated check names, the lemmas
+    whose slack enters the minima with the positions of those slacks, and
+    whether the key ratio does."""
 
     VIOLATION_CAP = 1000
 
@@ -97,25 +97,26 @@ class RecordDigest:
         self.min_ratio: Fraction | None = None
         self.violations: list[tuple[int, int, int, int, int, str]] = []
         self.last_point: tuple[int, int, int, int, int] | None = None
-        # checks items -> [records, violated names, (lemma, slack key) pairs, ranked]
-        self._by_checks: dict[tuple, list] = {}
+        # Checks -> [records, violated names, (lemma, slack position) pairs, ranked]
+        self._by_checks: dict[Checks, list] = {}
 
     def absorb(self, record: VerificationRecord) -> None:
         self.records += 1
         self.last_point = record.point
         checks = record.checks
-        key = tuple(checks.items())
-        entry = self._by_checks.get(key)
+        entry = self._by_checks.get(checks)
         if entry is None:
-            entry = self._by_checks[key] = [
+            entry = self._by_checks[checks] = [
                 0,
-                ",".join(name for name, status in key if status == "violated"),
-                tuple(
-                    (name, name + "_slack")
-                    for name in _LEMMAS
-                    if checks.get(name) != "excluded"
+                ",".join(
+                    name for name, status in zip(CHECK_ORDER, checks) if status == "violated"
                 ),
-                checks.get("thm32") != "excluded",
+                tuple(
+                    (name, VALUE_NAMES.index(name + "_slack"))
+                    for name in _LEMMAS
+                    if getattr(checks, name) != "excluded"
+                ),
+                checks.thm32 != "excluded",
             ]
         entry[0] += 1
         _, violated, lemmas, ranked = entry
@@ -124,8 +125,8 @@ class RecordDigest:
             # ratio denominators are positive, so cross-multiplying compares
             if low is None or record.t_num * low.denominator < low.numerator * record.t_den:
                 self.min_ratio = Fraction(record.t_num, record.t_den)
-        for name, slack_key in lemmas:
-            slack = record.values[slack_key]
+        for name, slack_at in lemmas:
+            slack = record.values[slack_at]
             if name not in self.min_slack or slack < self.min_slack[name]:
                 self.min_slack[name] = slack
         if violated and len(self.violations) < self.VIOLATION_CAP:
@@ -137,8 +138,8 @@ class RecordDigest:
     def status_counts(self) -> dict[str, dict[str, int]]:
         """check name -> status -> records, in first-seen order."""
         counts: dict[str, dict[str, int]] = {}
-        for key, (records, *_) in self._by_checks.items():
-            for name, status in key:
+        for checks, (records, *_) in self._by_checks.items():
+            for name, status in zip(CHECK_ORDER, checks):
                 bucket = counts.setdefault(name, {})
                 bucket[status] = bucket.get(status, 0) + records
         return counts
@@ -154,7 +155,7 @@ class RecordDigest:
         if name == "thm32":
             return "" if self.min_ratio is None else str(self.min_ratio)
         if name in _LEMMAS and name in self.min_slack:
-            return str(Fraction(self.min_slack[name]))
+            return str(self.min_slack[name])
         return ""
 
     def to_csv(self) -> str:
@@ -176,7 +177,7 @@ class RecordDigest:
                 for name in CHECK_ORDER
             },
             "min_slack": {
-                name: str(Fraction(value)) for name, value in sorted(self.min_slack.items())
+                name: str(value) for name, value in sorted(self.min_slack.items())
             },
             "thm32_min_ratio": None if self.min_ratio is None else str(self.min_ratio),
             "violations": [list(v) for v in self.violations],
@@ -187,34 +188,34 @@ class RecordDigest:
 def parse_record_line(lineno: int, line: str) -> VerificationRecord:
     """The record on a line in exactly the bytes record_to_line writes: one
     match of _CANONICAL_LINE, its numbers turned into ints once, with the
-    checks object looked up once per distinct text.  Any other line, even
-    one a JSON reader would take for the same record, is an IntegrityError
-    naming the line."""
+    Checks looked up once per distinct text.  Any other line, even one a
+    JSON reader would take for the same record, is an IntegrityError naming
+    the line."""
     match = _CANONICAL_LINE.fullmatch(line)
-    checks = None if match is None else _canonical_checks(match[3])
+    checks = None if match is None else _canonical_checks(match["checks"])
     if checks is None:
         raise IntegrityError(
             f"line {lineno}: not a record line as sweep-inequalities writes it"
         )
-    t_den, t_num, _, i, k, n, s, t, *values = match.groups()
     return VerificationRecord(
-        int(n), int(k), int(s), int(i), int(t), int(t_num), int(t_den),
-        dict(checks), dict(zip(_VALUE_KEYS, map(int, values))),
+        *map(int, match.group("n", "k", "s", "i", "t", "T_num", "T_den")),
+        checks,
+        Values._make(map(int, match.group(*VALUE_NAMES))),
     )
 
 
-#: The check and value names in the sorted order of record_to_line's keys,
-#: and its checks and values objects as templates over those names.
-_CHECK_KEYS = sorted(CHECK_ORDER)
-_VALUE_KEYS = sorted(VALUE_NAMES)
-_CHECKS_TEMPLATE = "{{" + ",".join(f'"{name}":"{{{name}}}"' for name in _CHECK_KEYS) + "}}"
-_VALUES_TEMPLATE = "{{" + ",".join(f'"{name}":"{{{name}}}"' for name in _VALUE_KEYS) + "}}"
+#: record_to_line's checks and values objects, their keys in sorted order,
+#: as templates over the fields of Checks and Values.
+_CHECKS_TEMPLATE, _VALUES_TEMPLATE = (
+    "{{" + ",".join(f'"{name}":"{{{fields.index(name)}}}"' for name in sorted(fields)) + "}}"
+    for fields in (CHECK_ORDER, VALUE_NAMES)
+)
 
 
 @functools.lru_cache(maxsize=1024)
-def _checks_json(items: tuple[tuple[str, str], ...]) -> str:
-    # a sweep's records share a handful of check-status tuples
-    return _CHECKS_TEMPLATE.format_map(dict(items))
+def _checks_json(checks: Checks) -> str:
+    # a sweep's records share a handful of Checks
+    return _CHECKS_TEMPLATE.format(*checks)
 
 
 def record_to_line(record: VerificationRecord) -> str:
@@ -226,9 +227,9 @@ def record_to_line(record: VerificationRecord) -> str:
     order from the templates of the checks and values objects."""
     return (
         f'{{"T_den":"{record.t_den}","T_num":"{record.t_num}",'
-        f'"checks":{_checks_json(tuple(record.checks.items()))},"i":{record.i},"k":{record.k},'
+        f'"checks":{_checks_json(record.checks)},"i":{record.i},"k":{record.k},'
         f'"n":{record.n},"s":{record.s},"t":{record.t},'
-        f'"values":{_VALUES_TEMPLATE.format_map(record.values)}}}'
+        f'"values":{_VALUES_TEMPLATE.format(*record.values)}}}'
     )
 
 
@@ -240,34 +241,33 @@ _POSITIVE = "[1-9][0-9]*"
 #: the keys in sorted order, the grid coordinates as positive JSON integers,
 #: T_num and T_den as the decimal strings str() writes (T_den positive), the
 #: checks object captured whole (up to its first "}") and each value as the
-#: decimal string str() writes, in sorted name order.
+#: decimal string str() writes, in sorted name order.  Each group is named
+#: by its key.
 _CANONICAL_LINE = re.compile(
-    rf'\{{"T_den":"({_POSITIVE})","T_num":"({_INT})","checks":(\{{[^}}]*\}}),'
-    + ",".join(f'"{name}":({_POSITIVE})' for name in "iknst")
+    rf'\{{"T_den":"(?P<T_den>{_POSITIVE})","T_num":"(?P<T_num>{_INT})",'
+    r'"checks":(?P<checks>\{[^}]*\}),'
+    + ",".join(f'"{name}":(?P<{name}>{_POSITIVE})' for name in "iknst")
     + r',"values":\{'
-    + ",".join(f'"{name}":"({_INT})"' for name in _VALUE_KEYS)
+    + ",".join(f'"{name}":"(?P<{name}>{_INT})"' for name in sorted(VALUE_NAMES))
     + r"\}\}"
 )
 
 #: The checks object record_to_line writes: every check name, in sorted
-#: order, each with one of the statuses.
+#: order, each with one of the statuses, in a group named by the check.
 _CANONICAL_CHECKS = re.compile(
     r"\{"
-    + ",".join(f'"{name}":"({"|".join(STATUSES)})"' for name in _CHECK_KEYS)
+    + ",".join(f'"{name}":"(?P<{name}>{"|".join(STATUSES)})"' for name in sorted(CHECK_ORDER))
     + r"\}"
 )
 
 
 @functools.lru_cache(maxsize=1024)
-def _canonical_checks(text: str) -> dict[str, str] | None:
-    """The checks object of a canonical line, in CHECK_ORDER as
-    evaluate_point writes it, or None when text is not one.  Cached, since a
-    stream's records share a handful of them: callers copy the result."""
+def _canonical_checks(text: str) -> Checks | None:
+    """The Checks of a canonical line's checks object, or None when text is
+    not one.  Cached, since a stream's records share a handful of them; the
+    tuple is immutable, so every record of one text shares one Checks."""
     match = _CANONICAL_CHECKS.fullmatch(text)
-    if match is None:
-        return None
-    statuses = dict(zip(_CHECK_KEYS, match.groups()))
-    return {name: statuses[name] for name in CHECK_ORDER}
+    return None if match is None else Checks._make(match.group(*CHECK_ORDER))
 
 
 # ---------------------------------------------------------------------------

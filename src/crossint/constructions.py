@@ -552,9 +552,8 @@ def verify_section4_constructions(n: int, k: int, t: int = 3) -> Section4Report:
     rb = _ReportBuilder(n, k, t)
     for s in range(t + 1, k + 1):
         _check_layer_block(rb, s)
-    if k >= t + 1:
-        _check_star_fringe(rb)
-        _check_window_twins(rb)
+    _check_star_fringe(rb)
+    _check_window_twins(rb)
     if t != 3:
         rb.skip("six-point-window", "splits are specific to t = 3", t=t)
     elif k < 5:

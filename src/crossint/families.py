@@ -58,7 +58,9 @@ class UniformFamily(Frozen):
     __slots__ = _fields + ("_member_set",)
 
     def __init__(self, n: int, k: int, members: tuple[int, ...]) -> None:
-        if not 1 <= n <= WORD_CAP:
+        if n < 1:
+            raise UsageError(f"ground set size must be positive, got {n}")
+        if n > WORD_CAP:
             raise CapacityError(f"ground set size {n} outside [1, {WORD_CAP}]")
         if not 0 <= k <= n:
             raise UsageError(f"subset size {k} outside [0, {n}]")

@@ -34,8 +34,8 @@ then every quantity, both of its algebraic forms and every status, written
 straight into the VerificationRecord.  It calls nothing of the per-point API;
 the tests hold the two routes to the same values.
 
-The record schema (CHECK_ORDER, VALUE_NAMES, VerificationRecord) lives in
-records, so that only the sweep command imports this engine.
+The record schema (Checks, Values, VerificationRecord) lives in records, so
+that only the sweep command imports this engine.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from numbers import Rational
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, IntegrityError, UsageError
-from .records import Frozen, VerificationRecord
+from .records import CHECK_ORDER, Checks, Frozen, Values, VerificationRecord
 
 EXCLUDED_TRIPLE = (6, 4, 3)
 
@@ -479,31 +479,21 @@ def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord
     g = gcd(num, den)
     return VerificationRecord(
         n, k, s, i, t, num // g, den // g,
-        {
-            "thm32": thm32,
-            "ratio_identity": "holds" if identity else "violated",
-            "lemma_f": lemma_f_status,
-            "lemma_g": lemma_g_status,
-            "lemma_h": "holds" if h_slack > 0 else "violated",
-            "lemma_phi": "holds" if phi_slack >= 0 else "violated",
-            "equa1": equa1,
-            "equac2": equac2,
-            "st": st,
-            "equac1": equac1,
-            "equac3": equac3,
-            "appendix": appendix,
-        },
-        {
-            "S1": s1,
-            "S2": s2,
-            "T1": t1,
-            "T2": t2,
-            "lemma_f_slack": f_slack,
-            "lemma_g_slack": g_slack,
-            "lemma_h_slack": h_slack,
-            "lemma_phi_slack": phi_slack,
-            "equa3": int(entry),
-        },
+        Checks(
+            thm32=thm32,
+            ratio_identity="holds" if identity else "violated",
+            lemma_f=lemma_f_status,
+            lemma_g=lemma_g_status,
+            lemma_h="holds" if h_slack > 0 else "violated",
+            lemma_phi="holds" if phi_slack >= 0 else "violated",
+            equa1=equa1,
+            equac2=equac2,
+            st=st,
+            equac1=equac1,
+            equac3=equac3,
+            appendix=appendix,
+        ),
+        Values(s1, s2, t1, t2, f_slack, g_slack, h_slack, phi_slack, int(entry)),
     )
 
 
@@ -555,7 +545,7 @@ class SweepSummary:
         self.last_point = record.point
         violated_here = []
         excluded_here = False
-        for name, status in record.checks.items():
+        for name, status in zip(CHECK_ORDER, record.checks):
             bucket = self.status_counts.setdefault(name, {})
             bucket[status] = bucket.get(status, 0) + 1
             if status == "violated":
@@ -563,8 +553,8 @@ class SweepSummary:
             elif status == "excluded":
                 excluded_here = True
         for name in ("lemma_f", "lemma_g", "lemma_h", "lemma_phi"):
-            slack = record.values[name + "_slack"]
-            if record.checks[name] != "excluded":
+            slack = getattr(record.values, name + "_slack")
+            if getattr(record.checks, name) != "excluded":
                 if name not in self.min_slack or slack < self.min_slack[name]:
                     self.min_slack[name] = slack
         if violated_here:

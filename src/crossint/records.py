@@ -1,56 +1,63 @@
 """Immutable records shared by the package.
 
-The record schema of the inequality sweep (its check and value names, the
-statuses and ``VerificationRecord``) lives here, so that the command line
-can read and write record streams without importing the inequality engine.
-``Frozen`` is the base of the validated value types (``UniformFamily``,
-``GenSet``, ``FranklParams``, ``SectionParams``): plain ``__slots__``
-classes, whose construction runs no generated code and builds nothing at
-import.
+The record schema of the inequality sweep lives here, so that the command
+line can read and write record streams without importing the inequality
+engine.  A ``VerificationRecord`` is immutable all the way down: its
+statuses and exact values are the named tuples ``Checks`` and ``Values``,
+whose fields are the schema, declared once.  ``Frozen`` is the base of the
+validated value types (``UniformFamily``, ``GenSet``, ``FranklParams``,
+``SectionParams``): plain ``__slots__`` classes, whose construction runs no
+generated code and builds nothing at import.
 """
 
-from __future__ import annotations
-
+# No postponed annotations here: NamedTuple would compile each field's
+# annotation string into a ForwardRef at import, about 0.7 ms for this module.
 from typing import NamedTuple
 
-#: Canonical check names of a record, in the order evaluate_point writes them.
-CHECK_ORDER = (
-    "thm32",
-    "ratio_identity",
-    "lemma_f",
-    "lemma_g",
-    "lemma_h",
-    "lemma_phi",
-    "equa1",
-    "equac2",
-    "st",
-    "equac1",
-    "equac3",
-    "appendix",
-)
+
+class Checks(NamedTuple):
+    """The status of each check at a grid point, one of STATUSES."""
+
+    thm32: str
+    ratio_identity: str
+    lemma_f: str
+    lemma_g: str
+    lemma_h: str
+    lemma_phi: str
+    equa1: str
+    equac2: str
+    st: str
+    equac1: str
+    equac3: str
+    appendix: str
+
+
+class Values(NamedTuple):
+    """A grid point's core quantities, lemma slacks and chain gate (0 or 1)."""
+
+    S1: int
+    S2: int
+    T1: int
+    T2: int
+    lemma_f_slack: int
+    lemma_g_slack: int
+    lemma_h_slack: int
+    lemma_phi_slack: int
+    equa3: int
+
+
+#: The check and value names of a record: the fields of its two tuples.
+CHECK_ORDER, VALUE_NAMES = Checks._fields, Values._fields
 
 #: The statuses a check can have.
 STATUSES = ("holds", "excluded", "violated", "skipped")
 
-#: Canonical value names of a record, in the order evaluate_point writes them.
-VALUE_NAMES = (
-    "S1",
-    "S2",
-    "T1",
-    "T2",
-    "lemma_f_slack",
-    "lemma_g_slack",
-    "lemma_h_slack",
-    "lemma_phi_slack",
-    "equa3",
-)
-
 
 class VerificationRecord(NamedTuple):
-    """One grid point's statuses and exact values.  An immutable tuple, so
-    building one sets no attribute one by one; assigning a field raises
-    AttributeError.  values maps each of VALUE_NAMES to an exact int; the
-    only text of a record is the line the sweep writes and reads back."""
+    """One grid point's statuses and exact values.  An immutable tuple of
+    immutable tuples, so building one sets no attribute one by one and
+    assigning a field, at any depth, raises AttributeError; the only text of
+    a record is the line the sweep writes and reads back."""
 
     n: int
     k: int
@@ -59,8 +66,8 @@ class VerificationRecord(NamedTuple):
     t: int
     t_num: int  # reduced key ratio numerator
     t_den: int
-    checks: dict[str, str]
-    values: dict[str, int]
+    checks: Checks
+    values: Values
 
     @property
     def point(self) -> tuple[int, int, int, int, int]:

@@ -33,7 +33,7 @@ from crossint.errors import IntegrityError
 from crossint.families import read_family
 from crossint.gensets import read_genset, upset_k
 from crossint.inequalities import SweepSummary, evaluate_point, iter_grid, sweep
-from crossint.records import CHECK_ORDER, VerificationRecord
+from crossint.records import CHECK_ORDER, Checks, Values, VerificationRecord
 
 
 SMALL_SWEEP = [
@@ -210,6 +210,21 @@ def test_compress_rejects_bytes_that_are_not_utf8(tmp_path, capsys) -> None:
     src.write_bytes(b"5 3\n1,2,3\n\xff\xfe,4\n")
     assert main(["compress", "--in", str(src), "--out", str(tmp_path / "c.txt")]) == 1
     assert "error: line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["compress"], ["genset"], ["genset", "--expand"]])
+def test_family_header_ground_set_size(tmp_path, capsys, command) -> None:
+    # a size below 1 is a malformed file, for a family as for a generating
+    # set; a size above the word cap is a capacity refusal
+    src, out = tmp_path / "fam.txt", tmp_path / "out.txt"
+    for header in ("0 0", "-3 2"):
+        src.write_text(header + "\n")
+        assert main(command + ["--in", str(src), "--out", str(out)]) == 1
+        assert "error: " in capsys.readouterr().err
+    src.write_text("65 1\n")
+    assert main(command + ["--in", str(src), "--out", str(out)]) == 2
+    assert "capacity: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_genset_and_expand_invert(tmp_path) -> None:
@@ -782,8 +797,8 @@ def test_record_line_matches_json_dumps() -> None:
             "t": record.t,
             "T_num": str(record.t_num),
             "T_den": str(record.t_den),
-            "checks": record.checks,
-            "values": {name: str(value) for name, value in record.values.items()},
+            "checks": record.checks._asdict(),
+            "values": {name: str(value) for name, value in record.values._asdict().items()},
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -845,7 +860,8 @@ def test_every_line_of_a_grid_round_trips(tmp_path) -> None:
         t, k, n, s, i = record.point
         fresh = evaluate_point(n, k, s, i, t)
         assert record == fresh
-        assert list(record.checks) == list(fresh.checks) == list(CHECK_ORDER)
+        assert type(record.checks) is type(fresh.checks) is Checks
+        assert type(record.values) is type(fresh.values) is Values
         assert record_to_line(record) == line
 
 
@@ -873,29 +889,55 @@ def test_seeded_edits_are_refused_or_round_trip(tmp_path) -> None:
     assert 0 < refused < 4000  # both outcomes are reached
 
 
-def test_parsed_records_own_their_dicts() -> None:
-    # two lines with one checks object: the parse caches that object, and
-    # must hand each record a copy of it
+def test_parsed_records_are_immutable_and_share_their_checks() -> None:
+    # two lines with one checks text: the parse caches its Checks, which no
+    # record can change, so both records may hold the same one
     first_line = record_to_line(evaluate_point(40, 7, 8, 6, 5))
     second_line = record_to_line(evaluate_point(41, 7, 8, 6, 5))
     pattern = cli._CANONICAL_LINE
-    assert pattern.fullmatch(first_line)[3] == pattern.fullmatch(second_line)[3]
+    assert pattern.fullmatch(first_line)["checks"] == pattern.fullmatch(second_line)["checks"]
     first = parse_record_line(1, first_line)
     second = parse_record_line(2, second_line)
-    first.checks["thm32"] = "violated"
-    first.checks["extra"] = "holds"
-    first.values["S1"] = 0
+    assert first.checks is second.checks
+    assert first.checks == evaluate_point(40, 7, 8, 6, 5).checks
+    assert type(first.checks) is Checks and type(first.values) is Values
+    for owner, name in ((first.checks, "thm32"), (first.values, "S1")):
+        with pytest.raises(AttributeError):
+            setattr(owner, name, 0)
+    with pytest.raises(TypeError):
+        first.checks[0] = "violated"
+    with pytest.raises(TypeError):
+        first.values[0] = 0
+    assert first == evaluate_point(40, 7, 8, 6, 5)
     assert second == evaluate_point(41, 7, 8, 6, 5)
-    assert parse_record_line(3, first_line) == evaluate_point(40, 7, 8, 6, 5)
-    assert parse_record_line(4, second_line) == evaluate_point(41, 7, 8, 6, 5)
+
+
+def test_parsed_and_fresh_records_share_digest_entries(tmp_path) -> None:
+    # the digest keys its per-Checks entries on the record's Checks itself,
+    # so a parsed record and a fresh one of a point land on the same entry
+    fresh, both = RecordDigest(), RecordDigest()
+    for line in _grid_lines(tmp_path):
+        parsed = parse_record_line(1, line)
+        t, k, n, s, i = parsed.point
+        record = evaluate_point(n, k, s, i, t)
+        fresh.absorb(record)
+        both.absorb(record)
+        both.absorb(parsed)
+    assert len(fresh._by_checks) > 1
+    assert list(both._by_checks) == list(fresh._by_checks)
+    for (records, *implied), (fresh_records, *fresh_implied) in zip(
+        both._by_checks.values(), fresh._by_checks.values()
+    ):
+        assert records == 2 * fresh_records
+        assert implied == fresh_implied
 
 
 def test_digest_of_a_parsed_record_equals_the_fresh_one() -> None:
-    # two violated checks: the digest joins their names in checks order, so
-    # a parsed record must hold its checks in CHECK_ORDER as a fresh one does
+    # two violated checks: the digest joins their names in CHECK_ORDER, for a
+    # parsed record as for a fresh one
     flagship = evaluate_point(18, 7, 8, 6, 5)
     record = flagship._replace(
-        checks={**flagship.checks, "thm32": "violated", "lemma_g": "violated"}
+        checks=flagship.checks._replace(thm32="violated", lemma_g="violated")
     )
     direct, parsed = RecordDigest(), RecordDigest()
     direct.absorb(record)
@@ -940,12 +982,12 @@ def test_digest_counts_minima() -> None:
     assert digest.violation_count == 0
     # lemma_f is excluded at this triple, so it contributes no slack minimum
     assert "lemma_f" not in digest.min_slack
-    assert digest.min_slack["lemma_g"] == record.values["lemma_g_slack"]
+    assert digest.min_slack["lemma_g"] == record.values.lemma_g_slack
 
 
 def test_min_ratio_skips_excluded_points() -> None:
     excluded = evaluate_point(12, 5, 6, 4, 3)
-    assert excluded.checks["thm32"] == "excluded"
+    assert excluded.checks.thm32 == "excluded"
     digest = RecordDigest()
     digest.absorb(excluded)
     assert digest.min_ratio is None

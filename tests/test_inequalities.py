@@ -43,7 +43,7 @@ from crossint.inequalities import (
     lemma_phi,
     sweep,
 )
-from crossint.records import CHECK_ORDER, VALUE_NAMES
+from crossint.records import CHECK_ORDER, VALUE_NAMES, Values
 
 
 #: Off-grid points as (n, k, s, i, t), each violating one constraint.
@@ -97,31 +97,29 @@ def test_evaluate_point_matches_the_per_point_api() -> None:
         key = check_key_inequality(p, q)
         assert Fraction(record.t_num, record.t_den) == key.ratio
         assert gcd(record.t_num, record.t_den) == 1
-        assert record.checks["thm32"] == key.status
+        assert record.checks.thm32 == key.status
         identity = "holds" if check_ratio_identity(p) else "violated"
-        assert record.checks["ratio_identity"] == identity
-        core = {"S1": q.s1, "S2": q.s2, "T1": q.t1, "T2": q.t2}
-        for name, value in core.items():
-            assert record.values[name] == value, (p, name)
+        assert record.checks.ratio_identity == identity
+        assert record.values[:4] == q, p
         for fn in (lemma_f, lemma_g, lemma_h, lemma_phi):
             res = fn(p, q)
-            assert record.checks[res.name] == res.status, (p, res)
-            assert record.values[res.name + "_slack"] == res.slack, (p, res)
+            assert getattr(record.checks, res.name) == res.status, (p, res)
+            assert getattr(record.values, res.name + "_slack") == res.slack, (p, res)
         entry, chain = chain_checks(p, q)
-        assert record.values["equa3"] == int(entry)
+        assert record.values.equa3 == int(entry)
         for name, status in chain.items():
-            assert record.checks[name] == status, (p, name)
+            assert getattr(record.checks, name) == status, (p, name)
         if p.triple in SPECIAL_TRIPLES and p.k >= p.s + p.t - p.i:
             appendix = appendix_case(p.n, p.k, p.s, p.i, p.t).status
         else:
             appendix = "skipped"
-        assert record.checks["appendix"] == appendix
-        assert tuple(record.checks) == CHECK_ORDER
-        assert tuple(record.values) == VALUE_NAMES == (
+        assert record.checks.appendix == appendix
+        assert record.checks._fields == CHECK_ORDER
+        assert record.values._fields == VALUE_NAMES == (
             "S1", "S2", "T1", "T2", "lemma_f_slack", "lemma_g_slack",
             "lemma_h_slack", "lemma_phi_slack", "equa3",
         )
-        reached.update(record.checks.items())
+        reached.update(zip(CHECK_ORDER, record.checks))
     # the grid reaches every branch: exclusions, the lemma_g equality point,
     # the chain behind its gate and the specialized forms
     for item in (("thm32", "excluded"), ("lemma_g", "violated"), ("lemma_f", "excluded"),
@@ -130,7 +128,7 @@ def test_evaluate_point_matches_the_per_point_api() -> None:
 
 
 def test_evaluate_point_checks_the_specialized_form(monkeypatch) -> None:
-    assert evaluate_point(18, 7, 8, 6, 5).checks["appendix"] == "holds"
+    assert evaluate_point(18, 7, 8, 6, 5).checks.appendix == "holds"
     k_floor, num_fn, den_fn = _SPECIAL_FORMS[(8, 6, 5)]
 
     def perturbed(n: int, k: int) -> list[int]:
@@ -307,24 +305,27 @@ def test_dual_forms_large_random_suite() -> None:
 def test_record_roundtrip_and_checks() -> None:
     rec = evaluate_point(18, 7, 8, 6, 5)
     assert (rec.t_num, rec.t_den) == (615, 572)
-    assert rec.checks["thm32"] == "holds"
-    assert rec.checks["ratio_identity"] == "holds"
-    assert rec.checks["lemma_f"] == "excluded"
-    assert rec.checks["appendix"] == "holds"
-    assert rec.checks["equa1"] == "skipped"
-    with pytest.raises(AttributeError):
-        rec.n = 19
-    assert rec.n == 18
+    assert rec.checks.thm32 == "holds"
+    assert rec.checks.ratio_identity == "holds"
+    assert rec.checks.lemma_f == "excluded"
+    assert rec.checks.appendix == "holds"
+    assert rec.checks.equa1 == "skipped"
+    for owner, name in ((rec, "n"), (rec.checks, "thm32"), (rec.values, "S1")):
+        with pytest.raises(AttributeError):
+            setattr(owner, name, 0)
+    with pytest.raises(TypeError):
+        rec.checks[0] = "violated"
+    assert rec == evaluate_point(18, 7, 8, 6, 5)
 
 
 def test_record_values_are_exact_ints() -> None:
     # text exists only in the stream: a record holds the integers themselves
     values = evaluate_point(18, 7, 8, 6, 5).values
-    assert values == {
-        "S1": 82, "S2": 88, "T1": 64, "T2": 78, "lemma_f_slack": 4,
-        "lemma_g_slack": 2, "lemma_h_slack": 26, "lemma_phi_slack": 2, "equa3": 0,
-    }
-    assert all(type(value) is int for value in values.values()), values
+    assert values == Values(
+        S1=82, S2=88, T1=64, T2=78, lemma_f_slack=4,
+        lemma_g_slack=2, lemma_h_slack=26, lemma_phi_slack=2, equa3=0,
+    )
+    assert all(type(value) is int for value in values), values
 
 
 def test_iter_grid_canonical_order_and_validation() -> None:

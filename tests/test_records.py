@@ -10,6 +10,7 @@ fields keep the order the dataclasses had.
 from __future__ import annotations
 
 from collections import namedtuple
+from typing import get_type_hints
 
 import pytest
 
@@ -23,6 +24,7 @@ from crossint.inequalities import (
     LemmaResult,
     SectionParams,
 )
+from crossint.records import CHECK_ORDER, VALUE_NAMES, Checks, Values, VerificationRecord
 from crossint.search import (
     ComparisonRow,
     ConstructionCheck,
@@ -140,6 +142,20 @@ _RECORDS = [
     (KeyIneqResult, ("status", "num", "den")),
     (LemmaResult, ("name", "slack", "status")),
     (AppendixResult, ("params", "num", "den", "status")),
+    (
+        Checks,
+        (
+            "thm32", "ratio_identity", "lemma_f", "lemma_g", "lemma_h", "lemma_phi",
+            "equa1", "equac2", "st", "equac1", "equac3", "appendix",
+        ),
+    ),
+    (
+        Values,
+        (
+            "S1", "S2", "T1", "T2", "lemma_f_slack", "lemma_g_slack",
+            "lemma_h_slack", "lemma_phi_slack", "equa3",
+        ),
+    ),
 ]
 
 
@@ -152,6 +168,14 @@ def test_records_keep_their_positional_field_order(cls, fields) -> None:
     assert record == cls(**dict(zip(fields, values)))
     with pytest.raises(AttributeError):
         setattr(record, fields[0], None)
+
+
+def test_record_schema_is_declared_once() -> None:
+    # the names of a record's checks and values are the fields of its tuples
+    assert CHECK_ORDER is Checks._fields
+    assert VALUE_NAMES is Values._fields
+    hints = get_type_hints(VerificationRecord)
+    assert (hints["checks"], hints["values"]) == (Checks, Values)
 
 
 def test_search_results_share_no_default_stats() -> None:
