@@ -5,9 +5,9 @@ Submodules: families (bitmask k-subsets and uniform families), compression
 counting, perturbation moves), frankl (the F(n,k,t,r) candidates and their
 regimes), records (the sweep's record schema and the base of the validated
 value types), inequalities (the exact big-integer inequality engine and grid
-sweeps), search (brute-force and generating-set extremal searches, and the
-rows and sizes of the construction checks), constructions (the explicit
-construction checks), cli (the command line, which imports inequalities
+sweeps), search (brute-force and generating-set extremal searches),
+constructions (the explicit construction checks, with their rows, sizes and
+reports), cli (the command line, which imports inequalities
 and constructions only for the commands that run them).
 """
 

@@ -65,7 +65,6 @@ from .records import CHECK_ORDER, STATUSES, VALUE_NAMES, Checks, Values, Verific
 from .search import (
     MainTheoremReport,
     SearchResult,
-    Section4Report,
     brute_force_best,
     genset_search_best_product,
     verify_main_theorem_small,
@@ -87,22 +86,29 @@ class RecordDigest:
     Records share a handful of Checks, so the status counts are kept per
     Checks, next to what it implies: its violated check names, the lemmas
     whose slack enters the minima with the positions of those slacks, and
-    whether the key ratio does."""
+    whether the key ratio does.  The least key ratio is kept as its two
+    ints and the last point as the last record, so absorbing a record
+    builds no object."""
 
     VIOLATION_CAP = 1000
 
     def __init__(self) -> None:
         self.records = 0
-        self.min_slack: dict[str, int] = {}
-        self.min_ratio: Fraction | None = None
         self.violations: list[tuple[int, int, int, int, int, str]] = []
-        self.last_point: tuple[int, int, int, int, int] | None = None
-        # Checks -> [records, violated names, (lemma, slack position) pairs, ranked]
+        # the least key ratio so far as (numerator, denominator); 1/0 stands
+        # above every ratio until a ranked record comes
+        self._ratio_num, self._ratio_den = 1, 0
+        # each lemma's least slack so far, by _LEMMAS position; None until a
+        # record that ranks the lemma comes
+        self._slack_min: list[int | None] = [None] * len(_LEMMAS)
+        self._last: VerificationRecord | None = None
+        # Checks -> [records, violated names, (lemma position, slack position)
+        # pairs, ranked]
         self._by_checks: dict[Checks, list] = {}
 
     def absorb(self, record: VerificationRecord) -> None:
         self.records += 1
-        self.last_point = record.point
+        self._last = record
         checks = record.checks
         entry = self._by_checks.get(checks)
         if entry is None:
@@ -112,27 +118,44 @@ class RecordDigest:
                     name for name, status in zip(CHECK_ORDER, checks) if status == "violated"
                 ),
                 tuple(
-                    (name, VALUE_NAMES.index(name + "_slack"))
-                    for name in _LEMMAS
+                    (lemma, VALUE_NAMES.index(name + "_slack"))
+                    for lemma, name in enumerate(_LEMMAS)
                     if getattr(checks, name) != "excluded"
                 ),
                 checks.thm32 != "excluded",
             ]
         entry[0] += 1
         _, violated, lemmas, ranked = entry
-        if ranked:
-            low = self.min_ratio
-            # ratio denominators are positive, so cross-multiplying compares
-            if low is None or record.t_num * low.denominator < low.numerator * record.t_den:
-                self.min_ratio = Fraction(record.t_num, record.t_den)
-        for name, slack_at in lemmas:
-            slack = record.values[slack_at]
-            if name not in self.min_slack or slack < self.min_slack[name]:
-                self.min_slack[name] = slack
+        # ratio denominators are positive, so cross-multiplying compares
+        if ranked and record.t_num * self._ratio_den < self._ratio_num * record.t_den:
+            self._ratio_num, self._ratio_den = record.t_num, record.t_den
+        values, slack_min = record.values, self._slack_min
+        for lemma, slack_at in lemmas:
+            low = slack_min[lemma]
+            if low is None or values[slack_at] < low:
+                slack_min[lemma] = values[slack_at]
         if violated and len(self.violations) < self.VIOLATION_CAP:
             self.violations.append(
                 (record.n, record.k, record.s, record.i, record.t, violated)
             )
+
+    @property
+    def min_ratio(self) -> Fraction | None:
+        """The least key ratio of a record whose thm32 is not excluded."""
+        if not self._ratio_den:
+            return None
+        return Fraction(self._ratio_num, self._ratio_den)
+
+    @property
+    def min_slack(self) -> dict[str, int]:
+        """lemma name -> least slack over the records that rank it."""
+        return {
+            name: low for name, low in zip(_LEMMAS, self._slack_min) if low is not None
+        }
+
+    @property
+    def last_point(self) -> tuple[int, int, int, int, int] | None:
+        return None if self._last is None else self._last.point
 
     @property
     def status_counts(self) -> dict[str, dict[str, int]]:
@@ -187,21 +210,29 @@ class RecordDigest:
 
 def parse_record_line(lineno: int, line: str) -> VerificationRecord:
     """The record on a line in exactly the bytes record_to_line writes: one
-    match of _CANONICAL_LINE, its numbers turned into ints once, with the
-    Checks looked up once per distinct text.  Any other line, even one a
-    JSON reader would take for the same record, is an IntegrityError naming
-    the line."""
+    match of _CANONICAL_LINE, its groups unpacked once in the pattern's
+    order and turned into ints, with the Checks looked up once per distinct
+    text.  Any other line, even one a JSON reader would take for the same
+    record, is an IntegrityError naming the line."""
     match = _CANONICAL_LINE.fullmatch(line)
-    checks = None if match is None else _canonical_checks(match["checks"])
-    if checks is None:
-        raise IntegrityError(
-            f"line {lineno}: not a record line as sweep-inequalities writes it"
-        )
-    return VerificationRecord(
-        *map(int, match.group("n", "k", "s", "i", "t", "T_num", "T_den")),
-        checks,
-        Values._make(map(int, match.group(*VALUE_NAMES))),
-    )
+    if match is not None:
+        (
+            T_den, T_num, checks, i, k, n, s, t,
+            S1, S2, T1, T2, equa3,
+            lemma_f_slack, lemma_g_slack, lemma_h_slack, lemma_phi_slack,
+        ) = match.groups()
+        checks = _canonical_checks(checks)
+        if checks is not None:
+            return VerificationRecord(
+                int(n), int(k), int(s), int(i), int(t), int(T_num), int(T_den),
+                checks,
+                Values(
+                    int(S1), int(S2), int(T1), int(T2),
+                    int(lemma_f_slack), int(lemma_g_slack),
+                    int(lemma_h_slack), int(lemma_phi_slack), int(equa3),
+                ),
+            )
+    raise IntegrityError(f"line {lineno}: not a record line as sweep-inequalities writes it")
 
 
 #: record_to_line's checks and values objects, their keys in sorted order,
@@ -413,9 +444,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fh = sys.stdout if out == "-" else open(out, "a" if resumed else "w", encoding="utf-8")
     try:
         if first is not None:
+            absorb, write = digest.absorb, fh.write
             for record in itertools.chain((first,), records):
-                digest.absorb(record)
-                fh.write(record_to_line(record) + "\n")
+                absorb(record)
+                write(record_to_line(record) + "\n")
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -589,7 +621,7 @@ def _cmd_genset(args: argparse.Namespace) -> int:
 # verify-case4
 
 
-def _section4_json_obj(report: Section4Report) -> dict:
+def _section4_json_obj(report) -> dict:
     return {
         "n": report.n,
         "k": report.k,

@@ -8,19 +8,197 @@ enumeration at expansion scale), and evaluates every printed comparison with
 exact integers.  Comparisons proved under a hypothesis are guarded by that
 hypothesis: an in-hypothesis failure is an integrity defect, an
 out-of-hypothesis row is recorded informationally.  The rows, sizes and the
-report are built by ``search._ReportBuilder``; only the ``verify-case4``
-command imports this module.
+report are built by ``_ReportBuilder``, which raises IntegrityError on a
+failed row whose hypothesis holds.  Only the ``verify-case4`` command
+imports this module.
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .families import enumerate_k_subsets, is_cross_t_intersecting
+from .families import WORD_CAP, enumerate_k_subsets, is_cross_t_intersecting
 from .frankl import FranklParams, frankl_size
-from .gensets import GenSet, compact, perturb_pair, upset_k
-from .search import Section4Report, _ReportBuilder, brute_force_best
+from .gensets import (
+    GenSet,
+    compact,
+    genset_cross_t,
+    minimal_genset,
+    perturb_pair,
+    size_from_genset,
+    upset_k,
+    upset_size,
+)
+from .search import brute_force_best
+
+
+# ---------------------------------------------------------------------------
+# Rows, sizes and reports of the explicit construction checks
+
+
+class ComparisonRow(NamedTuple):
+    """One printed comparison, evaluated with exact integers.
+
+    ``guard`` names the hypothesis the comparison was proved under (empty for
+    unconditional identities); ``guard_met`` says whether the hypothesis holds
+    at this (n, k); ``holds`` is the exact truth of lhs <relation> rhs.
+    """
+
+    construction: str
+    label: str
+    relation: str
+    lhs: int
+    rhs: int
+    guard: str
+    guard_met: bool
+    holds: bool
+
+
+class ConstructionCheck(NamedTuple):
+    """All checks for one explicit construction at a given (n, k)."""
+
+    name: str
+    params: Mapping[str, int]
+    skipped: bool
+    skip_reason: str
+    sizes: Mapping[str, int]
+    rows: tuple[ComparisonRow, ...]
+    expanded: bool
+
+
+class Section4Report(NamedTuple):
+    """Report of every explicit-construction check at one (n, k)."""
+
+    n: int
+    k: int
+    t: int
+    checks: tuple[ConstructionCheck, ...]
+
+
+_RELATIONS = {
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+}
+
+
+class _ConstructionBuilder:
+    """Accumulates rows/sizes for one construction; enforces integrity."""
+
+    def __init__(self, report: "_ReportBuilder", name: str, params: Mapping[str, int]):
+        self.report = report
+        self.name = name
+        self.params = dict(params)
+        self.rows: list[ComparisonRow] = []
+        self.sizes: dict[str, int] = {}
+        self.expanded = False
+
+    def row(
+        self,
+        label: str,
+        lhs: int,
+        relation: str,
+        rhs: int,
+        guard: str = "",
+        guard_met: bool = True,
+    ) -> bool:
+        holds = _RELATIONS[relation](lhs, rhs)
+        self.rows.append(
+            ComparisonRow(self.name, label, relation, lhs, rhs, guard, guard_met, holds)
+        )
+        if guard_met and not holds:
+            raise IntegrityError(
+                f"{self.name}: {label}: {lhs} {relation} {rhs} fails"
+                + (f" under {guard}" if guard else "")
+            )
+        return holds
+
+    def family(self, label: str, genset: GenSet, printed: int) -> GenSet:
+        """Record a printed family size, checked four independent ways: the
+        closed form, disjoint cells, profile count and, at expansion scale,
+        full enumeration."""
+        n, k = genset.n, genset.k
+        by_cells = size_from_genset(genset)
+        by_profile = upset_size(genset)
+        if by_cells != printed or by_profile != printed:
+            raise IntegrityError(
+                f"{self.name}: |{label}| printed {printed}, cells {by_cells}, "
+                f"profile {by_profile}"
+            )
+        if self.report.expandable:
+            expansion = upset_k(genset)
+            if len(expansion) != printed:
+                raise IntegrityError(
+                    f"{self.name}: |{label}| printed {printed}, enumerated "
+                    f"{len(expansion)}"
+                )
+            if self.report.check_minimality:
+                recovered = minimal_genset(expansion)
+                if recovered.elements != genset.elements:
+                    raise IntegrityError(
+                        f"{self.name}: printed generators of {label} are not the "
+                        f"minimal generating set of the family they generate"
+                    )
+            self.expanded = True
+        self.sizes[label] = printed
+        return genset
+
+    def cross_pair(self, gen_a: GenSet, gen_b: GenSet, t: int, label: str) -> None:
+        if not genset_cross_t(gen_a, gen_b, t):
+            raise IntegrityError(f"{self.name}: {label} generators are not cross-{t}")
+        if self.report.expandable:
+            if not is_cross_t_intersecting(upset_k(gen_a), upset_k(gen_b), t):
+                raise IntegrityError(
+                    f"{self.name}: {label} expansions are not cross-{t}"
+                )
+
+    def done(self) -> None:
+        self.report.checks.append(
+            ConstructionCheck(
+                name=self.name,
+                params=self.params,
+                skipped=False,
+                skip_reason="",
+                sizes=self.sizes,
+                rows=tuple(self.rows),
+                expanded=self.expanded,
+            )
+        )
+
+
+class _ReportBuilder:
+    def __init__(self, n: int, k: int, t: int):
+        self.n = n
+        self.k = k
+        self.t = t
+        self.checks: list[ConstructionCheck] = []
+        self.expandable = n <= WORD_CAP and comb(n, k) <= 100_000
+        self.check_minimality = n <= 16
+
+    def construction(self, name: str, **params: int) -> _ConstructionBuilder:
+        return _ConstructionBuilder(self, name, params)
+
+    def skip(self, name: str, reason: str, **params: int) -> None:
+        self.checks.append(
+            ConstructionCheck(
+                name=name,
+                params=dict(params),
+                skipped=True,
+                skip_reason=reason,
+                sizes={},
+                rows=(),
+                expanded=False,
+            )
+        )
+
+
+# ---------------------------------------------------------------------------
+# The constructions
+
 
 
 def _c(m: int, j: int) -> int:

@@ -7,8 +7,8 @@ n = (k - t + 1) (2 + (t - 1) / (r + 1)), where r and r + 1 tie.  Sizes are
 computed exactly for unbounded n; expansion is offered at word scale.
 """
 
-from __future__ import annotations
-
+# No postponed annotations here: NamedTuple would compile each field's
+# annotation string into a ForwardRef at import.
 from fractions import Fraction
 from itertools import combinations
 from math import comb

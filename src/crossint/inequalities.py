@@ -390,24 +390,24 @@ def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord
     y = s * (k - i + 1)
 
     # core quantities, both forms of S1 and S2
-    s1 = i * (a + 1) + (s - i) * m
-    s2 = u * (b + 1) + (i - t) * m
-    if s1 != s * m - i * (k - i) or s2 != s * m - u * v:
+    S1 = i * (a + 1) + (s - i) * m
+    S2 = u * (b + 1) + (i - t) * m
+    if S1 != s * m - i * (k - i) or S2 != s * m - u * v:
         raise IntegrityError(
             f"algebraic forms disagree at (n,k,s,i,t) = {(n, k, s, i, t)}: "
-            f"S1 {s1}/{s * m - i * (k - i)}, S2 {s2}/{s * m - u * v}"
+            f"S1 {S1}/{s * m - i * (k - i)}, S2 {S2}/{s * m - u * v}"
         )
-    t1 = i * (a + 1) + (s - i) * (k - i + 1)
-    t2 = u * (b + 1) + (i - t) * (v + 1)
-    if s1 <= 0 or s2 <= 0 or t1 <= 0 or t2 <= 0:
+    T1 = i * (a + 1) + (s - i) * (k - i + 1)
+    T2 = u * (b + 1) + (i - t) * (v + 1)
+    if S1 <= 0 or S2 <= 0 or T1 <= 0 or T2 <= 0:
         raise IntegrityError(
             f"core quantity not positive at (n,k,s,i,t) = {(n, k, s, i, t)}: "
-            f"S1={s1}, S2={s2}, T1={t1}, T2={t2}"
+            f"S1={S1}, S2={S2}, T1={T1}, T2={T2}"
         )
 
     # the key ratio (*) and the binomial identity behind it
-    num = a * b * s1 * s2
-    den = m * m * t1 * t2
+    num = a * b * S1 * S2
+    den = m * m * T1 * T2
     if triple == EXCLUDED_TRIPLE:
         thm32 = "excluded"
     else:
@@ -417,13 +417,14 @@ def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord
         comb(r, k - i) * comb(r, v) * a * b
         == comb(r, k - i + 1) * comb(r, v + 1) * (k - i + 1) * (v + 1)
     )
+    ratio_identity = "holds" if identity else "violated"
 
     # the four margin lemmas, each slack by both forms
     slacks = (
-        s1 + s2 - t1 - t2 - s * (2 * k - s - t + 2),
-        s1 - t1 - y,
-        2 * s2 - t1 - t2 - x,
-        s * m - t2 - x,
+        S1 + S2 - T1 - T2 - s * (2 * k - s - t + 2),
+        S1 - T1 - y,
+        2 * S2 - T1 - T2 - x,
+        s * m - T2 - x,
     )
     reduced = (
         (s - i) * a + (i - t) * b - s * (2 * k - s - t + 2),
@@ -436,28 +437,31 @@ def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord
             f"lemma slack forms disagree at (n,k,s,i,t) = {(n, k, s, i, t)}: "
             f"f, g, h, phi {slacks} vs {reduced}"
         )
-    f_slack, g_slack, h_slack, phi_slack = slacks
+    lemma_f_slack, lemma_g_slack, lemma_h_slack, lemma_phi_slack = slacks
     f_excluded = triple in F_LEMMA_EXCLUSIONS
     if f_excluded:
-        lemma_f_status = "excluded"
+        lemma_f = "excluded"
     else:
-        lemma_f_status = "holds" if f_slack >= 0 else "violated"
+        lemma_f = "holds" if lemma_f_slack >= 0 else "violated"
     if triple in G_LEMMA_EXCLUSIONS:
-        lemma_g_status = "excluded"
+        lemma_g = "excluded"
     else:
-        lemma_g_status = "holds" if g_slack > 0 else "violated"
+        lemma_g = "holds" if lemma_g_slack > 0 else "violated"
+    lemma_h = "holds" if lemma_h_slack > 0 else "violated"
+    lemma_phi = "holds" if lemma_phi_slack >= 0 else "violated"
 
     # the reduction chain, behind its entry gate
-    entry = s2 - t2 < x
+    entry = S2 - T2 < x
+    equa3 = int(entry)
     if not entry or f_excluded:
         equa1 = equac2 = st = equac1 = equac3 = "skipped"
     else:
-        mid = t1 + x - (s2 - t2)
-        equa1 = "holds" if a * s1 > m * (s1 - y) else "violated"
-        equac2 = "holds" if s1 - y >= mid else "violated"
-        st = "holds" if mid < s2 < t2 + x else "violated"
-        equac1 = "holds" if mid * s2 > t1 * (t2 + x) else "violated"
-        equac3 = "holds" if b * (t2 + x) >= m * t2 else "violated"
+        mid = T1 + x - (S2 - T2)
+        equa1 = "holds" if a * S1 > m * (S1 - y) else "violated"
+        equac2 = "holds" if S1 - y >= mid else "violated"
+        st = "holds" if mid < S2 < T2 + x else "violated"
+        equac1 = "holds" if mid * S2 > T1 * (T2 + x) else "violated"
+        equac3 = "holds" if b * (T2 + x) >= m * T2 else "violated"
 
     # the specialized form of the small triples, against the generic ratio
     appendix = "skipped"
@@ -477,23 +481,18 @@ def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord
         appendix = "holds" if form_num > form_den else "violated"
 
     g = gcd(num, den)
+    # positional, from locals named after the fields: a keyword build costs
+    # more than twice as much, and a test holds each name to its field
     return VerificationRecord(
         n, k, s, i, t, num // g, den // g,
         Checks(
-            thm32=thm32,
-            ratio_identity="holds" if identity else "violated",
-            lemma_f=lemma_f_status,
-            lemma_g=lemma_g_status,
-            lemma_h="holds" if h_slack > 0 else "violated",
-            lemma_phi="holds" if phi_slack >= 0 else "violated",
-            equa1=equa1,
-            equac2=equac2,
-            st=st,
-            equac1=equac1,
-            equac3=equac3,
-            appendix=appendix,
+            thm32, ratio_identity, lemma_f, lemma_g, lemma_h, lemma_phi,
+            equa1, equac2, st, equac1, equac3, appendix,
         ),
-        Values(s1, s2, t1, t2, f_slack, g_slack, h_slack, phi_slack, int(entry)),
+        Values(
+            S1, S2, T1, T2,
+            lemma_f_slack, lemma_g_slack, lemma_h_slack, lemma_phi_slack, equa3,
+        ),
     )
 
 

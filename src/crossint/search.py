@@ -31,11 +31,6 @@ Two exhaustive maximizers and the end-to-end confirmation of the bound:
   the scan finds jointly left-compressed: strictly above the threshold
   n = (t+1)(k-t+1) the only structure is the twin star, at the threshold the
   twin window {A : |A cap [t+2]| >= t+1} ties with it.
-
-The explicit construction checks of ``constructions`` record their rows and
-sizes through ``_ReportBuilder`` here, which checks every printed family
-size four ways and raises IntegrityError on a failed row whose hypothesis
-holds; only ``verify-case4`` imports the checks themselves.
 """
 
 from __future__ import annotations
@@ -64,6 +59,25 @@ from .gensets import (
     upset_k,
     upset_size,
 )
+
+# minimal_genset and size_from_genset are exported for the traced benchmark,
+# which wraps them under this module's name (perfbench/tracing.py).
+__all__ = [
+    "BRUTE_CAP",
+    "GENSET_CANDIDATE_CAP",
+    "GENSET_GROUND_CAP",
+    "GENSET_NODE_CAP",
+    "MAX_WITNESSES",
+    "MainTheoremReport",
+    "SearchResult",
+    "brute_force_best",
+    "closure_t",
+    "genset_search_best_product",
+    "minimal_genset",
+    "size_from_genset",
+    "validate_result",
+    "verify_main_theorem_small",
+]
 
 #: Largest layer size C(n,k) the brute-force scan will accept.
 BRUTE_CAP = 22
@@ -525,168 +539,6 @@ def _materialize_genset_ties(
     pairs = [sorted(map(generators, pair), key=lambda g: g.elements) for pair in keys]
     pairs.sort(key=lambda pair: (pair[0].elements, pair[1].elements))
     return tuple((a, b) for a, b in pairs)
-
-
-# ---------------------------------------------------------------------------
-# Rows, sizes and reports of the explicit construction checks (constructions)
-
-
-class ComparisonRow(NamedTuple):
-    """One printed comparison, evaluated with exact integers.
-
-    ``guard`` names the hypothesis the comparison was proved under (empty for
-    unconditional identities); ``guard_met`` says whether the hypothesis holds
-    at this (n, k); ``holds`` is the exact truth of lhs <relation> rhs.
-    """
-
-    construction: str
-    label: str
-    relation: str
-    lhs: int
-    rhs: int
-    guard: str
-    guard_met: bool
-    holds: bool
-
-
-class ConstructionCheck(NamedTuple):
-    """All checks for one explicit construction at a given (n, k)."""
-
-    name: str
-    params: Mapping[str, int]
-    skipped: bool
-    skip_reason: str
-    sizes: Mapping[str, int]
-    rows: tuple[ComparisonRow, ...]
-    expanded: bool
-
-
-class Section4Report(NamedTuple):
-    """Report of every explicit-construction check at one (n, k)."""
-
-    n: int
-    k: int
-    t: int
-    checks: tuple[ConstructionCheck, ...]
-
-
-_RELATIONS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
-
-
-class _ConstructionBuilder:
-    """Accumulates rows/sizes for one construction; enforces integrity."""
-
-    def __init__(self, report: "_ReportBuilder", name: str, params: Mapping[str, int]):
-        self.report = report
-        self.name = name
-        self.params = dict(params)
-        self.rows: list[ComparisonRow] = []
-        self.sizes: dict[str, int] = {}
-        self.expanded = False
-
-    def row(
-        self,
-        label: str,
-        lhs: int,
-        relation: str,
-        rhs: int,
-        guard: str = "",
-        guard_met: bool = True,
-    ) -> bool:
-        holds = _RELATIONS[relation](lhs, rhs)
-        self.rows.append(
-            ComparisonRow(self.name, label, relation, lhs, rhs, guard, guard_met, holds)
-        )
-        if guard_met and not holds:
-            raise IntegrityError(
-                f"{self.name}: {label}: {lhs} {relation} {rhs} fails"
-                + (f" under {guard}" if guard else "")
-            )
-        return holds
-
-    def family(self, label: str, genset: GenSet, printed: int) -> GenSet:
-        """Record a printed family size, checked four independent ways: the
-        closed form, disjoint cells, profile count and, at expansion scale,
-        full enumeration."""
-        n, k = genset.n, genset.k
-        by_cells = size_from_genset(genset)
-        by_profile = upset_size(genset)
-        if by_cells != printed or by_profile != printed:
-            raise IntegrityError(
-                f"{self.name}: |{label}| printed {printed}, cells {by_cells}, "
-                f"profile {by_profile}"
-            )
-        if self.report.expandable:
-            expansion = upset_k(genset)
-            if len(expansion) != printed:
-                raise IntegrityError(
-                    f"{self.name}: |{label}| printed {printed}, enumerated "
-                    f"{len(expansion)}"
-                )
-            if self.report.check_minimality:
-                recovered = minimal_genset(expansion)
-                if recovered.elements != genset.elements:
-                    raise IntegrityError(
-                        f"{self.name}: printed generators of {label} are not the "
-                        f"minimal generating set of the family they generate"
-                    )
-            self.expanded = True
-        self.sizes[label] = printed
-        return genset
-
-    def cross_pair(self, gen_a: GenSet, gen_b: GenSet, t: int, label: str) -> None:
-        if not genset_cross_t(gen_a, gen_b, t):
-            raise IntegrityError(f"{self.name}: {label} generators are not cross-{t}")
-        if self.report.expandable:
-            if not is_cross_t_intersecting(upset_k(gen_a), upset_k(gen_b), t):
-                raise IntegrityError(
-                    f"{self.name}: {label} expansions are not cross-{t}"
-                )
-
-    def done(self) -> None:
-        self.report.checks.append(
-            ConstructionCheck(
-                name=self.name,
-                params=self.params,
-                skipped=False,
-                skip_reason="",
-                sizes=self.sizes,
-                rows=tuple(self.rows),
-                expanded=self.expanded,
-            )
-        )
-
-
-class _ReportBuilder:
-    def __init__(self, n: int, k: int, t: int):
-        self.n = n
-        self.k = k
-        self.t = t
-        self.checks: list[ConstructionCheck] = []
-        self.expandable = n <= WORD_CAP and comb(n, k) <= 100_000
-        self.check_minimality = n <= 16
-
-    def construction(self, name: str, **params: int) -> _ConstructionBuilder:
-        return _ConstructionBuilder(self, name, params)
-
-    def skip(self, name: str, reason: str, **params: int) -> None:
-        self.checks.append(
-            ConstructionCheck(
-                name=name,
-                params=dict(params),
-                skipped=True,
-                skip_reason=reason,
-                sizes={},
-                rows=(),
-                expanded=False,
-            )
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -298,14 +298,14 @@ def test_verify_case4_guarded_failure_exits_two_and_writes_nothing(
         for row in check.rows
         if row.relation == ">" and row.guard_met
     )
-    monkeypatch.setitem(search._RELATIONS, ">", lambda a, b: False)
+    monkeypatch.setitem(constructions._RELATIONS, ">", lambda a, b: False)
     out = tmp_path / "case4.json"
     assert main(["verify-case4", "--n", "10", "--k", "6", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"integrity: {first.construction}: {first.label}: " in err
     assert not out.exists()
     # the same failed row outside its hypothesis is recorded, not raised
-    builder = search._ReportBuilder(10, 6, 3).construction(first.construction)
+    builder = constructions._ReportBuilder(10, 6, 3).construction(first.construction)
     assert not builder.row(first.label, first.lhs, ">", first.rhs, first.guard, guard_met=False)
     assert builder.rows[-1].holds is False
 
@@ -946,6 +946,42 @@ def test_digest_of_a_parsed_record_equals_the_fresh_one() -> None:
     assert parsed.to_csv() == direct.to_csv()
     assert parsed.to_json_obj() == direct.to_json_obj()
     assert json.dumps(parsed.to_json_obj()) == json.dumps(direct.to_json_obj())
+
+
+def test_digest_of_a_read_back_stream_equals_the_fresh_one(tmp_path) -> None:
+    # the digest keeps its least key ratio as two ints and its last point as
+    # its last record: over every line of a sweep with lemma exclusions and
+    # the lemma_g equality point, the parsed records give the digest of the
+    # fresh ones, and both give the minima of the records themselves
+    out = tmp_path / "t4.jsonl"
+    argv = ["sweep-inequalities", "--t-min", "4", "--t-max", "4", "--k-span", "3",
+            "--n-span", "2", "--out", str(out)]
+    assert main(argv) == 2
+    fresh, parsed = RecordDigest(), RecordDigest()
+    records = []
+    for lineno, line in enumerate(out.read_text().splitlines(), start=1):
+        record = parse_record_line(lineno, line)
+        t, k, n, s, i = record.point
+        records.append(evaluate_point(n, k, s, i, t))
+        fresh.absorb(records[-1])
+        parsed.absorb(record)
+    assert parsed.to_csv() == fresh.to_csv()
+    assert parsed.to_json_obj() == fresh.to_json_obj()
+    assert parsed.min_ratio == fresh.min_ratio == min(
+        Fraction(r.t_num, r.t_den) for r in records if r.checks.thm32 != "excluded"
+    )
+    assert parsed.last_point == fresh.last_point == records[-1].point
+    assert fresh.violations == [(15, 6, 7, 5, 4, "lemma_g")]
+    assert fresh.min_slack == {
+        name: min(
+            getattr(r.values, name + "_slack")
+            for r in records
+            if getattr(r.checks, name) != "excluded"
+        )
+        for name in ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
+    }
+    assert fresh.min_slack["lemma_g"] == 0
+    assert fresh.status_counts["lemma_f"]["excluded"] > 0
 
 
 def test_emit_summary_empty_stream_is_zeroed() -> None:

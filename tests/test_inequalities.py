@@ -10,9 +10,11 @@ core quantities.
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +45,7 @@ from crossint.inequalities import (
     lemma_phi,
     sweep,
 )
-from crossint.records import CHECK_ORDER, VALUE_NAMES, Values
+from crossint.records import CHECK_ORDER, VALUE_NAMES, Checks, Values
 
 
 #: Off-grid points as (n, k, s, i, t), each violating one constraint.
@@ -125,6 +127,54 @@ def test_evaluate_point_matches_the_per_point_api() -> None:
     for item in (("thm32", "excluded"), ("lemma_g", "violated"), ("lemma_f", "excluded"),
                  ("equa1", "holds"), ("appendix", "holds"), ("appendix", "skipped")):
         assert item in reached, item
+
+
+def record_tuple_calls(source: str, function: str) -> dict[str, list[tuple]]:
+    """The arguments of each Checks(...) and Values(...) call in the named
+    module-level function of source: the name of each positional argument
+    that is a bare name, None for any other argument or a keyword."""
+    calls: dict[str, list[tuple]] = {}
+    (body,) = (
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    for node in ast.walk(body):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("Checks", "Values")
+        ):
+            names = [arg.id if isinstance(arg, ast.Name) else None for arg in node.args]
+            calls.setdefault(node.func.id, []).append(
+                tuple(names + [None] * len(node.keywords))
+            )
+    return calls
+
+
+def test_evaluate_point_builds_its_tuples_from_locals_named_by_the_fields() -> None:
+    # the statuses and values go in by position, which is fast, so each
+    # argument must be the local named after its field, in field order
+    source = Path(inequalities.__file__).read_text(encoding="utf-8")
+    assert record_tuple_calls(source, "evaluate_point") == {
+        "Checks": [Checks._fields],
+        "Values": [Values._fields],
+    }
+
+
+def test_record_tuple_call_rule() -> None:
+    source = (
+        "def f(a, b, c):\n"
+        "    Checks(a, b, c)\n"
+        "    Values(b, a, c)\n"
+        "    return Checks(a, b=b, c=c + 1)\n"
+        "def g(a):\n"
+        "    return Values(a)\n"
+    )
+    assert record_tuple_calls(source, "f") == {
+        "Checks": [("a", "b", "c"), ("a", None, None)],
+        "Values": [("b", "a", "c")],
+    }
+    assert record_tuple_calls(source, "g") == {"Values": [("a",)]}
 
 
 def test_evaluate_point_checks_the_specialized_form(monkeypatch) -> None:

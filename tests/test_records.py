@@ -14,6 +14,7 @@ from typing import get_type_hints
 
 import pytest
 
+from crossint.constructions import ComparisonRow, ConstructionCheck, Section4Report
 from crossint.families import UniformFamily
 from crossint.frankl import AKRegime, FranklMax, FranklParams
 from crossint.gensets import GenSet, PerturbResult
@@ -25,13 +26,7 @@ from crossint.inequalities import (
     SectionParams,
 )
 from crossint.records import CHECK_ORDER, VALUE_NAMES, Checks, Values, VerificationRecord
-from crossint.search import (
-    ComparisonRow,
-    ConstructionCheck,
-    MainTheoremReport,
-    SearchResult,
-    Section4Report,
-)
+from crossint.search import MainTheoremReport, SearchResult
 
 #: (class, field values, other field values, repr of the first).
 _VALUE_TYPES = [
