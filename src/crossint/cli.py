@@ -506,21 +506,10 @@ def _side_obj(side, n: int, k: int) -> dict:
     return {"kind": "family", "family": write_family(side)}
 
 
-def _witnesses_obj(witnesses, n: int, k: int) -> list[dict]:
-    return [{"a": _side_obj(a, n, k), "b": _side_obj(b, n, k)} for a, b in witnesses]
-
-
-def _search_json_obj(result: SearchResult) -> dict:
-    return {
-        "n": result.n,
-        "k": result.k,
-        "t": result.t,
-        "objective": result.objective,
-        "method": result.method,
-        "value": str(result.value),
-        "witnesses": _witnesses_obj(result.witnesses, result.n, result.k),
-        "stats": dict(result.stats),
-    }
+def _witnesses_obj(report: SearchResult | MainTheoremReport) -> list[dict]:
+    """The witness pairs of a search result or report, as set-list texts."""
+    n, k = report.n, report.k
+    return [{"a": _side_obj(a, n, k), "b": _side_obj(b, n, k)} for a, b in report.witnesses]
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -534,7 +523,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
         result = genset_search_best_product(args.n, args.k, args.t)
     out = resolve_out(args.out, f"search-{args.n}-{args.k}-{args.t}.json")
-    _write_out(out, json.dumps(_search_json_obj(result), sort_keys=True, indent=2) + "\n")
+    # the fields are the JSON keys; the exact value is a decimal string
+    obj = dict(result._asdict(), value=str(result.value), witnesses=_witnesses_obj(result))
+    _write_out(out, json.dumps(obj, sort_keys=True, indent=2) + "\n")
     _say(
         f"{result.objective} optimum at (n,k,t)=({args.n},{args.k},{args.t}) "
         f"by {result.method}: {result.value} with {len(result.witnesses)} witness pair(s)"
@@ -622,34 +613,22 @@ def _cmd_genset(args: argparse.Namespace) -> int:
 
 
 def _section4_json_obj(report) -> dict:
-    return {
-        "n": report.n,
-        "k": report.k,
-        "t": report.t,
-        "checks": [
-            {
-                "name": check.name,
-                "params": dict(check.params),
-                "skipped": check.skipped,
-                "skip_reason": check.skip_reason,
-                "expanded": check.expanded,
-                "sizes": {label: str(v) for label, v in check.sizes.items()},
-                "rows": [
-                    {
-                        "label": row.label,
-                        "lhs": str(row.lhs),
-                        "relation": row.relation,
-                        "rhs": str(row.rhs),
-                        "guard": row.guard,
-                        "guard_met": row.guard_met,
-                        "holds": row.holds,
-                    }
+    """The report, its checks and their rows as JSON objects of their fields,
+    with the exact integers (sizes, lhs, rhs) as decimal strings."""
+    return dict(
+        report._asdict(),
+        checks=[
+            dict(
+                check._asdict(),
+                sizes={label: str(size) for label, size in check.sizes.items()},
+                rows=[
+                    dict(row._asdict(), lhs=str(row.lhs), rhs=str(row.rhs))
                     for row in check.rows
                 ],
-            }
+            )
             for check in report.checks
         ],
-    }
+    )
 
 
 def _cmd_verify_case4(args: argparse.Namespace) -> int:
@@ -680,31 +659,19 @@ def _cmd_verify_case4(args: argparse.Namespace) -> int:
 # verify-main-small
 
 
-def _main_small_json_obj(report: MainTheoremReport) -> dict:
-    return {
-        "n": report.n,
-        "k": report.k,
-        "t": report.t,
-        "threshold": report.threshold,
-        "star_value": str(report.star_value),
-        "value": str(report.value),
-        "methods": list(report.methods),
-        "witnesses": _witnesses_obj(report.witnesses, report.n, report.k),
-        "structures": list(report.structures),
-        "bound_confirmed": report.bound_confirmed,
-        "all_star": report.all_star,
-        "shift_trials": report.shift_trials,
-        "shift_ok": report.shift_ok,
-        "stats": dict(report.stats),
-    }
-
-
 def _cmd_verify_main_small(args: argparse.Namespace) -> int:
     report = verify_main_theorem_small(
         args.n, args.k, args.t, shift_trials=args.shift_trials, seed=args.seed
     )
     out = resolve_out(args.out, f"main-small-{args.n}-{args.k}-{args.t}.json")
-    _write_out(out, json.dumps(_main_small_json_obj(report), sort_keys=True, indent=2) + "\n")
+    # the fields are the JSON keys; the exact values are decimal strings
+    obj = dict(
+        report._asdict(),
+        value=str(report.value),
+        star_value=str(report.star_value),
+        witnesses=_witnesses_obj(report),
+    )
+    _write_out(out, json.dumps(obj, sort_keys=True, indent=2) + "\n")
     _say(
         f"optimum {report.value} vs star product {report.star_value} "
         f"(threshold n >= {report.threshold}); structures: {', '.join(report.structures)}"

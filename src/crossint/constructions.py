@@ -5,12 +5,16 @@ pairs used in the extremal analysis (layer-vs-block, star-with-fringe,
 window twins, and the six-point window splits), checks every printed size
 formula four ways (closed form, disjoint cells, profile count, and full
 enumeration at expansion scale), and evaluates every printed comparison with
-exact integers.  Comparisons proved under a hypothesis are guarded by that
-hypothesis: an in-hypothesis failure is an integrity defect, an
-out-of-hypothesis row is recorded informationally.  The rows, sizes and the
-report are built by ``_ReportBuilder``, which raises IntegrityError on a
-failed row whose hypothesis holds.  Only the ``verify-case4`` command
-imports this module.
+exact integers.  Comparisons proved under a hypothesis are guarded by it.
+Every such hypothesis is a bound on n, declared once as a ``Guard``: its
+printed text and the least n it holds for, so ``guard_met`` is n >= that
+bound; a guard that holds by construction (a case split on n, or on the
+window size) is its text alone.  An in-hypothesis failure is an integrity
+defect, an out-of-hypothesis row is recorded informationally.  Each check
+registers its construction, or a skip with its reason, on a
+``_ReportBuilder``, which raises IntegrityError on a failed row whose
+hypothesis holds and assembles the report once from what was registered.
+Only the ``verify-case4`` command imports this module.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ class ComparisonRow(NamedTuple):
     at this (n, k); ``holds`` is the exact truth of lhs <relation> rhs.
     """
 
-    construction: str
     label: str
     relation: str
     lhs: int
@@ -77,6 +80,18 @@ class Section4Report(NamedTuple):
     checks: tuple[ConstructionCheck, ...]
 
 
+class Guard(NamedTuple):
+    """A hypothesis on n that holds exactly for n >= least_n, as printed."""
+
+    text: str
+    least_n: int
+
+
+def _at_least(hypothesis: str, least_n: int) -> Guard:
+    """The guard n >= least_n, printed as the hypothesis followed by least_n."""
+    return Guard(f"{hypothesis} {least_n}", least_n)
+
+
 _RELATIONS = {
     "<": lambda a, b: a < b,
     ">": lambda a, b: a > b,
@@ -93,23 +108,23 @@ class _ConstructionBuilder:
         self.report = report
         self.name = name
         self.params = dict(params)
+        self.skip_reason = ""
         self.rows: list[ComparisonRow] = []
         self.sizes: dict[str, int] = {}
         self.expanded = False
 
     def row(
-        self,
-        label: str,
-        lhs: int,
-        relation: str,
-        rhs: int,
-        guard: str = "",
-        guard_met: bool = True,
+        self, label: str, lhs: int, relation: str, rhs: int, guard: Guard | str = ""
     ) -> bool:
+        """Record lhs <relation> rhs under guard: a Guard, which holds for n
+        from its bound on, or the text of a hypothesis that holds here by
+        construction (empty for an unconditional identity)."""
+        if isinstance(guard, Guard):
+            guard, guard_met = guard.text, self.report.n >= guard.least_n
+        else:
+            guard_met = True
         holds = _RELATIONS[relation](lhs, rhs)
-        self.rows.append(
-            ComparisonRow(self.name, label, relation, lhs, rhs, guard, guard_met, holds)
-        )
+        self.rows.append(ComparisonRow(label, relation, lhs, rhs, guard, guard_met, holds))
         if guard_met and not holds:
             raise IntegrityError(
                 f"{self.name}: {label}: {lhs} {relation} {rhs} fails"
@@ -156,49 +171,54 @@ class _ConstructionBuilder:
                     f"{self.name}: {label} expansions are not cross-{t}"
                 )
 
-    def done(self) -> None:
-        self.report.checks.append(
-            ConstructionCheck(
-                name=self.name,
-                params=self.params,
-                skipped=False,
-                skip_reason="",
-                sizes=self.sizes,
-                rows=tuple(self.rows),
-                expanded=self.expanded,
-            )
-        )
-
 
 class _ReportBuilder:
+    """The constructions registered at one (n, k, t), in order, and the two
+    hypotheses on n that several of them are proved under."""
+
     def __init__(self, n: int, k: int, t: int):
         self.n = n
         self.k = k
         self.t = t
-        self.checks: list[ConstructionCheck] = []
+        self.constructions: list[_ConstructionBuilder] = []
         self.expandable = n <= WORD_CAP and comb(n, k) <= 100_000
         self.check_minimality = n <= 16
+        # the paper's threshold, and the bound the six-point window splits need
+        self.regime = _at_least("n >= (t+1)(k-t+1) =", (t + 1) * (k - t + 1))
+        self.six_window = _at_least("n >= 4(k-2) =", 4 * (k - 2))
 
     def construction(self, name: str, **params: int) -> _ConstructionBuilder:
-        return _ConstructionBuilder(self, name, params)
+        """Register a construction to check."""
+        builder = _ConstructionBuilder(self, name, params)
+        self.constructions.append(builder)
+        return builder
 
     def skip(self, name: str, reason: str, **params: int) -> None:
-        self.checks.append(
-            ConstructionCheck(
-                name=name,
-                params=dict(params),
-                skipped=True,
-                skip_reason=reason,
-                sizes={},
-                rows=(),
-                expanded=False,
-            )
+        """Register a construction that is not checked, and why."""
+        self.construction(name, **params).skip_reason = reason
+
+    def report(self) -> Section4Report:
+        return Section4Report(
+            self.n,
+            self.k,
+            self.t,
+            tuple(
+                ConstructionCheck(
+                    c.name,
+                    c.params,
+                    bool(c.skip_reason),
+                    c.skip_reason,
+                    c.sizes,
+                    tuple(c.rows),
+                    c.expanded,
+                )
+                for c in self.constructions
+            ),
         )
 
 
 # ---------------------------------------------------------------------------
 # The constructions
-
 
 
 def _c(m: int, j: int) -> int:
@@ -228,10 +248,6 @@ def _check_layer_block(rb: _ReportBuilder, s: int) -> None:
 
     size_a1 = sum(comb(s - 1, j) * comb(n - s + 1, k - j) for j in range(t, s))
     size_b1 = comb(n - s + 1, k - s + 1)
-    threshold = (t + 1) * (k - t + 1)
-    guard = f"n >= (t+1)(k-t+1) = {threshold}"
-    in_regime = n >= threshold
-
     c.row(
         "window shrink drops exactly the fringe of A",
         size_a - size_a1,
@@ -255,8 +271,7 @@ def _check_layer_block(rb: _ReportBuilder, s: int) -> None:
         (s - t) * n - s * (k - t) - t,
         ">",
         t * (s - t - 1) * (k - t + 1),
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.regime,
     )
     if s >= t + 2:
         c.row(
@@ -277,8 +292,7 @@ def _check_layer_block(rb: _ReportBuilder, s: int) -> None:
         comb(s - 1, t - 1) * comb(n - s + 1, k - s + 1),
         "<",
         comb(s, t) * comb(n - s, k - s + 1),
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.regime,
     )
     diff = size_a1 * size_b1 - size_a * size_b
     c.row(
@@ -290,18 +304,15 @@ def _check_layer_block(rb: _ReportBuilder, s: int) -> None:
             comb(s, t) * comb(n - s, k - s + 1)
             - comb(s - 1, t - 1) * comb(n - s + 1, k - s + 1)
         ),
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.regime,
     )
     c.row(
         "window shrink increases the product",
         size_a1 * size_b1,
         ">",
         size_a * size_b,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.regime,
     )
-    c.done()
 
 
 def _check_star_fringe(rb: _ReportBuilder) -> None:
@@ -327,26 +338,20 @@ def _check_star_fringe(rb: _ReportBuilder) -> None:
     c.family("B", gen_b, size_b)
     c.cross_pair(gen_a, gen_b, t, "(A, B)")
 
-    threshold = (t + 1) * (k - t + 1)
-    guard = f"n >= (t+1)(k-t+1) = {threshold}"
-    in_regime = n >= threshold
     c.row(
         "fringe gain at most the star deficit",
         t * comb(n - t - 2, k - t - 1),
         "<=",
         comb(n - t - 2, k - t),
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.regime,
     )
     c.row(
         "product below the twin-star product",
         size_a * size_b,
         "<",
         comb(n - t, k - t) ** 2,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.regime,
     )
-    c.done()
 
 
 def _check_window_twins(rb: _ReportBuilder) -> None:
@@ -363,7 +368,7 @@ def _check_window_twins(rb: _ReportBuilder) -> None:
     size = frankl_size(FranklParams(n=n, k=k, t=t, r=1))
     c.family("A", gen, size)
     c.cross_pair(gen, gen, t, "(A, A)")
-    threshold = (t + 1) * (k - t + 1)
+    threshold = rb.regime.least_n
     if n == threshold:
         c.row(
             "twin window ties the star at the threshold",
@@ -388,7 +393,6 @@ def _check_window_twins(rb: _ReportBuilder) -> None:
             comb(n - t, k - t),
             guard=f"n < {threshold}",
         )
-    c.done()
 
 
 def _senary_binomials(n: int, k: int) -> tuple[int, int, int, int]:
@@ -426,33 +430,27 @@ def _check_pentad_pair(rb: _ReportBuilder) -> None:
         "==",
         (size_a1 - 6 * size_b) * cc,
     )
-    guard = f"n >= 4(k-2) = {4 * (k - 2)}"
-    in_regime = n >= 4 * (k - 2)
     c.row(
         "retained side dominates thirteen cells",
         size_a1,
         ">",
         13 * comb(n - 4, k - 4),
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.six_window,
     )
     c.row(
         "thirteen cells dominate the dropped side",
         13 * comb(n - 4, k - 4),
         ">",
         13 * size_b,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.six_window,
     )
     c.row(
         "window swap increases the product",
         size_a1 * size_b1,
         ">",
         size_a * size_b,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.six_window,
     )
-    c.done()
 
 
 def _check_pentad_triple(rb: _ReportBuilder) -> None:
@@ -477,17 +475,14 @@ def _check_pentad_triple(rb: _ReportBuilder) -> None:
     size_b1 = 2 * comb(n - 5, k - 4) + comb(n - 5, k - 5)
     c.row("five-window A retains all but nine cells", size_a1, "==", size_a - 9 * cc)
     c.row("five-window B gains exactly two cells", size_b1, "==", size_b + 2 * cc)
-    guard = f"n >= 4(k-2) = {4 * (k - 2)}"
-    in_regime = n >= 4 * (k - 2)
-    c.row("cells outgrow pentad cells", cc, ">", d, guard=guard, guard_met=in_regime)
-    c.row("pentad cells outgrow the core", d, ">", e, guard=guard, guard_met=in_regime)
+    c.row("cells outgrow pentad cells", cc, ">", d, guard=rb.six_window)
+    c.row("pentad cells outgrow the core", d, ">", e, guard=rb.six_window)
     c.row(
         "quad cells dominate pentad cells threefold",
         cc,
         ">",
         3 * d,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.six_window,
     )
     c.row(
         "pair difference collapses to one cell term",
@@ -500,10 +495,8 @@ def _check_pentad_triple(rb: _ReportBuilder) -> None:
         size_a1 * size_b1,
         ">",
         size_a * size_b,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.six_window,
     )
-    c.done()
 
 
 def _check_quad_pentad(rb: _ReportBuilder) -> None:
@@ -532,15 +525,12 @@ def _check_quad_pentad(rb: _ReportBuilder) -> None:
         "==",
         cc * (b3 + 3 * cc - 3 * d - 2 * e),
     )
-    guard = f"n >= 4(k-2) = {4 * (k - 2)}"
-    in_regime = n >= 4 * (k - 2)
     c.row(
         "top-slice move increases the product",
         size_a1 * size_b1,
         ">",
         size_a * size_b,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.six_window,
     )
     if rb.expandable:
         fam_a, fam_b = upset_k(gen_a), upset_k(gen_b)
@@ -552,7 +542,6 @@ def _check_quad_pentad(rb: _ReportBuilder) -> None:
             )
         if not is_cross_t_intersecting(new_a, new_b, 3):
             raise IntegrityError("quad-pentad: perturbed pair lost cross-3")
-    c.done()
 
 
 def _check_quad_triple(rb: _ReportBuilder) -> None:
@@ -575,17 +564,14 @@ def _check_quad_triple(rb: _ReportBuilder) -> None:
     c.family("B", gen_b, size_b)
     c.cross_pair(gen_a, gen_b, 3, "(A, B)")
 
-    first_guard = f"n-6 >= 4(k-3), i.e. n >= {4 * k - 6}"
-    first_met = n - 6 >= 4 * (k - 3)
-    second_guard = f"n-6 >= 4(k-4), i.e. n >= {4 * k - 10}"
-    second_met = n - 6 >= 4 * (k - 4)
+    first_guard = _at_least("n-6 >= 4(k-3), i.e. n >=", 4 * k - 6)
+    second_guard = _at_least("n-6 >= 4(k-4), i.e. n >=", 4 * k - 10)
     c.row(
         "triple cells dominate quad cells threefold",
         b3,
         ">",
         3 * cc,
         guard=first_guard,
-        guard_met=first_met,
     )
     c.row(
         "quad cells dominate pentad cells threefold",
@@ -593,7 +579,6 @@ def _check_quad_triple(rb: _ReportBuilder) -> None:
         ">",
         9 * d,
         guard=second_guard,
-        guard_met=second_met,
     )
     c.row(
         "product below the anchored-star twin product",
@@ -601,9 +586,7 @@ def _check_quad_triple(rb: _ReportBuilder) -> None:
         "<",
         star3 * star3,
         guard=first_guard,
-        guard_met=first_met,
     )
-    c.done()
 
 
 def _check_senary_lopsided(rb: _ReportBuilder) -> None:
@@ -643,17 +626,13 @@ def _check_senary_lopsided(rb: _ReportBuilder) -> None:
             "==",
             comb(n - 5, k - 5) * ((k - 4) * (n - 5) - 5 * (n - k) * (n - 2 * k + 3)),
         )
-    guard = f"n >= 4(k-2) = {4 * (k - 2)}"
-    in_regime = n >= 4 * (k - 2)
     c.row(
         "product falls below the window twin product",
         size_a * size_b,
         "<",
         window * window,
-        guard=guard,
-        guard_met=in_regime,
+        guard=rb.six_window,
     )
-    c.done()
 
 
 def _check_senary_split(rb: _ReportBuilder) -> None:
@@ -706,7 +685,6 @@ def _check_senary_split(rb: _ReportBuilder) -> None:
                     window * window,
                 )
     c.row("all six twin pentad slices attain the sum bound", even_split_pairs, "==", 6)
-    c.done()
 
 
 def verify_section4_constructions(n: int, k: int, t: int = 3) -> Section4Report:
@@ -745,4 +723,4 @@ def verify_section4_constructions(n: int, k: int, t: int = 3) -> Section4Report:
         _check_quad_triple(rb)
         _check_senary_lopsided(rb)
         _check_senary_split(rb)
-    return Section4Report(n=n, k=k, t=t, checks=tuple(rb.checks))
+    return rb.report()

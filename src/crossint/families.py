@@ -199,7 +199,10 @@ def read_sets(source) -> tuple[int, int, list[int]]:
             elements = [int(tok) for tok in line.split(",")]
         except ValueError:
             raise UsageError(f"line {lineno}: bad set line {raw!r}") from None
-        masks.append(mask_of(elements, header[0]))
+        try:
+            masks.append(mask_of(elements, header[0]))
+        except UsageError as exc:
+            raise UsageError(f"line {lineno}: {exc}") from None
     if header is None:
         raise UsageError("empty input: missing 'n k' header")
     return header[0], header[1], masks

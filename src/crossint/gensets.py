@@ -317,20 +317,22 @@ def shift_upset_bitmaps(elements, s: int) -> list[int]:
     return ups
 
 
+def layer_bitmaps(s: int) -> list[int]:
+    """layers[j] = the 2^[s]-bitmap of the size-j subsets of [s].
+
+    Built by doubling: adding the point b+1 to [b] keeps every layer and
+    adds to layer j the sets of layer j-1 with the point, their indices
+    moved up by 2^b."""
+    layers = [1] + [0] * s
+    for b in range(s):
+        for j in range(b + 1, 0, -1):
+            layers[j] |= layers[j - 1] << (1 << b)
+    return layers
+
+
 def profile_counts(reach: int, s: int) -> list[int]:
     """counts[j] = number of size-j indices set in a 2^[s]-bitmap."""
-    counts = [0] * (s + 1)
-    data = reach.to_bytes((1 << s) // 8 or 1, "little")
-    for byte_index, byte in enumerate(data):
-        if not byte:
-            continue
-        base = byte_index << 3
-        bits = byte
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            counts[(base + low.bit_length() - 1).bit_count()] += 1
-    return counts
+    return [(reach & layer).bit_count() for layer in layer_bitmaps(s)]
 
 
 def upset_size(genset: GenSet) -> int:

@@ -53,6 +53,7 @@ from .gensets import (
     GenSet,
     downset_closure_bitmap,
     genset_cross_t,
+    layer_bitmaps,
     minimal_genset,
     shift_upset_bitmaps,
     size_from_genset,
@@ -386,9 +387,7 @@ def genset_search_best_product(n: int, k: int, t: int) -> SearchResult:
         )
 
     up = shift_upset_bitmaps(cands, s)
-    buckets = [0] * (s + 1)
-    for x in range(1 << s):
-        buckets[x.bit_count()] |= 1 << x
+    buckets = layer_bitmaps(s)
     weights = [comb(n - s, k - j) if 0 <= k - j <= n - s else 0 for j in range(s + 1)]
     active = [(buckets[j], weights[j]) for j in range(s + 1) if weights[j]]
 

@@ -292,8 +292,8 @@ def test_verify_case4(capsys, tmp_path) -> None:
 def test_verify_case4_guarded_failure_exits_two_and_writes_nothing(
     capsys, tmp_path, monkeypatch
 ) -> None:
-    first = next(
-        row
+    name, first = next(
+        (check.name, row)
         for check in constructions.verify_section4_constructions(10, 6).checks
         for row in check.rows
         if row.relation == ">" and row.guard_met
@@ -302,12 +302,48 @@ def test_verify_case4_guarded_failure_exits_two_and_writes_nothing(
     out = tmp_path / "case4.json"
     assert main(["verify-case4", "--n", "10", "--k", "6", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"integrity: {first.construction}: {first.label}: " in err
+    assert f"integrity: {name}: {first.label}: " in err
     assert not out.exists()
-    # the same failed row outside its hypothesis is recorded, not raised
-    builder = constructions._ReportBuilder(10, 6, 3).construction(first.construction)
-    assert not builder.row(first.label, first.lhs, ">", first.rhs, first.guard, guard_met=False)
-    assert builder.rows[-1].holds is False
+    # the same failed row under a hypothesis that does not hold at n = 10,
+    # the threshold n >= 16, is recorded, not raised
+    rb = constructions._ReportBuilder(10, 6, 3)
+    builder = rb.construction(name)
+    assert not builder.row(first.label, first.lhs, ">", first.rhs, rb.regime)
+    row = builder.rows[-1]
+    assert (row.guard_met, row.holds) == (False, False)
+
+
+#: The sha256 of the JSON each report command writes to standard output.
+_PIN_REPORT_SHA256 = [
+    (["verify-case4", "--n", "10", "--k", "6"],
+     "3858df9c854ab5b15c0d6d70ebbf2715f1af3454710119376458e4ad84bb8247"),
+    (["verify-case4", "--n", "9", "--k", "5", "--t", "4"],
+     "122780cdf57767fb6a281a16b8b00d9d1c8a4bc41ecb4515a304d4beddf4fb17"),
+    (["verify-case4", "--n", "12", "--k", "4", "--t", "3"],
+     "e4107a2bdbf1bcbd18ed50cc689b1202889d033948ee28c45a54df2ffde217ab"),
+    (["verify-case4", "--n", "30", "--k", "8"],
+     "9da35364d36d37fa7f21e820d0f09e3e647b8e2b2bf5f0b7ff16ffda9140f310"),
+    (["verify-main-small", "--n", "8", "--k", "4", "--t", "3",
+      "--shift-trials", "20", "--seed", "7"],
+     "a46b3140dbc349104f66fbb8dc9ed5deb133454693fe0383a42e60e177124adc"),
+    (["verify-main-small", "--n", "10", "--k", "5", "--t", "3",
+      "--shift-trials", "20", "--seed", "7"],
+     "a49860352a99f340e015b8e565bb0a470e80c4674412f56a54475e7e008d253a"),
+    (["search", "--n", "5", "--k", "3", "--t", "2", "--objective", "sum",
+      "--method", "brute"],
+     "f5e7c0830a58992ee9891b1b23d9283711017e10f94df464bfb0697095c90780"),
+    (["search", "--n", "9", "--k", "4", "--t", "1"],
+     "086cc17fb6beb4d9e600883d982da5eeef4d6841cb32810756a7379d85e748d5"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _PIN_REPORT_SHA256, ids=[" ".join(a) for a, _ in _PIN_REPORT_SHA256]
+)
+def test_report_bytes_are_pinned(capsys, argv, digest) -> None:
+    assert main(argv + ["--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_main_small(capsys, tmp_path) -> None:

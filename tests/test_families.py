@@ -196,6 +196,10 @@ def test_read_family_reports_line_numbers() -> None:
         read_family(io.StringIO("5 2 9\n1,2\n"))
     with pytest.raises(UsageError, match="line 2"):
         read_family(io.StringIO("5 2\none,two\n"))
+    with pytest.raises(UsageError, match=r"^line 3: element 5 outside ground set \[4\]$"):
+        read_family(io.StringIO("4 2\n1,2\n1,5\n"))
+    with pytest.raises(UsageError, match="^line 3: elements are 1-based, got 0$"):
+        read_family(io.StringIO("4 2\n1,2\n0,3\n"))
     with pytest.raises(UsageError):
         read_family(io.StringIO(""))
 

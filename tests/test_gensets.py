@@ -31,6 +31,7 @@ from crossint.gensets import (
     downset_closure_bitmap,
     full_layer_genset,
     genset_cross_t,
+    layer_bitmaps,
     minimal_genset,
     perturb_pair,
     profile_counts,
@@ -173,6 +174,18 @@ def test_profile_counts_small() -> None:
     assert profile_counts(reach, 2) == [0, 1, 1]
 
 
+def test_layer_bitmaps_match_their_definition() -> None:
+    # layer j holds exactly the indices x in 2^[s] with |x| = j
+    for s in range(9):
+        layers = layer_bitmaps(s)
+        assert len(layers) == s + 1
+        for x in range(1 << s):
+            assert [layer >> x & 1 for layer in layers] == [
+                int(j == x.bit_count()) for j in range(s + 1)
+            ]
+        assert sum(layers) == (1 << (1 << s)) - 1
+
+
 def test_bitmap_closures_match_their_definitions() -> None:
     """The shift-order up-sets and the down-closure, against pairwise tests:
     f >= e when |f| >= |e| and f's i-th smallest element is at most e's."""
@@ -269,5 +282,9 @@ def test_read_genset_reports_line_numbers() -> None:
         read_genset(io.StringIO("9\n1,2\n"))
     with pytest.raises(UsageError, match="line 3"):
         read_genset(io.StringIO("9 4\n1,2\nx,y\n"))
+    with pytest.raises(UsageError, match=r"^line 3: element 5 outside ground set \[4\]$"):
+        read_genset(io.StringIO("4 2\n1,2\n1,5\n"))
+    with pytest.raises(UsageError, match="^line 3: elements are 1-based, got 0$"):
+        read_genset(io.StringIO("4 2\n1,2\n0,3\n"))
     with pytest.raises(UsageError):
         read_genset(io.StringIO("# only comments\n"))

@@ -126,7 +126,7 @@ _RECORDS = [
     ),
     (
         ComparisonRow,
-        ("construction", "label", "relation", "lhs", "rhs", "guard", "guard_met", "holds"),
+        ("label", "relation", "lhs", "rhs", "guard", "guard_met", "holds"),
     ),
     (
         ConstructionCheck,

@@ -10,6 +10,7 @@ optima.
 from __future__ import annotations
 
 import random
+import re
 from math import comb
 
 import pytest
@@ -329,7 +330,7 @@ def test_section4_known_informational_failures() -> None:
     # the guard is doing real work
     report = verify_section4_constructions(10, 6)
     failures = {
-        (row.construction, row.label): (row.lhs, row.rhs)
+        (check.name, row.label): (row.lhs, row.rhs)
         for check in report.checks
         for row in check.rows
         if not row.guard_met and not row.holds
@@ -337,6 +338,35 @@ def test_section4_known_informational_failures() -> None:
     assert any(
         lhs == 1625 and rhs == 1225 for lhs, rhs in failures.values()
     )
+
+
+def test_section4_guards_are_bounds_on_n() -> None:
+    # a guard that depends on n prints its bound last, as "... = N" or
+    # "n >= N", and is met exactly for n >= N; every other guard holds by
+    # construction.  The points straddle every bound at k = 5 (t = 3) and
+    # the threshold 15 at k = 6, t = 4.
+    bound = re.compile(r"(?:\) = |n >= )([0-9]+)$")
+    met = set()
+    for k, t, ns in ((5, 3, range(8, 17)), (6, 4, range(9, 18))):
+        for n in ns:
+            for check in verify_section4_constructions(n, k, t).checks:
+                for row in check.rows:
+                    match = bound.search(row.guard)
+                    if match is None:
+                        assert row.guard_met, (n, k, t, row)
+                    else:
+                        assert row.guard_met == (n >= int(match[1])), (n, k, t, row)
+                        met.add((row.guard.rsplit(" ", 1)[0], row.guard_met))
+    assert met == {
+        (text, guard_met)
+        for text in (
+            "n >= (t+1)(k-t+1) =",
+            "n >= 4(k-2) =",
+            "n-6 >= 4(k-3), i.e. n >=",
+            "n-6 >= 4(k-4), i.e. n >=",
+        )
+        for guard_met in (False, True)
+    }
 
 
 def test_section4_sizes_match_expansion_where_expandable() -> None:
