@@ -15,12 +15,14 @@ genset               minimal generating set of a family file, or expand a
 verify-case4         explicit-construction checks at one (n, k)
 verify-main-small    search-based confirmation of the product bound
 
-Exit codes: 0 when every executed check passes, 1 on usage errors, 2 on any
+Exit codes: 0 when every executed check passes, 1 on usage errors and on
+operating-system errors on a path (one "error:" line naming it), 2 on any
 violation, integrity failure, or capacity refusal.  Machine output goes to
 --out ("-" means standard output; with CROSSINT_OUT_DIR set, bare subcommands
 default to files under that directory); the human summary goes to standard
 error.  Record streams are deterministic: the same flags always produce
-byte-identical output, and a resumed sweep reproduces the fresh stream.
+byte-identical output, and a resumed sweep reproduces the fresh stream,
+re-reading only the records after its last checkpoint.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import comb
 from typing import Iterator
 
+from . import __version__
 from .compression import is_left_compressed, left_compress
 from .errors import (
     CapacityError,
@@ -45,16 +47,11 @@ from .errors import (
     IntegrityError,
     UsageError,
 )
-from .families import (
-    WORD_CAP,
-    elements_of,
-    read_family,
-    write_family,
-)
+from .families import elements_of, read_family, write_family
 from .frankl import FranklParams, ak_regime, frankl_max, frankl_size, valid_r_range
 from .gensets import (
-    EXPAND_CAP,
     GenSet,
+    expandable,
     minimal_genset,
     read_genset,
     size_from_genset,
@@ -106,24 +103,29 @@ class RecordDigest:
         # pairs, ranked]
         self._by_checks: dict[Checks, list] = {}
 
+    def _entry(self, checks: Checks) -> list:
+        """The new entry of checks, with no records counted yet."""
+        entry = self._by_checks[checks] = [
+            0,
+            ",".join(
+                name for name, status in zip(CHECK_ORDER, checks) if status == "violated"
+            ),
+            tuple(
+                (lemma, VALUE_NAMES.index(name + "_slack"))
+                for lemma, name in enumerate(_LEMMAS)
+                if getattr(checks, name) != "excluded"
+            ),
+            checks.thm32 != "excluded",
+        ]
+        return entry
+
     def absorb(self, record: VerificationRecord) -> None:
         self.records += 1
         self._last = record
         checks = record.checks
         entry = self._by_checks.get(checks)
         if entry is None:
-            entry = self._by_checks[checks] = [
-                0,
-                ",".join(
-                    name for name, status in zip(CHECK_ORDER, checks) if status == "violated"
-                ),
-                tuple(
-                    (lemma, VALUE_NAMES.index(name + "_slack"))
-                    for lemma, name in enumerate(_LEMMAS)
-                    if getattr(checks, name) != "excluded"
-                ),
-                checks.thm32 != "excluded",
-            ]
+            entry = self._entry(checks)
         entry[0] += 1
         _, violated, lemmas, ranked = entry
         # ratio denominators are positive, so cross-multiplying compares
@@ -346,10 +348,100 @@ def _say(message: str) -> None:
 # sweep-inequalities
 
 
+#: A sweep to a file replaces its checkpoint after every CHECKPOINT_EVERY
+#: records, so that a resume reads back only the records after the last one.
+CHECKPOINT_EVERY = 4096
+
+
+def _checkpoint_text(
+    flags: tuple[int, int, int, int], offset: int, crc: int, digest: RecordDigest
+) -> str:
+    """The checkpoint of a stream swept under the grid flags (t_min, t_max,
+    k_span, n_span) whose first offset bytes, of zlib.crc32 crc, hold the
+    records digest has absorbed: the version, the flags, the record count,
+    offset and crc, then the digest, one line each for the least ratio, the
+    slack minima (- for none), each Checks entry's count and checks object,
+    each violation and the last record.  The one writer of the format
+    _read_checkpoint reads."""
+    lines = [
+        f"crossint sweep-inequalities checkpoint {__version__}",
+        "grid {} {} {} {}".format(*flags),
+        f"stream {digest.records} {offset} {crc}",
+        f"ratio {digest._ratio_num} {digest._ratio_den}",
+        "slack " + " ".join("-" if low is None else str(low) for low in digest._slack_min),
+        *(
+            f"checks {entry[0]} {_checks_json(checks)}"
+            for checks, entry in digest._by_checks.items()
+        ),
+        *("violation {} {} {} {} {} {}".format(*v) for v in digest.violations),
+        "last " + record_to_line(digest._last),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _read_checkpoint(
+    path: str, flags: tuple[int, int, int, int]
+) -> tuple[RecordDigest, int, int]:
+    """The digest, byte offset and crc32 of the checkpoint of the stream at
+    path, when it holds exactly the text _checkpoint_text writes for this
+    version and these grid flags, and the stream still begins with the
+    offset bytes it checksummed; otherwise an empty digest at offset 0, so
+    that the whole stream is read, as when there is no checkpoint.  The
+    last record goes back through parse_record_line and each Checks entry
+    through RecordDigest._entry, as absorbing builds it."""
+    from zlib import crc32
+
+    try:
+        with open(path + ".checkpoint", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        _, _, stream, ratio, slack, *entries, last = text.split("\n")[:-1]
+        digest = RecordDigest()
+        records, offset, crc = map(int, stream.split(" ")[1:])
+        digest._ratio_num, digest._ratio_den = map(int, ratio.split(" ")[1:])
+        lows = slack.split(" ")[1:]
+        if len(lows) != len(_LEMMAS):
+            raise ValueError("a slack minimum per lemma")
+        digest._slack_min = [None if low == "-" else int(low) for low in lows]
+        for entry in entries:
+            key, *fields = entry.split(" ")
+            if key == "checks":
+                count, checks = fields
+                checks = _canonical_checks(checks)
+                if checks is None:
+                    raise ValueError("not a checks object")
+                digest._entry(checks)[0] = int(count)
+            else:
+                n, k, s, i, t, names = fields
+                digest.violations.append((int(n), int(k), int(s), int(i), int(t), names))
+        if sum(entry[0] for entry in digest._by_checks.values()) != records:
+            raise ValueError("the Checks counts do not add up to the records")
+        digest.records = records
+        digest._last = parse_record_line(records, last.removeprefix("last "))
+        if _checkpoint_text(flags, offset, crc, digest) != text:
+            raise ValueError("not the checkpoint of this version and grid")
+        # 64 KiB blocks: the prefix is most of the stream, and larger
+        # blocks raise the resume's peak resident set
+        left, prefix_crc = offset, 0
+        with open(path, "rb") as fh:
+            while left > 0 and (block := fh.read(min(left, 1 << 16))):
+                left, prefix_crc = left - len(block), crc32(block, prefix_crc)
+        if left or prefix_crc != crc:
+            raise ValueError("the stream no longer begins with the checkpointed bytes")
+    except (OSError, ValueError, IntegrityError):
+        return RecordDigest(), 0, 0
+    return digest, offset, crc
+
+
 def _trim_to_last_record(
-    path: str, digest: RecordDigest, points: Iterator[tuple[int, int, int, int, int]]
-) -> int:
-    """Check an existing record stream against the grid, in one pass.
+    path: str,
+    digest: RecordDigest,
+    points: Iterator[tuple[int, int, int, int, int]],
+    offset: int,
+    crc: int,
+) -> tuple[int, int]:
+    """Check an existing record stream against the grid, in one pass from
+    byte offset, before which digest has absorbed the records, of crc32
+    crc, and after which points stands.
 
     Complete leading records are digested and kept; a partial, blank or
     unreadable final line (an interrupted write) is to be trimmed away.
@@ -359,22 +451,26 @@ def _trim_to_last_record(
     canonical (t, k, n, s, i) tuples the grid flags give; a stream that
     parts from them is a usage error naming the line, raised once the whole
     stream has been read, so that damage further on is still reported as
-    such.  Returns the byte length of the kept records, which is where the
-    file is to be cut, and leaves points at the first point after them,
-    where the sweep goes on.  The file itself is left alone, so that a
-    resume refused later leaves it untouched.
+    such.  Line numbers count from the start of the file.  Returns the byte
+    length of the kept records, which is where the file is to be cut, and
+    their crc32, and leaves points at the first point after them, where the
+    sweep goes on.  The file itself is left alone, so that a resume refused
+    later leaves it untouched.
 
     Each line goes through parse_record_line, which reads only the bytes
     record_to_line writes: a line in any other form is damage like a torn
     one, trimmed when it is the last line and an integrity error before
     that.  So every kept record is in the canonical form, and the resumed
     stream is byte for byte the fresh one."""
-    marker: tuple | None = None
-    kept = 0
+    from zlib import crc32
+
+    marker = digest.last_point
+    kept = offset
     damage: IntegrityError | None = None
     refusal: UsageError | None = None
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        fh.seek(offset)
+        for lineno, raw in enumerate(fh, start=digest.records + 1):
             if damage is not None:
                 raise damage  # a bad line with more after it is no torn tail
             try:
@@ -413,23 +509,29 @@ def _trim_to_last_record(
             digest.absorb(record)
             marker = point
             kept += len(raw)
+            crc = crc32(raw, crc)
     if refusal is not None:
         raise refusal
-    return kept
+    return kept, crc
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from zlib import crc32
+
     # the one command that runs the inequality engine, so the one that imports it
     from .inequalities import _grid_points, evaluate_points
 
     out = resolve_out(args.out, "sweep-records.jsonl")
     if args.resume and out == "-":
         raise UsageError("--resume needs --out pointing at a file")
-    points = _grid_points(args.t_min, args.t_max, args.k_span, args.n_span)
-    digest = RecordDigest()
-    kept = 0
+    flags = (args.t_min, args.t_max, args.k_span, args.n_span)
+    points = _grid_points(*flags)
+    digest, kept, crc = RecordDigest(), 0, 0
     if args.resume and os.path.exists(out):
-        kept = _trim_to_last_record(out, digest, points)
+        digest, offset, crc = _read_checkpoint(out, flags)
+        # a checkpoint's records are the grid's first points: step past them
+        next(itertools.islice(points, digest.records, digest.records), None)
+        kept, crc = _trim_to_last_record(out, digest, points, offset, crc)
     resumed = digest.records > 0
     if resumed:
         _say(f"resuming after canonical point (t,k,n,s,i) = {digest.last_point}")
@@ -441,15 +543,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     first = next(records, None)
     if resumed:
         os.truncate(out, kept)  # in place: the intact records stay as written
-    fh = sys.stdout if out == "-" else open(out, "a" if resumed else "w", encoding="utf-8")
+    elif out != "-":
+        # a new stream: no checkpoint of the old one may outlive it
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(out + ".checkpoint")
+    if out == "-":
+        sys.stdout.flush()
+        fh = sys.stdout.buffer
+    else:
+        fh = open(out, "ab" if resumed else "wb")
     try:
         if first is not None:
-            absorb, write = digest.absorb, fh.write
+            absorb, write, every = digest.absorb, fh.write, CHECKPOINT_EVERY
             for record in itertools.chain((first,), records):
                 absorb(record)
-                write(record_to_line(record) + "\n")
+                # the bytes checksummed are the bytes written
+                line = (record_to_line(record) + "\n").encode()
+                write(line)
+                crc = crc32(line, crc)
+                # only at multiples, so a stream cut after one resumes from it
+                if not digest.records % every and out != "-":
+                    fh.flush()
+                    _replace_file(
+                        out + ".checkpoint", _checkpoint_text(flags, fh.tell(), crc, digest)
+                    )
     finally:
-        if fh is not sys.stdout:
+        if out == "-":
+            fh.flush()
+        else:
             fh.close()
 
     csv_text = digest.to_csv()
@@ -489,10 +610,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # search
 
 
-def _expandable(n: int, k: int) -> bool:
-    return n <= WORD_CAP and comb(n, k) <= EXPAND_CAP
-
-
 def _side_obj(side, n: int, k: int) -> dict:
     if isinstance(side, GenSet):
         obj: dict = {
@@ -500,7 +617,7 @@ def _side_obj(side, n: int, k: int) -> dict:
             "elements": [list(elements_of(m)) for m in side.elements],
             "genset": write_genset(side),
         }
-        if _expandable(n, k):
+        if expandable(n, k):
             obj["family"] = write_family(upset_k(side))
         return obj
     return {"kind": "family", "family": write_family(side)}
@@ -774,7 +891,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, OSError) as exc:
+        # an OSError's text names the path it failed on
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:

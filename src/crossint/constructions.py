@@ -37,6 +37,12 @@ from .gensets import (
 )
 from .search import brute_force_best
 
+#: The constructions are enumerated, and their expansions checked pair by
+#: pair for cross-t-intersection, only up to C(n, k) sets: a cap below
+#: gensets.EXPAND_CAP, because the pairs of two expansions number up to
+#: C(n, k)^2.
+PAIRWISE_EXPAND_CAP = 100_000
+
 
 # ---------------------------------------------------------------------------
 # Rows, sizes and reports of the explicit construction checks
@@ -181,7 +187,7 @@ class _ReportBuilder:
         self.k = k
         self.t = t
         self.constructions: list[_ConstructionBuilder] = []
-        self.expandable = n <= WORD_CAP and comb(n, k) <= 100_000
+        self.expandable = n <= WORD_CAP and comb(n, k) <= PAIRWISE_EXPAND_CAP
         self.check_minimality = n <= 16
         # the paper's threshold, and the bound the six-point window splits need
         self.regime = _at_least("n >= (t+1)(k-t+1) =", (t + 1) * (k - t + 1))

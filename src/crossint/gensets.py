@@ -148,6 +148,13 @@ def s_plus(genset: GenSet) -> int:
     return max(m.bit_length() for m in genset.elements)
 
 
+def expandable(n: int, k: int) -> bool:
+    """Whether the whole layer C([n], k) fits in the expansion caps, so that
+    every family on it can be expanded: n within the word cap and
+    C(n, k) <= EXPAND_CAP."""
+    return n <= WORD_CAP and comb(n, k) <= EXPAND_CAP
+
+
 def upset_k(genset: GenSet) -> UniformFamily:
     """The generated family: all k-supersets of genset elements, expanded."""
     if genset.n > WORD_CAP:

@@ -52,6 +52,7 @@ from .gensets import (
     EXPAND_CAP,
     GenSet,
     downset_closure_bitmap,
+    expandable,
     genset_cross_t,
     layer_bitmaps,
     minimal_genset,
@@ -651,7 +652,7 @@ def verify_main_theorem_small(
 def _shift_stress(result: SearchResult, trials: int, seed: int) -> bool:
     """Random simultaneous shifts never change a witness pair's product."""
     n, k, t = result.n, result.k, result.t
-    if n > WORD_CAP or comb(n, k) > EXPAND_CAP or not result.witnesses:
+    if not expandable(n, k) or not result.witnesses:
         raise CapacityError("shift trials need expandable witnesses")
     pairs = []
     for side_a, side_b in result.witnesses:

@@ -9,6 +9,7 @@ fails and its message names the exact point.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from math import comb
 
 import pytest
 
+from crossint import cli
 from crossint.cli import record_to_line
 from crossint.compression import shift_family
 from crossint.constructions import verify_section4_constructions
@@ -114,6 +116,49 @@ def test_default_stream_bytes_are_pinned(default_sweep_and_stream) -> None:
     # the record stream is the reproducible artifact: a serializer that
     # drifts by one byte must fail here
     assert default_sweep_and_stream[1] == DEFAULT_STREAM_SHA256
+
+
+def _sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def test_default_stream_torn_near_its_end_resumes_from_its_checkpoint(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    # as after a crash in the last 64 records: the resume re-reads only the
+    # records after the last checkpoint, and gives the fresh stream and
+    # summaries
+    out = tmp_path / "sweep.jsonl"
+    assert cli.main(["sweep-inequalities", "--out", str(out)]) == 2
+    sidecars = {
+        suffix: (tmp_path / f"sweep.jsonl{suffix}").read_bytes()
+        for suffix in (".summary.csv", ".summary.json")
+    }
+    size = out.stat().st_size
+    with open(out, "rb") as fh:
+        fh.seek(size - 64 * 2048)
+        tail = fh.read().split(b"\n")[-65:-1]
+    rng = random.Random(19)
+    pick = rng.randrange(len(tail))
+    start = size - sum(len(line) + 1 for line in tail[pick:])
+    os.truncate(out, start + rng.randrange(1, len(tail[pick])))
+    for suffix in sidecars:
+        os.remove(tmp_path / f"sweep.jsonl{suffix}")
+    parse, parsed = cli.parse_record_line, []
+    monkeypatch.setattr(
+        cli, "parse_record_line", lambda lineno, line: parsed.append(lineno) or parse(lineno, line)
+    )
+    capsys.readouterr()
+    assert cli.main(["sweep-inequalities", "--out", str(out), "--resume"]) == 2
+    assert "(n,k,s,i,t)=(15,6,7,5,4): lemma_g" in capsys.readouterr().err
+    assert 1 < len(parsed) <= cli.CHECKPOINT_EVERY + 64 + 1
+    assert _sha256_file(out) == DEFAULT_STREAM_SHA256
+    for suffix, expected in sidecars.items():
+        assert (tmp_path / f"sweep.jsonl{suffix}").read_bytes() == expected
 
 
 def test_criterion_3_margin_lemmas_and_specialized_forms(default_sweep) -> None:

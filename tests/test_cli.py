@@ -16,6 +16,7 @@ import random
 import shutil
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,15 +257,15 @@ def _refuse_replace(src, dst):
     ids=["compress", "genset", "genset-expand"],
 )
 def test_family_tool_write_failure_keeps_the_previous_file(
-    tmp_path, monkeypatch, argv, text
+    tmp_path, monkeypatch, capsys, argv, text
 ) -> None:
     src, out = tmp_path / "in.txt", tmp_path / "out.txt"
     src.write_text(text)
     out.write_text("previous\n")
     monkeypatch.setattr(os, "replace", _refuse_replace)
     full = argv + ["--in", str(src), "--out", str(out)]
-    with pytest.raises(OSError, match="no replace"):
-        main(full)
+    assert main(full) == 1
+    assert capsys.readouterr().err == f"error: no replace of {out}\n"
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "out.txt"]
     monkeypatch.undo()
@@ -372,17 +373,13 @@ def test_verify_main_small_refuses_negative_shift_trials(capsys, tmp_path) -> No
     assert not out.exists()
 
 
-def test_out_write_failure_keeps_the_previous_file(tmp_path, monkeypatch) -> None:
+def test_out_write_failure_keeps_the_previous_file(tmp_path, monkeypatch, capsys) -> None:
     out = tmp_path / "frankl.csv"
     out.write_text("previous\n")
-
-    def refuse(src, dst):
-        raise OSError(f"no replace of {dst}")
-
-    monkeypatch.setattr(os, "replace", refuse)
+    monkeypatch.setattr(os, "replace", _refuse_replace)
     argv = ["frankl", "--n", "8", "--k", "4", "--t", "3", "--out", str(out)]
-    with pytest.raises(OSError, match="no replace"):
-        main(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: no replace of {out}\n"
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["frankl.csv"]
     monkeypatch.undo()
@@ -473,19 +470,18 @@ def test_sweep_digests_each_record_once(tmp_path, monkeypatch) -> None:
     assert calls == {"digest": 16, "summary": 0}
 
 
-def test_sidecar_write_failure_keeps_the_previous_sidecar(tmp_path, monkeypatch) -> None:
+def test_sidecar_write_failure_keeps_the_previous_sidecar(
+    tmp_path, monkeypatch, capsys
+) -> None:
     out = tmp_path / "s.jsonl"
     assert _sweep_to(out) == 0
     before = _snapshot(tmp_path)
     (tmp_path / "s.jsonl.summary.csv").write_text("previous\n")
     (tmp_path / "s.jsonl.summary.json").write_text("previous\n")
-
-    def refuse(src, dst):
-        raise OSError(f"no replace of {dst}")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="no replace"):
-        _sweep_to(out)
+    monkeypatch.setattr(os, "replace", _refuse_replace)
+    capsys.readouterr()
+    assert _sweep_to(out) == 1
+    assert capsys.readouterr().err == f"error: no replace of {out}.summary.csv\n"
     assert (tmp_path / "s.jsonl.summary.csv").read_text() == "previous\n"
     assert (tmp_path / "s.jsonl.summary.json").read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
@@ -748,6 +744,231 @@ def test_resume_extends_a_stream_whose_grid_is_a_prefix(tmp_path) -> None:
     assert _grid_sweep(grown, "--n-span", "2", "--t-max", "4", "--resume") == 2
     assert _grid_sweep(fresh, "--n-span", "2", "--t-max", "4") == 2
     assert grown.read_bytes() == fresh.read_bytes()
+
+
+#: 12 points, the 7th the documented lemma_g equality at (15,6,7,5,4): with
+#: checkpoints every 5 records, the last one, at 10, holds a violation.
+CHECKPOINT_SWEEP = [
+    "sweep-inequalities", "--t-max", "4", "--k-span", "2", "--n-span", "2",
+]
+
+
+def _resume_in(run_dir: Path, stream: bytes, checkpoint: bytes | None, capsys) -> tuple:
+    """Exit code, standard error and files of a CHECKPOINT_SWEEP resume of
+    stream in a new run_dir, beside checkpoint (none when None); the
+    checkpoint is left out of the files and run_dir out of standard error."""
+    run_dir.mkdir()
+    out = run_dir / "s.jsonl"
+    out.write_bytes(stream)
+    if checkpoint is not None:
+        (run_dir / "s.jsonl.checkpoint").write_bytes(checkpoint)
+    capsys.readouterr()
+    rc = main(CHECKPOINT_SWEEP + ["--out", str(out), "--resume"])
+    err = capsys.readouterr().err.replace(str(run_dir), "DIR")
+    files = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.suffix != ".checkpoint"}
+    return rc, err, files
+
+
+def _count_parsed_lines(monkeypatch) -> list[int]:
+    """The line numbers parse_record_line is called with, from now on."""
+    parse, lines = cli.parse_record_line, []
+
+    def counted(lineno: int, line: str):
+        lines.append(lineno)
+        return parse(lineno, line)
+
+    monkeypatch.setattr(cli, "parse_record_line", counted)
+    return lines
+
+
+def _checkpointed_sweep(tmp_path, *flags: str) -> tuple[bytes, bytes]:
+    """The stream and checkpoint of a fresh CHECKPOINT_SWEEP, flags added."""
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "fresh.jsonl"
+    main(CHECKPOINT_SWEEP + list(flags) + ["--out", str(out)])
+    return out.read_bytes(), (tmp_path / "fresh.jsonl.checkpoint").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "tear, parsed",
+    [
+        # the checkpoint's last record, then, as the checkpoint lies past the
+        # end, the whole stream
+        ("before", [10, *range(1, 11)]),
+        # its last record, then nothing, or the two lines after it
+        ("at", [10]),
+        ("after", [10, 11, 12]),
+    ],
+)
+def test_resume_through_a_checkpoint_equals_a_full_read(
+    tmp_path, capsys, monkeypatch, tear, parsed
+) -> None:
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    stream, checkpoint = _checkpointed_sweep(tmp_path)
+    lines = stream.splitlines(keepends=True)
+    assert len(lines) == 12
+    at = len(b"".join(lines[:10]))
+    # only at multiples of 5, so not at the end
+    assert checkpoint.split(b"\n")[2] == b"stream 10 %d %d" % (at, zlib.crc32(stream[:at]))
+    cut = {"before": at - 7, "at": at, "after": len(stream) - 7}[tear]
+    calls = _count_parsed_lines(monkeypatch)
+    through = _resume_in(tmp_path / "through", stream[:cut], checkpoint, capsys)
+    assert calls == parsed
+    full = _resume_in(tmp_path / "full", stream[:cut], None, capsys)
+    assert through == full
+    if tear == "before":
+        # both resumes write record 10 again, and its checkpoint with it
+        for run in ("through", "full"):
+            assert (tmp_path / run / "s.jsonl.checkpoint").read_bytes() == checkpoint
+    rc, err, files = full
+    assert rc == 2 and "(n,k,s,i,t)=(15,6,7,5,4): lemma_g" in err
+    assert files["s.jsonl"] == stream
+    for sidecar in (".summary.csv", ".summary.json"):
+        assert files["s.jsonl" + sidecar] == (tmp_path / ("fresh.jsonl" + sidecar)).read_bytes()
+
+
+def test_a_checkpoint_restores_the_digest_of_its_records(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    stream, checkpoint = _checkpointed_sweep(tmp_path)
+    absorbed = RecordDigest()
+    for lineno, line in enumerate(stream.decode().splitlines()[:10], start=1):
+        absorbed.absorb(parse_record_line(lineno, line))
+    restored, offset, crc = cli._read_checkpoint(str(tmp_path / "fresh.jsonl"), (3, 4, 2, 2))
+    assert restored.records == 10
+    assert offset == len(b"".join(stream.splitlines(keepends=True)[:10]))
+    assert crc == zlib.crc32(stream[:offset])
+    assert restored.violations == absorbed.violations == [(15, 6, 7, 5, 4, "lemma_g")]
+    assert restored.to_csv() == absorbed.to_csv()
+    assert restored.to_json_obj() == absorbed.to_json_obj()
+    assert list(restored._by_checks.items()) == list(absorbed._by_checks.items())
+    assert restored._last == absorbed._last
+    assert cli._checkpoint_text((3, 4, 2, 2), offset, crc, restored).encode() == checkpoint
+
+
+def _flip(data: bytes, old: bytes, new: bytes) -> bytes:
+    assert old in data
+    return data.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "version",
+        "grid flags",
+        "offset past the end",
+        "flipped byte in the prefix",
+        "another run's stream",
+        "empty",
+        "not UTF-8",
+        "no final newline",
+        "carriage returns",
+        "extra line",
+        "signed number",
+        "unknown status",
+        "three slack minima",
+        "counts that do not add up",
+        "unreadable last record",
+    ],
+)
+def test_an_unusable_checkpoint_falls_back_to_a_full_read(
+    tmp_path, capsys, monkeypatch, case
+) -> None:
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    stream, checkpoint = _checkpointed_sweep(tmp_path)
+    lines = stream.splitlines(keepends=True)
+    torn = b"".join(lines[:11]) + lines[11][:30]
+    if case == "version":
+        monkeypatch.setattr(cli, "__version__", "0.1.1")
+    elif case == "grid flags":
+        # the checkpoint of the 6-point t = 3 grid, whose stream is a prefix
+        stream, checkpoint = _checkpointed_sweep(tmp_path / "t3", "--t-max", "3")
+        torn = stream + lines[6][:30]
+    elif case == "offset past the end":
+        torn = b"".join(lines[:8])
+    elif case == "flipped byte in the prefix":
+        torn = _flip(torn, b'"T_den"', b'"T_deN"')
+    elif case == "another run's stream":
+        # the same flags, but the stream of a grid grown in n: it parts from
+        # the checkpointed bytes at line 7
+        torn, _ = _checkpointed_sweep(tmp_path / "grown", "--n-span", "5")
+    else:
+        ratio, slack = checkpoint.split(b"\n")[3:5]
+        checkpoint = {
+            "empty": b"",
+            "not UTF-8": b"\xff" + checkpoint,
+            "no final newline": checkpoint[:-1],
+            "carriage returns": checkpoint.replace(b"\n", b"\r\n"),
+            "extra line": checkpoint.replace(ratio, ratio + b"\n" + ratio),
+            "signed number": _flip(checkpoint, b"stream 10 ", b"stream +10 "),
+            "unknown status": _flip(checkpoint, b'"thm32":"holds"', b'"thm32":"holdz"'),
+            "three slack minima": _flip(checkpoint, slack, slack.rsplit(b" ", 1)[0]),
+            "counts that do not add up": _flip(checkpoint, b"stream 10 ", b"stream 11 "),
+            "unreadable last record": _flip(checkpoint, b'last {"T_den":"', b'last {"T_den":'),
+        }[case]
+    calls = _count_parsed_lines(monkeypatch)
+    through = _resume_in(tmp_path / "through", torn, checkpoint, capsys)
+    with_checkpoint = list(calls)
+    calls.clear()
+    full = _resume_in(tmp_path / "full", torn, None, capsys)
+    assert through == full
+    # every line of the stream was read; the checkpoint's last record may
+    # have been read before its refusal
+    assert with_checkpoint[-len(calls):] == calls and calls[0] == 1
+
+
+def test_a_fresh_sweep_replaces_a_stale_checkpoint(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    _, expected = _checkpointed_sweep(tmp_path / "clean")
+    stale = tmp_path / "fresh.jsonl.checkpoint"
+    stale.write_bytes(_checkpointed_sweep(tmp_path / "t3", "--t-max", "3")[1])
+    assert stale.read_bytes() != expected
+    _checkpointed_sweep(tmp_path)
+    assert stale.read_bytes() == expected
+    # a new stream too short for a checkpoint leaves none of the old one
+    # behind, whether fresh or resumed from no kept record
+    out = tmp_path / "fresh.jsonl"
+    argv = ["sweep-inequalities", "--t-min", "4", "--t-max", "4", "--k-span", "2",
+            "--n-span", "0", "--out", str(out)]
+    for resume in ([], ["--resume"]):
+        stale.write_bytes(expected)
+        out.write_bytes(out.read_bytes()[:30])
+        assert main(argv + resume) == 2
+        assert len(out.read_bytes().splitlines()) == 2
+        assert not stale.exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["missing input", "missing directory", "directory stream", "checkpoint write"]
+)
+def test_an_os_error_is_one_error_line(tmp_path, capsys, monkeypatch, case) -> None:
+    # each of these used to end in a traceback; the exit code stays 1
+    if case == "missing input":
+        path = tmp_path / "missing.txt"
+        argv = ["compress", "--in", str(path)]
+    elif case == "missing directory":
+        path = tmp_path / "no" / "such" / "f.csv"
+        argv = ["frankl", "--n", "8", "--k", "4", "--t", "3", "--out", str(path)]
+    elif case == "directory stream":
+        path = tmp_path / "dir"
+        path.mkdir()
+        argv = SMALL_SWEEP + ["--out", str(path), "--resume"]
+    else:
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+        path = tmp_path / "s.jsonl.checkpoint"
+        path.mkdir()
+        argv = SMALL_SWEEP + ["--out", str(tmp_path / "s.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_sweep_to_stdout_writes_the_stream(tmp_path, capsysbinary) -> None:
+    assert main(SMALL_SWEEP + ["--out", "-"]) == 0
+    written = capsysbinary.readouterr().out
+    assert _sweep_to(tmp_path / "s.jsonl") == 0
+    assert written == (tmp_path / "s.jsonl").read_bytes()
+    assert not (tmp_path / "s.jsonl.checkpoint").exists()
 
 
 def test_resume_to_stdout_is_usage_error(capsys) -> None:
