@@ -33,9 +33,9 @@ import functools
 import itertools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator
 
 from . import __version__
@@ -210,33 +210,6 @@ class RecordDigest:
         }
 
 
-def parse_record_line(lineno: int, line: str) -> VerificationRecord:
-    """The record on a line in exactly the bytes record_to_line writes: one
-    match of _CANONICAL_LINE, its groups unpacked once in the pattern's
-    order and turned into ints, with the Checks looked up once per distinct
-    text.  Any other line, even one a JSON reader would take for the same
-    record, is an IntegrityError naming the line."""
-    match = _CANONICAL_LINE.fullmatch(line)
-    if match is not None:
-        (
-            T_den, T_num, checks, i, k, n, s, t,
-            S1, S2, T1, T2, equa3,
-            lemma_f_slack, lemma_g_slack, lemma_h_slack, lemma_phi_slack,
-        ) = match.groups()
-        checks = _canonical_checks(checks)
-        if checks is not None:
-            return VerificationRecord(
-                int(n), int(k), int(s), int(i), int(t), int(T_num), int(T_den),
-                checks,
-                Values(
-                    int(S1), int(S2), int(T1), int(T2),
-                    int(lemma_f_slack), int(lemma_g_slack),
-                    int(lemma_h_slack), int(lemma_phi_slack), int(equa3),
-                ),
-            )
-    raise IntegrityError(f"line {lineno}: not a record line as sweep-inequalities writes it")
-
-
 #: record_to_line's checks and values objects, their keys in sorted order,
 #: as templates over the fields of Checks and Values.
 _CHECKS_TEMPLATE, _VALUES_TEMPLATE = (
@@ -266,41 +239,59 @@ def record_to_line(record: VerificationRecord) -> str:
     )
 
 
-#: The integers str() writes, and the positive ones.
-_INT = "0|-?[1-9][0-9]*"
-_POSITIVE = "[1-9][0-9]*"
+#: JSON's punctuation, each mapped to a space: what is left of a line
+#: record_to_line writes is its keys and field texts, one word each.
+_PUNCTUATION = str.maketrans('{}":,', "     ")
 
-#: record_to_line's bytes for a record of canonical check and value names:
-#: the keys in sorted order, the grid coordinates as positive JSON integers,
-#: T_num and T_den as the decimal strings str() writes (T_den positive), the
-#: checks object captured whole (up to its first "}") and each value as the
-#: decimal string str() writes, in sorted name order.  Each group is named
-#: by its key.
-_CANONICAL_LINE = re.compile(
-    rf'\{{"T_den":"(?P<T_den>{_POSITIVE})","T_num":"(?P<T_num>{_INT})",'
-    r'"checks":(?P<checks>\{[^}]*\}),'
-    + ",".join(f'"{name}":(?P<{name}>{_POSITIVE})' for name in "iknst")
-    + r',"values":\{'
-    + ",".join(f'"{name}":"(?P<{name}>{_INT})"' for name in sorted(VALUE_NAMES))
-    + r"\}\}"
+#: A record whose every field is its own name in angle brackets, so that
+#: where record_to_line writes it, each name stands where its field goes.
+_NAMED = VerificationRecord(
+    *(f"<{name}>" for name in VerificationRecord._fields[:7]),
+    Checks._make(f"<{name}>" for name in CHECK_ORDER),
+    Values._make(f"<{name}>" for name in VALUE_NAMES),
 )
 
-#: The checks object record_to_line writes: every check name, in sorted
-#: order, each with one of the statuses, in a group named by the check.
-_CANONICAL_CHECKS = re.compile(
-    r"\{"
-    + ",".join(f'"{name}":"(?P<{name}>{"|".join(STATUSES)})"' for name in sorted(CHECK_ORDER))
-    + r"\}"
+
+#: Where the words of a record line hold its ints (n, k, s, i, t, T_num,
+#: T_den, then the values in Values order) and its statuses (in
+#: CHECK_ORDER), and where a checks object's words hold its statuses.
+_LINE_INTS, _LINE_STATUSES, _CHECKS_STATUSES = (
+    itemgetter(*map(text.translate(_PUNCTUATION).split().index, fields))
+    for text, fields in (
+        (record_to_line(_NAMED), _NAMED[:7] + _NAMED.values),
+        (record_to_line(_NAMED), _NAMED.checks),
+        (_checks_json(_NAMED.checks), _NAMED.checks),
+    )
 )
 
 
 @functools.lru_cache(maxsize=1024)
-def _canonical_checks(text: str) -> Checks | None:
-    """The Checks of a canonical line's checks object, or None when text is
-    not one.  Cached, since a stream's records share a handful of them; the
-    tuple is immutable, so every record of one text shares one Checks."""
-    match = _CANONICAL_CHECKS.fullmatch(text)
-    return None if match is None else Checks._make(match.group(*CHECK_ORDER))
+def _checks_of(statuses: tuple[str, ...]) -> Checks | None:
+    """The Checks of statuses, or None when one is not in STATUSES.  Cached,
+    since a stream's records share a handful of them; the tuple is
+    immutable, so every record of one checks text shares one Checks."""
+    return Checks._make(statuses) if all(status in STATUSES for status in statuses) else None
+
+
+def parse_record_line(lineno: int, line: str) -> VerificationRecord:
+    """The record on a line in exactly the bytes record_to_line writes: each
+    field read from the word where record_to_line puts it, and the record
+    returned only if record_to_line writes it back as line, byte for byte.
+    What writing back cannot see is checked here: every status is one of
+    STATUSES, T_den > 0, and n, k, s, i and t are positive.  Any other line,
+    even one a JSON reader would take for the same record, is an
+    IntegrityError naming the line."""
+    words = line.translate(_PUNCTUATION).split()
+    try:
+        n, k, s, i, t, t_num, t_den, *values = map(int, _LINE_INTS(words))
+        checks = _checks_of(_LINE_STATUSES(words))
+    except (IndexError, ValueError):
+        checks = None
+    if checks is not None and t_den > 0 and min(n, k, s, i, t) > 0:
+        record = VerificationRecord(n, k, s, i, t, t_num, t_den, checks, Values._make(values))
+        if record_to_line(record) == line:
+            return record
+    raise IntegrityError(f"line {lineno}: not a record line as sweep-inequalities writes it")
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +378,10 @@ def _read_checkpoint(
     version and these grid flags, and the stream still begins with the
     offset bytes it checksummed; otherwise an empty digest at offset 0, so
     that the whole stream is read, as when there is no checkpoint.  The
-    last record goes back through parse_record_line and each Checks entry
-    through RecordDigest._entry, as absorbing builds it."""
+    last record goes back through parse_record_line, and each Checks entry,
+    read where _checks_json writes its statuses, through RecordDigest._entry,
+    as absorbing builds it; no piece is checked for its form, since the text
+    is kept only when the digest read from it writes it back whole."""
     from zlib import crc32
 
     try:
@@ -405,8 +398,8 @@ def _read_checkpoint(
         for entry in entries:
             key, *fields = entry.split(" ")
             if key == "checks":
-                count, checks = fields
-                checks = _canonical_checks(checks)
+                count, written = fields
+                checks = _checks_of(_CHECKS_STATUSES(written.translate(_PUNCTUATION).split()))
                 if checks is None:
                     raise ValueError("not a checks object")
                 digest._entry(checks)[0] = int(count)
@@ -427,7 +420,7 @@ def _read_checkpoint(
                 left, prefix_crc = left - len(block), crc32(block, prefix_crc)
         if left or prefix_crc != crc:
             raise ValueError("the stream no longer begins with the checkpointed bytes")
-    except (OSError, ValueError, IntegrityError):
+    except (OSError, ValueError, IndexError, IntegrityError):
         return RecordDigest(), 0, 0
     return digest, offset, crc
 
@@ -435,84 +428,89 @@ def _read_checkpoint(
 def _trim_to_last_record(
     path: str,
     digest: RecordDigest,
-    points: Iterator[tuple[int, int, int, int, int]],
+    records: Iterator[VerificationRecord],
     offset: int,
     crc: int,
-) -> tuple[int, int]:
-    """Check an existing record stream against the grid, in one pass from
-    byte offset, before which digest has absorbed the records, of crc32
-    crc, and after which points stands.
+) -> tuple[int, int, VerificationRecord | None]:
+    """Check an existing record stream against a fresh sweep, in one pass
+    from byte offset, before which digest has absorbed the records, of
+    crc32 crc, and after which records yields each grid point's record.
 
-    Complete leading records are digested and kept; a partial, blank or
-    unreadable final line (an interrupted write) is to be trimmed away.
-    Damage anywhere else, or a record that does not come after the one
-    before it, is an integrity error: silently resuming over it would
-    corrupt the stream.  Each kept record must equal the next of points, the
-    canonical (t, k, n, s, i) tuples the grid flags give; a stream that
-    parts from them is a usage error naming the line, raised once the whole
-    stream has been read, so that damage further on is still reported as
-    such.  Line numbers count from the start of the file.  Returns the byte
-    length of the kept records, which is where the file is to be cut, and
-    their crc32, and leaves points at the first point after them, where the
-    sweep goes on.  The file itself is left alone, so that a resume refused
-    later leaves it untouched.
+    While the stream follows the grid, a line that is the bytes
+    record_to_line writes for the grid's next record is kept, and that
+    fresh record digested, unparsed.  Any other line goes through
+    parse_record_line.  A partial, blank or unreadable final line, or one
+    whose record differs from the fresh one at its point (an interrupted
+    write, an edit), is to be trimmed away.  Such damage anywhere else, or a
+    record that does not come after the one before it, is an integrity
+    error.  A record at another point than the grid's is a usage error
+    naming the line, raised once the whole stream has been read, so that
+    damage further on is still reported as such.  Line numbers count from
+    the start of the file.  So every kept line is the one a fresh sweep
+    writes there.
 
-    Each line goes through parse_record_line, which reads only the bytes
-    record_to_line writes: a line in any other form is damage like a torn
-    one, trimmed when it is the last line and an integrity error before
-    that.  So every kept record is in the canonical form, and the resumed
-    stream is byte for byte the fresh one."""
+    Returns the byte length of the kept records, where the file is to be
+    cut, their crc32, and the fresh record of the first point not kept, if
+    it was computed; records yields the points after it.  The file itself
+    is left alone, so that a resume refused later leaves it untouched."""
     from zlib import crc32
 
-    marker = digest.last_point
     kept = offset
     damage: IntegrityError | None = None
     refusal: UsageError | None = None
+    fresh = expected = None  # the grid's next record and its line, once computed
     with open(path, "rb") as fh:
         fh.seek(offset)
         for lineno, raw in enumerate(fh, start=digest.records + 1):
             if damage is not None:
                 raise damage  # a bad line with more after it is no torn tail
-            try:
-                line = raw.decode("utf-8").removesuffix("\n")
-            except UnicodeDecodeError as exc:
-                damage = IntegrityError(f"line {lineno}: not valid UTF-8: {exc.reason}")
-                continue
-            if not line:
-                damage = IntegrityError(f"line {lineno}: blank line inside record stream")
-                continue
-            try:
-                record = parse_record_line(lineno, line)
-            except IntegrityError as exc:
-                damage = exc
-                continue
-            if not raw.endswith(b"\n"):
-                break  # complete-looking JSON but unterminated: treat as partial
-            point = record.point
-            if marker is not None and point <= marker:
-                raise IntegrityError(
-                    f"line {lineno}: record out of canonical order; stream corrupt"
-                )
-            if refusal is None:
-                expected = next(points, None)
-                if point != expected:
+            if refusal is None and fresh is None:
+                fresh = next(records, None)
+                expected = None if fresh is None else (record_to_line(fresh) + "\n").encode()
+            if refusal is None and raw == expected:
+                record, fresh = fresh, None
+            else:
+                try:
+                    line = raw.decode("utf-8").removesuffix("\n")
+                    if not line:
+                        raise IntegrityError(f"line {lineno}: blank line inside record stream")
+                    record = parse_record_line(lineno, line)
+                except UnicodeDecodeError as exc:
+                    damage = IntegrityError(f"line {lineno}: not valid UTF-8: {exc.reason}")
+                    continue
+                except IntegrityError as exc:
+                    damage = exc
+                    continue
+                if not raw.endswith(b"\n"):
+                    break  # complete-looking JSON but unterminated: treat as partial
+                last = digest.last_point
+                if last is not None and record.point <= last:
+                    raise IntegrityError(
+                        f"line {lineno}: record out of canonical order; stream corrupt"
+                    )
+                if refusal is None and fresh is not None and record.point == fresh.point:
+                    damage = IntegrityError(
+                        f"line {lineno}: the record at (t,k,n,s,i) = {record.point} is "
+                        "not the one sweep-inequalities computes there"
+                    )
+                    continue
+                if refusal is None:
                     grid = (
                         f"the grid has only {lineno - 1} points"
-                        if expected is None
-                        else f"the grid's point {lineno} is {expected}"
+                        if fresh is None
+                        else f"the grid's point {lineno} is {fresh.point}"
                     )
                     refusal = UsageError(
                         f"--resume refused, {path} left unchanged: line {lineno} "
-                        f"holds {point}, but {grid}; were the grid flags changed "
-                        "since the stream was written?"
+                        f"holds {record.point}, but {grid}; were the grid flags "
+                        "changed since the stream was written?"
                     )
             digest.absorb(record)
-            marker = point
             kept += len(raw)
             crc = crc32(raw, crc)
     if refusal is not None:
         raise refusal
-    return kept, crc
+    return kept, crc, fresh
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -526,21 +524,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--resume needs --out pointing at a file")
     flags = (args.t_min, args.t_max, args.k_span, args.n_span)
     points = _grid_points(*flags)
-    digest, kept, crc = RecordDigest(), 0, 0
+    # one walk of the grid: a resume checks the stream against it, the sweep goes on
+    records = evaluate_points(points)
+    digest, kept, crc, first = RecordDigest(), 0, 0, None
     if args.resume and os.path.exists(out):
         digest, offset, crc = _read_checkpoint(out, flags)
         # a checkpoint's records are the grid's first points: step past them
         next(itertools.islice(points, digest.records, digest.records), None)
-        kept, crc = _trim_to_last_record(out, digest, points, offset, crc)
+        kept, crc, first = _trim_to_last_record(out, digest, records, offset, crc)
     resumed = digest.records > 0
     if resumed:
         _say(f"resuming after canonical point (t,k,n,s,i) = {digest.last_point}")
 
-    # points stands after the kept records, so the walk goes on from there
-    records = evaluate_points(points)
     # the first record is pulled before --out is opened, so that grid flags
     # the grid walk refuses leave an existing stream untouched
-    first = next(records, None)
+    if first is None:
+        first = next(records, None)
     if resumed:
         os.truncate(out, kept)  # in place: the intact records stay as written
     elif out != "-":

@@ -28,11 +28,12 @@ in reported ratios.  Nothing here is floating point.
 Each point can be checked along two routes.  The per-point API (eval_core,
 check_key_inequality, check_ratio_identity, the lemma_* functions,
 chain_checks, appendix_case) takes a validated SectionParams and returns one
-result object per check.  evaluate_point, which sweep() calls once per grid
-point, is a single flat pass over the five integers: an inline domain test,
-then every quantity, both of its algebraic forms and every status, written
-straight into the VerificationRecord.  It calls nothing of the per-point API;
-the tests hold the two routes to the same values.
+result object per check.  evaluate_point, which evaluate_points calls once
+per grid point for the sweep-inequalities command and for sweep(), is a
+single flat pass over the five integers: an inline domain test, then every
+quantity, both of its algebraic forms and every status, written straight
+into the VerificationRecord.  It calls nothing of the per-point API; the
+tests hold the two routes to the same values.
 
 The record schema (Checks, Values, VerificationRecord) lives in records, so
 that only the sweep command imports this engine.
@@ -594,8 +595,8 @@ def evaluate_points(
     points: Iterable[tuple[int, int, int, int, int]]
 ) -> Iterator[VerificationRecord]:
     """The record of each canonical (t, k, n, s, i) point, in order.  A
-    resumed sweep passes the grid's iterator after the records it has
-    checked and kept, so the walk goes on from there and the kept points
-    are neither walked again nor evaluated."""
+    resumed sweep passes the grid's iterator after the checkpoint's records
+    and compares the records after them with the stream's lines, so each
+    point is walked once and evaluated at most once."""
     for t, k, n, s, i in points:
         yield evaluate_point(n, k, s, i, t)

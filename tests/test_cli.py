@@ -13,12 +13,14 @@ import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import zlib
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -34,7 +36,7 @@ from crossint.errors import IntegrityError
 from crossint.families import read_family
 from crossint.gensets import read_genset, upset_k
 from crossint.inequalities import SweepSummary, evaluate_point, iter_grid, sweep
-from crossint.records import CHECK_ORDER, Checks, Values, VerificationRecord
+from crossint.records import CHECK_ORDER, STATUSES, VALUE_NAMES, Checks, Values, VerificationRecord
 
 
 SMALL_SWEEP = [
@@ -510,9 +512,9 @@ def test_resume_over_a_partial_tail_is_byte_identical(tmp_path) -> None:
 
 
 def test_resume_walks_the_grid_once(tmp_path, monkeypatch) -> None:
-    # the reader checks the kept records against the grid walk, and the sweep
-    # goes on from where that walk stands: kept plus evaluated points are the
-    # grid, each stepped once
+    # the reader checks the kept records against a fresh sweep of the grid,
+    # and the sweep goes on from where that walk stands: the grid is stepped
+    # once, and each point evaluated once
     out = tmp_path / "walk.jsonl"
     assert _sweep_to(out) == 0
     lines = out.read_bytes().splitlines(keepends=True)
@@ -538,7 +540,10 @@ def test_resume_walks_the_grid_once(tmp_path, monkeypatch) -> None:
     finally:
         sys.setprofile(previous)
     assert steps == list(walk(3, 3, 2, 3))
-    assert len(steps) == 5 + len(evaluated) == len(lines) == 8
+    # the kept records are evaluated too, to compare with their lines: each
+    # point once, the torn sixth's record written as computed there
+    assert evaluated == [(n, k, s, i, t) for t, k, n, s, i in steps]
+    assert len(steps) == len(lines) == 8
 
 
 def test_resume_on_complete_stream_is_byte_identical(tmp_path) -> None:
@@ -632,20 +637,22 @@ def test_resume_rejects_midstream_damage(tmp_path, capsys) -> None:
         assert _snapshot(tmp_path) == before
 
 
-@pytest.mark.parametrize(
-    "good, bad",
-    [
-        pytest.param(b'"thm32":"holds"', b'"thm32":"holdz"', id="unknown status"),
-        pytest.param(b'"lemma_h":"holds"', b'"lemma_hh":"holds"', id="unknown check name"),
-        pytest.param(b'"lemma_h_slack":"', b'"lemma_hh_slack":"', id="missing slack"),
-        pytest.param(b'"lemma_h_slack":"', b'"lemma_h_slack":"x', id="unreadable slack"),
-        pytest.param(b'"S1":"', b'"S9":"', id="unknown value name"),
-        pytest.param(b'"lemma_h_slack":"', b'"lemma_h_slack":"1_', id="underscored slack"),
-        pytest.param(b'"lemma_f_slack":"', b'"lemma_f_slak":"', id="excluded slack renamed"),
-        # a duplicate key: json.loads keeps the last "S1", and no lemma_h_slack
-        pytest.param(b',"lemma_h_slack":"', b',"S1":"', id="dropped slack"),
-    ],
-)
+#: (bytes in line 4 of the SMALL_SWEEP stream, their replacement): a status
+#: or slack damaged
+_DAMAGED_STATUSES = [
+    pytest.param(b'"thm32":"holds"', b'"thm32":"holdz"', id="unknown status"),
+    pytest.param(b'"lemma_h":"holds"', b'"lemma_hh":"holds"', id="unknown check name"),
+    pytest.param(b'"lemma_h_slack":"', b'"lemma_hh_slack":"', id="missing slack"),
+    pytest.param(b'"lemma_h_slack":"', b'"lemma_h_slack":"x', id="unreadable slack"),
+    pytest.param(b'"S1":"', b'"S9":"', id="unknown value name"),
+    pytest.param(b'"lemma_h_slack":"', b'"lemma_h_slack":"1_', id="underscored slack"),
+    pytest.param(b'"lemma_f_slack":"', b'"lemma_f_slak":"', id="excluded slack renamed"),
+    # a duplicate key: json.loads keeps the last "S1", and no lemma_h_slack
+    pytest.param(b',"lemma_h_slack":"', b',"S1":"', id="dropped slack"),
+]
+
+
+@pytest.mark.parametrize("good, bad", _DAMAGED_STATUSES)
 def test_resume_rejects_damaged_statuses_and_slacks(tmp_path, capsys, good, bad) -> None:
     # with a torn tail to cut, each of these but the dropped slack used to
     # resume: exit 0 and "no violations" (the unreadable slack: a ValueError
@@ -661,6 +668,44 @@ def test_resume_rejects_damaged_statuses_and_slacks(tmp_path, capsys, good, bad)
     assert _sweep_to(out, resume=True) == 2
     assert "integrity: line 4: " in capsys.readouterr().err
     assert _snapshot(tmp_path) == before
+
+
+def test_resume_refuses_an_edited_status_before_the_last(tmp_path, capsys) -> None:
+    # two records, the first the documented lemma_g equality at
+    # (15,6,7,5,4): with its "violated" edited to "holds" and the second
+    # torn, a resume used to keep the edit, exit 0 with "no violations" and
+    # report lemma_g: holds=2 min=0
+    out = tmp_path / "edited.jsonl"
+    argv = ["sweep-inequalities", "--t-min", "4", "--t-max", "4", "--k-span", "2",
+            "--n-span", "0", "--out", str(out)]
+    assert main(argv) == 2
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2
+    edited = lines[0].replace(b'"lemma_g":"violated"', b'"lemma_g":"holds"')
+    assert edited != lines[0]
+    out.write_bytes(edited + lines[1][:30])
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "integrity: line 1: the record at (t,k,n,s,i) = (4, 6, 15, 7, 5) is not "
+        "the one sweep-inequalities computes there\n"
+    )
+    assert _snapshot(tmp_path) == before
+
+
+def test_resume_recomputes_an_edited_last_record(tmp_path) -> None:
+    # an edited value on the last line is damage there too, so it is cut off
+    # and written as a fresh sweep writes it
+    out = tmp_path / "edited.jsonl"
+    assert _sweep_to(out) == 0
+    fresh = _snapshot(tmp_path)
+    lines = out.read_bytes().splitlines(keepends=True)
+    slack = lines[-1].index(b'"lemma_h_slack":"') + len(b'"lemma_h_slack":"')
+    out.write_bytes(b"".join(lines[:-1]) + lines[-1][:slack] + b"9" + lines[-1][slack:])
+    assert _sweep_to(out, resume=True) == 0
+    assert _snapshot(tmp_path) == fresh
 
 
 def _grid_sweep(path, *flags: str) -> int:
@@ -781,6 +826,18 @@ def _count_parsed_lines(monkeypatch) -> list[int]:
     return lines
 
 
+def _count_evaluated_points(monkeypatch) -> list[tuple[int, int, int, int, int]]:
+    """The (t, k, n, s, i) points evaluate_point is called at, from now on."""
+    evaluate, points = inequalities.evaluate_point, []
+
+    def counted(n: int, k: int, s: int, i: int, t: int):
+        points.append((t, k, n, s, i))
+        return evaluate(n, k, s, i, t)
+
+    monkeypatch.setattr(inequalities, "evaluate_point", counted)
+    return points
+
+
 def _checkpointed_sweep(tmp_path, *flags: str) -> tuple[bytes, bytes]:
     """The stream and checkpoint of a fresh CHECKPOINT_SWEEP, flags added."""
     tmp_path.mkdir(exist_ok=True)
@@ -793,11 +850,12 @@ def _checkpointed_sweep(tmp_path, *flags: str) -> tuple[bytes, bytes]:
     "tear, parsed",
     [
         # the checkpoint's last record, then, as the checkpoint lies past the
-        # end, the whole stream
-        ("before", [10, *range(1, 11)]),
-        # its last record, then nothing, or the two lines after it
+        # end, the whole stream; a line a fresh sweep writes there is not
+        # parsed, so only the torn one is
+        ("before", [10, 10]),
+        # its last record, then nothing, or the torn line after line 11
         ("at", [10]),
-        ("after", [10, 11, 12]),
+        ("after", [10, 12]),
     ],
 )
 def test_resume_through_a_checkpoint_equals_a_full_read(
@@ -812,8 +870,14 @@ def test_resume_through_a_checkpoint_equals_a_full_read(
     assert checkpoint.split(b"\n")[2] == b"stream 10 %d %d" % (at, zlib.crc32(stream[:at]))
     cut = {"before": at - 7, "at": at, "after": len(stream) - 7}[tear]
     calls = _count_parsed_lines(monkeypatch)
+    evaluated = _count_evaluated_points(monkeypatch)
     through = _resume_in(tmp_path / "through", stream[:cut], checkpoint, capsys)
     assert calls == parsed
+    # each point after the checkpoint's records is evaluated once, to
+    # compare with its line or to be written; with the checkpoint past the
+    # end, every point is
+    grid = list(inequalities._grid_points(3, 4, 2, 2))
+    assert evaluated == grid[0 if tear == "before" else 10:]
     full = _resume_in(tmp_path / "full", stream[:cut], None, capsys)
     assert through == full
     if tear == "before":
@@ -905,15 +969,19 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
             "counts that do not add up": _flip(checkpoint, b"stream 10 ", b"stream 11 "),
             "unreadable last record": _flip(checkpoint, b'last {"T_den":"', b'last {"T_den":'),
         }[case]
-    calls = _count_parsed_lines(monkeypatch)
+    parsed, evaluated = _count_parsed_lines(monkeypatch), _count_evaluated_points(monkeypatch)
     through = _resume_in(tmp_path / "through", torn, checkpoint, capsys)
-    with_checkpoint = list(calls)
-    calls.clear()
+    parsed_through, evaluated_through = list(parsed), list(evaluated)
+    parsed.clear()
+    evaluated.clear()
     full = _resume_in(tmp_path / "full", torn, None, capsys)
     assert through == full
-    # every line of the stream was read; the checkpoint's last record may
-    # have been read before its refusal
-    assert with_checkpoint[-len(calls):] == calls and calls[0] == 1
+    # every line of the stream was read, against the grid's points from the
+    # first on; the checkpoint's last record may have been parsed before its
+    # refusal
+    assert parsed_through[len(parsed_through) - len(parsed):] == parsed
+    assert evaluated_through == evaluated
+    assert evaluated[0] == next(inequalities._grid_points(3, 4, 2, 2))
 
 
 def test_a_fresh_sweep_replaces_a_stale_checkpoint(tmp_path, monkeypatch) -> None:
@@ -995,31 +1063,37 @@ _FLAGSHIP = record_to_line(evaluate_point(18, 7, 8, 6, 5))
 _NOT_A_RECORD = "not a record line as sweep-inequalities writes it"
 
 
+#: (line number, line): lines that are no record at all
+_NOT_RECORDS = [
+    (7, "{broken"),
+    (9, '["list", "not", "object"]'),
+    (2, '{"n": 18}'),
+    (3, _FLAGSHIP[: _FLAGSHIP.index(',"values"')] + "}"),
+]
+
+
 def test_parse_record_line_errors_name_the_line() -> None:
-    for lineno, line in (
-        (7, "{broken"),
-        (9, '["list", "not", "object"]'),
-        (2, '{"n": 18}'),
-        (3, _FLAGSHIP[: _FLAGSHIP.index(',"values"')] + "}"),
-    ):
+    for lineno, line in _NOT_RECORDS:
         with pytest.raises(IntegrityError, match=f"^line {lineno}: {_NOT_A_RECORD}$"):
             parse_record_line(lineno, line)
 
 
-@pytest.mark.parametrize(
-    "good, bad",
-    [
-        pytest.param('"n":18', '"n":18.9', id="float n"),
-        pytest.param('"n":18', '"n":true', id="boolean n"),
-        pytest.param('"k":7', '"k":"7"', id="string k"),
-        pytest.param('"T_num":"615"', '"T_num":615.0', id="number T_num"),
-        pytest.param('"T_num":"615"', '"T_num":"615.0"', id="non-decimal T_num"),
-        pytest.param('"T_den":"572"', '"T_den":"0"', id="zero T_den"),
-        pytest.param('"thm32":"holds"', '"thm32":1', id="number status"),
-        pytest.param('"S1":"', '"S1":null,"x":"', id="null value"),
-        pytest.param('"checks":{', '"checks":["holds"],"c":{', id="checks list"),
-    ],
-)
+#: (text in the flagship line, its replacement): a field of the wrong JSON
+#: type or value
+_WRONG_TYPES = [
+    pytest.param('"n":18', '"n":18.9', id="float n"),
+    pytest.param('"n":18', '"n":true', id="boolean n"),
+    pytest.param('"k":7', '"k":"7"', id="string k"),
+    pytest.param('"T_num":"615"', '"T_num":615.0', id="number T_num"),
+    pytest.param('"T_num":"615"', '"T_num":"615.0"', id="non-decimal T_num"),
+    pytest.param('"T_den":"572"', '"T_den":"0"', id="zero T_den"),
+    pytest.param('"thm32":"holds"', '"thm32":1', id="number status"),
+    pytest.param('"S1":"', '"S1":null,"x":"', id="null value"),
+    pytest.param('"checks":{', '"checks":["holds"],"c":{', id="checks list"),
+]
+
+
+@pytest.mark.parametrize("good, bad", _WRONG_TYPES)
 def test_parse_record_line_refuses_wrong_types(good, bad) -> None:
     # each of these used to be converted silently (18.9 read as 18, true as
     # 1, "thm32": 1 as the status "1") and kept as it stands on --resume
@@ -1029,16 +1103,20 @@ def test_parse_record_line_refuses_wrong_types(good, bad) -> None:
         parse_record_line(4, damaged)
 
 
+#: (text in the flagship line, its replacement): values int() would read
+_MALFORMED_VALUES = [
+    ('"S1":"82"', '"S9":"82"'),
+    ('"S1":"82"', '"S1":"1_13"'),
+    ('"S1":"82"', '"S1":" 82"'),
+    ('"S1":"82"', '"S1":"\u0668\u0662"'),
+    (',"lemma_h_slack":"26"', ""),
+]
+
+
 def test_parse_record_line_refuses_malformed_values() -> None:
     # int() reads "1_13" as 113 and the Arabic-Indic digits as 82, so only
-    # the pattern of the written bytes tells these from the record
-    for good, bad in (
-        ('"S1":"82"', '"S9":"82"'),
-        ('"S1":"82"', '"S1":"1_13"'),
-        ('"S1":"82"', '"S1":" 82"'),
-        ('"S1":"82"', '"S1":"\u0668\u0662"'),
-        (',"lemma_h_slack":"26"', ""),
-    ):
+    # writing the record back tells these from its line
+    for good, bad in _MALFORMED_VALUES:
         assert good in _FLAGSHIP
         with pytest.raises(IntegrityError, match=f"^line 5: {_NOT_A_RECORD}$"):
             parse_record_line(5, _FLAGSHIP.replace(good, bad, 1))
@@ -1101,6 +1179,96 @@ def test_near_canonical_variants_are_refused() -> None:
             parse_record_line(1, _FLAGSHIP.replace(good, bad, 1))
 
 
+#: The reader the parser replaced, kept as the reference it is held to: one
+#: pattern of record_to_line's bytes for a record of canonical check and
+#: value names.  The keys in sorted order, the grid coordinates as positive
+#: JSON integers, T_num and T_den as the decimal strings str() writes (T_den
+#: positive), the checks object captured whole and each value as the decimal
+#: string str() writes, in sorted name order; each group named by its key.
+_INT = "0|-?[1-9][0-9]*"
+_POSITIVE = "[1-9][0-9]*"
+_CANONICAL_LINE = re.compile(
+    rf'\{{"T_den":"(?P<T_den>{_POSITIVE})","T_num":"(?P<T_num>{_INT})",'
+    r'"checks":(?P<checks>\{[^}]*\}),'
+    + ",".join(f'"{name}":(?P<{name}>{_POSITIVE})' for name in "iknst")
+    + r',"values":\{'
+    + ",".join(f'"{name}":"(?P<{name}>{_INT})"' for name in sorted(VALUE_NAMES))
+    + r"\}\}"
+)
+#: The checks object: every check name, in sorted order, each with one of
+#: the statuses, in a group named by the check.
+_CANONICAL_CHECKS = re.compile(
+    r"\{"
+    + ",".join(f'"{name}":"(?P<{name}>{"|".join(STATUSES)})"' for name in sorted(CHECK_ORDER))
+    + r"\}"
+)
+
+
+def _reference_parse(line: str) -> VerificationRecord | None:
+    """The record the reference pattern reads on line, or None."""
+    line_match = _CANONICAL_LINE.fullmatch(line)
+    if line_match is None:
+        return None
+    checks_match = _CANONICAL_CHECKS.fullmatch(line_match["checks"])
+    if checks_match is None:
+        return None
+    return VerificationRecord(
+        *(int(line_match[name]) for name in ("n", "k", "s", "i", "t", "T_num", "T_den")),
+        Checks._make(checks_match.group(*CHECK_ORDER)),
+        Values._make(int(line_match[name]) for name in VALUE_NAMES),
+    )
+
+
+def _one_character_edits(lines: list[str], rng: random.Random, count: int) -> Iterator[str]:
+    """count lines, each a line of lines with one character deleted,
+    replaced or inserted, all drawn from rng."""
+    alphabet = '0123456789-+.eE"\\:,{}[] xSTl_'
+    for _ in range(count):
+        line = rng.choice(lines)
+        at = rng.randrange(len(line))
+        kind = rng.randrange(3)  # delete, replace or insert one character
+        if kind == 0:
+            yield line[:at] + line[at + 1:]
+        else:
+            yield line[:at + (kind == 2)] + rng.choice(alphabet) + line[at + 1:]
+
+
+def test_the_parser_reads_what_the_reference_pattern_reads(tmp_path) -> None:
+    # seeded one-character edits of a grid's lines, and every damaged or
+    # reformatted line this module refuses elsewhere, each in every line
+    # where its text stands: the two readers take the same lines, and read
+    # the same records from them
+    lines = _grid_lines(tmp_path) + [_FLAGSHIP]
+    vectors = [
+        *_NEAR_CANONICAL,
+        *_MALFORMED_VALUES,
+        *(param.values for param in _WRONG_TYPES),
+        *((good.decode(), bad.decode()) for good, bad in (p.values for p in _DAMAGED_STATUSES)),
+        ('"T_den":"', '"T_den":'),
+    ]
+    candidates = [
+        *lines,
+        *(line.replace(good, bad, 1) for line in lines for good, bad in vectors if good in line),
+        *(line for _, line in _NOT_RECORDS),
+        *(json.dumps(json.loads(line)) for line in lines),
+        *(json.dumps(json.loads(line), indent=1).replace("\n", "") for line in lines),
+        *(" " + line for line in lines),
+        *(line + "\r" for line in lines),
+        "not json at all",
+        "",
+        *_one_character_edits(lines, random.Random(21), 5000),
+    ]
+    accepted = 0
+    for line in candidates:
+        try:
+            record = parse_record_line(1, line)
+        except IntegrityError:
+            record = None
+        assert record == _reference_parse(line), line
+        accepted += record is not None
+    assert len(lines) < accepted < len(candidates)
+
+
 def _grid_lines(tmp_path) -> list[str]:
     out = tmp_path / "grid.jsonl"
     argv = ["sweep-inequalities", "--t-max", "4", "--k-span", "3", "--n-span", "3",
@@ -1125,18 +1293,8 @@ def test_every_line_of_a_grid_round_trips(tmp_path) -> None:
 def test_seeded_edits_are_refused_or_round_trip(tmp_path) -> None:
     # one-character edits of a grid's lines: a line that parses is one that
     # record_to_line writes, byte for byte, so a resume keeps only those
-    lines = _grid_lines(tmp_path)
-    rng = random.Random(20241)
-    alphabet = '0123456789-+.eE"\\:,{}[] xSTl_'
     refused = 0
-    for _ in range(4000):
-        line = rng.choice(lines)
-        at = rng.randrange(len(line))
-        kind = rng.randrange(3)  # delete, replace or insert one character
-        if kind == 0:
-            line = line[:at] + line[at + 1:]
-        else:
-            line = line[:at + (kind == 2)] + rng.choice(alphabet) + line[at + 1:]
+    for line in _one_character_edits(_grid_lines(tmp_path), random.Random(20241), 4000):
         try:
             record = parse_record_line(1, line)
         except IntegrityError:
@@ -1151,7 +1309,7 @@ def test_parsed_records_are_immutable_and_share_their_checks() -> None:
     # record can change, so both records may hold the same one
     first_line = record_to_line(evaluate_point(40, 7, 8, 6, 5))
     second_line = record_to_line(evaluate_point(41, 7, 8, 6, 5))
-    pattern = cli._CANONICAL_LINE
+    pattern = _CANONICAL_LINE
     assert pattern.fullmatch(first_line)["checks"] == pattern.fullmatch(second_line)["checks"]
     first = parse_record_line(1, first_line)
     second = parse_record_line(2, second_line)
@@ -1381,3 +1539,53 @@ def test_benchmark_tracer_finds_every_name_it_wraps() -> None:
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_sweep_and_resume_repeat_their_counts(tmp_path) -> None:
+    # as the benchmark's traced passes do: a sweep through a checkpoint, then
+    # a resume of it torn in its last record, twice in one process under
+    # perfbench/tracing.py; every span's calls and every counter repeat, and
+    # the resume renders and digests records
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, os, sys\n"
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import tracing\n"
+        "tracer = tracing.install()\n"
+        "from crossint import cli\n"
+        "cli.CHECKPOINT_EVERY = 5\n"
+        "argv = sys.argv[1:] + ['--out', 's.jsonl']\n"
+        "def calls():\n"
+        "    return {name: span[0] for name, span in tracer.spans.items()}\n"
+        "def step(rc, before):\n"
+        "    after = calls()\n"
+        "    used = {n: c - before.get(n, 0) for n, c in after.items() if c > before.get(n, 0)}\n"
+        "    return [rc, used, dict(tracer.counters)]\n"
+        "rounds = []\n"
+        "for _ in range(2):\n"
+        "    before = calls()\n"
+        "    sweep = step(cli.main(argv), before)\n"
+        "    os.truncate('s.jsonl', os.path.getsize('s.jsonl') - 7)\n"
+        "    before = calls()\n"
+        "    rounds.append([sweep, step(cli.main(argv + ['--resume']), before)])\n"
+        "print(json.dumps(rounds))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *CHECKPOINT_SWEEP],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout)
+    assert first == second
+    (sweep_rc, _, _), (resume_rc, resume, _) = first
+    assert sweep_rc == resume_rc == 2  # the lemma_g equality at (15,6,7,5,4)
+    # the checkpoint's last record and the torn one are parsed; line 11 is
+    # compared with its fresh line, and 11 and 12 are digested
+    assert resume["cli.parse_record_line"] == 2
+    assert resume["cli.record_to_line"] >= 2
+    assert resume["cli.digest_absorb"] == 2
+    assert resume["inequalities.evaluate_point"] == 2

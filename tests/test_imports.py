@@ -11,8 +11,9 @@ benchmark harness, outside its own definition.  And a package module opens
 a file for writing only in the two functions that are meant to:
 ``cli._replace_file``, the atomic writer behind every ``--out``, and
 ``cli._cmd_sweep``, whose record stream is truncated and appended in place.
-No package module reads JSON: the record stream is read back by the one
-pattern of the bytes its writer writes, and nothing else reads JSON.  And no
+No package module reads JSON: a record line is read back only when its
+writer writes the record read from it back byte for byte, and nothing else
+reads JSON.  And no
 package module imports ``io``: each text format has one writer that returns
 its text as a ``str``, so no text is built up in a stream buffer.
 """
