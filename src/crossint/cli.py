@@ -36,7 +36,6 @@ import os
 import sys
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator
 
 from . import __version__
 from .compression import is_left_compressed, left_compress
@@ -60,6 +59,7 @@ from .gensets import (
 )
 from .records import CHECK_ORDER, STATUSES, VALUE_NAMES, Checks, Values, VerificationRecord
 from .search import (
+    _TIE_SOFT_CAP,
     MainTheoremReport,
     SearchResult,
     brute_force_best,
@@ -425,95 +425,77 @@ def _read_checkpoint(
     return digest, offset, crc
 
 
-def _trim_to_last_record(
-    path: str,
-    digest: RecordDigest,
-    records: Iterator[VerificationRecord],
-    offset: int,
-    crc: int,
-) -> tuple[int, int, VerificationRecord | None]:
-    """Check an existing record stream against a fresh sweep, in one pass
-    from byte offset, before which digest has absorbed the records, of
-    crc32 crc, and after which records yields each grid point's record.
-
-    While the stream follows the grid, a line that is the bytes
-    record_to_line writes for the grid's next record is kept, and that
-    fresh record digested, unparsed.  Any other line goes through
-    parse_record_line.  A partial, blank or unreadable final line, or one
-    whose record differs from the fresh one at its point (an interrupted
-    write, an edit), is to be trimmed away.  Such damage anywhere else, or a
-    record that does not come after the one before it, is an integrity
-    error.  A record at another point than the grid's is a usage error
-    naming the line, raised once the whole stream has been read, so that
-    damage further on is still reported as such.  Line numbers count from
-    the start of the file.  So every kept line is the one a fresh sweep
-    writes there.
-
-    Returns the byte length of the kept records, where the file is to be
-    cut, their crc32, and the fresh record of the first point not kept, if
-    it was computed; records yields the points after it.  The file itself
-    is left alone, so that a resume refused later leaves it untouched."""
-    from zlib import crc32
-
-    kept = offset
+def _cut_or_refuse(
+    fh, path: str, digest: RecordDigest, raw: bytes, fresh: VerificationRecord | None
+) -> None:
+    """Settle a resumed stream at raw, the first line read from fh that is
+    not the bytes a fresh sweep writes there (b"" at the stream's end),
+    where the grid's record is fresh (None past the grid's end).  From raw
+    on, a partial, blank or unreadable last line, or one whose record
+    differs from fresh at its point (an interrupted write, an edit), is cut
+    away; such damage before the last line, or a record out of order, is an
+    integrity error, and a record at another point than the grid's a usage
+    error naming the line, raised once the whole stream is read.  Lines
+    count from the start of the file.  No refusal writes; otherwise fh is
+    cut where raw starts, and the resume is said, or, with no record kept,
+    the old stream's checkpoint removed."""
+    cut, last = fh.tell() - len(raw), digest.last_point
     damage: IntegrityError | None = None
     refusal: UsageError | None = None
-    fresh = expected = None  # the grid's next record and its line, once computed
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        for lineno, raw in enumerate(fh, start=digest.records + 1):
-            if damage is not None:
-                raise damage  # a bad line with more after it is no torn tail
-            if refusal is None and fresh is None:
-                fresh = next(records, None)
-                expected = None if fresh is None else (record_to_line(fresh) + "\n").encode()
-            if refusal is None and raw == expected:
-                record, fresh = fresh, None
-            else:
-                try:
-                    line = raw.decode("utf-8").removesuffix("\n")
-                    if not line:
-                        raise IntegrityError(f"line {lineno}: blank line inside record stream")
-                    record = parse_record_line(lineno, line)
-                except UnicodeDecodeError as exc:
-                    damage = IntegrityError(f"line {lineno}: not valid UTF-8: {exc.reason}")
-                    continue
-                except IntegrityError as exc:
-                    damage = exc
-                    continue
-                if not raw.endswith(b"\n"):
-                    break  # complete-looking JSON but unterminated: treat as partial
-                last = digest.last_point
-                if last is not None and record.point <= last:
-                    raise IntegrityError(
-                        f"line {lineno}: record out of canonical order; stream corrupt"
-                    )
-                if refusal is None and fresh is not None and record.point == fresh.point:
-                    damage = IntegrityError(
-                        f"line {lineno}: the record at (t,k,n,s,i) = {record.point} is "
-                        "not the one sweep-inequalities computes there"
-                    )
-                    continue
-                if refusal is None:
-                    grid = (
-                        f"the grid has only {lineno - 1} points"
-                        if fresh is None
-                        else f"the grid's point {lineno} is {fresh.point}"
-                    )
-                    refusal = UsageError(
-                        f"--resume refused, {path} left unchanged: line {lineno} "
-                        f"holds {record.point}, but {grid}; were the grid flags "
-                        "changed since the stream was written?"
-                    )
-            digest.absorb(record)
-            kept += len(raw)
-            crc = crc32(raw, crc)
+    lines = itertools.chain((raw,) if raw else (), fh)
+    for lineno, raw in enumerate(lines, start=digest.records + 1):
+        if damage is not None:
+            raise damage  # a bad line with more after it is no torn tail
+        try:
+            line = raw.decode("utf-8").removesuffix("\n")
+            if not line:
+                raise IntegrityError(f"line {lineno}: blank line inside record stream")
+            record = parse_record_line(lineno, line)
+        except UnicodeDecodeError as exc:
+            damage = IntegrityError(f"line {lineno}: not valid UTF-8: {exc.reason}")
+        except IntegrityError as exc:
+            damage = exc
+        else:
+            if not raw.endswith(b"\n"):
+                break  # complete-looking JSON but unterminated: treat as partial
+            if last is not None and record.point <= last:
+                raise IntegrityError(
+                    f"line {lineno}: record out of canonical order; stream corrupt"
+                )
+            last = record.point
+            if refusal is None and fresh is not None and record.point == fresh.point:
+                damage = IntegrityError(
+                    f"line {lineno}: the record at (t,k,n,s,i) = {record.point} is "
+                    "not the one sweep-inequalities computes there"
+                )
+            elif refusal is None:
+                grid = (
+                    f"the grid has only {lineno - 1} points"
+                    if fresh is None
+                    else f"the grid's point {lineno} is {fresh.point}"
+                )
+                refusal = UsageError(
+                    f"--resume refused, {path} left unchanged: line {lineno} "
+                    f"holds {record.point}, but {grid}; were the grid flags "
+                    "changed since the stream was written?"
+                )
     if refusal is not None:
         raise refusal
-    return kept, crc, fresh
+    fh.seek(cut)
+    fh.truncate()  # in place: the kept records stay as written
+    if digest.records:
+        _say(f"resuming after canonical point (t,k,n,s,i) = {digest.last_point}")
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path + ".checkpoint")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    """One loop over the grid's records, each serialized once.  A resume
+    reads the stream on the handle it writes: a line that is the bytes the
+    loop serializes there is kept, its record digested; at the first other
+    line, or the end of the grid, _cut_or_refuse refuses the stream or cuts
+    it there, and the loop writes on.  A fresh sweep has nothing to read."""
     from zlib import crc32
 
     # the one command that runs the inequality engine, so the one that imports it
@@ -526,46 +508,50 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = _grid_points(*flags)
     # one walk of the grid: a resume checks the stream against it, the sweep goes on
     records = evaluate_points(points)
-    digest, kept, crc, first = RecordDigest(), 0, 0, None
-    if args.resume and os.path.exists(out):
+    digest, offset, crc = RecordDigest(), 0, 0
+    reading = args.resume and os.path.exists(out)
+    if reading:
         digest, offset, crc = _read_checkpoint(out, flags)
         # a checkpoint's records are the grid's first points: step past them
         next(itertools.islice(points, digest.records, digest.records), None)
-        kept, crc, first = _trim_to_last_record(out, digest, records, offset, crc)
-    resumed = digest.records > 0
-    if resumed:
-        _say(f"resuming after canonical point (t,k,n,s,i) = {digest.last_point}")
 
     # the first record is pulled before --out is opened, so that grid flags
     # the grid walk refuses leave an existing stream untouched
-    if first is None:
-        first = next(records, None)
-    if resumed:
-        os.truncate(out, kept)  # in place: the intact records stay as written
-    elif out != "-":
-        # a new stream: no checkpoint of the old one may outlive it
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(out + ".checkpoint")
-    if out == "-":
+    first = next(records, None)
+    if reading:
+        fh = open(out, "r+b")  # read, cut and written on: the kept records stay
+        fh.seek(offset)
+    elif out == "-":
         sys.stdout.flush()
         fh = sys.stdout.buffer
     else:
-        fh = open(out, "ab" if resumed else "wb")
+        # a new stream: no checkpoint of the old one may outlive it
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(out + ".checkpoint")
+        fh = open(out, "wb")
     try:
-        if first is not None:
-            absorb, write, every = digest.absorb, fh.write, CHECKPOINT_EVERY
-            for record in itertools.chain((first,), records):
-                absorb(record)
-                # the bytes checksummed are the bytes written
-                line = (record_to_line(record) + "\n").encode()
-                write(line)
-                crc = crc32(line, crc)
-                # only at multiples, so a stream cut after one resumes from it
-                if not digest.records % every and out != "-":
-                    fh.flush()
-                    _replace_file(
-                        out + ".checkpoint", _checkpoint_text(flags, fh.tell(), crc, digest)
-                    )
+        absorb, write, every = digest.absorb, fh.write, CHECKPOINT_EVERY
+        for record in itertools.chain(() if first is None else (first,), records):
+            line = (record_to_line(record) + "\n").encode()
+            if reading:
+                raw = fh.readline()
+                reading = raw == line
+                if not reading:
+                    _cut_or_refuse(fh, out, digest, raw, record)
+            absorb(record)
+            # the bytes checksummed are the bytes kept or written
+            crc = crc32(line, crc)
+            if reading:
+                continue
+            write(line)
+            # only at multiples, so a stream cut after one resumes from it
+            if not digest.records % every and out != "-":
+                fh.flush()
+                _replace_file(
+                    out + ".checkpoint", _checkpoint_text(flags, fh.tell(), crc, digest)
+                )
+        if reading:
+            _cut_or_refuse(fh, out, digest, fh.readline(), None)
     finally:
         if out == "-":
             fh.flush()
@@ -628,6 +614,15 @@ def _witnesses_obj(report: SearchResult | MainTheoremReport) -> list[dict]:
     return [{"a": _side_obj(a, n, k), "b": _side_obj(b, n, k)} for a, b in report.witnesses]
 
 
+def _say_witness_cut(report: SearchResult | MainTheoremReport) -> None:
+    """Say so when the witnesses are fewer than the optimal pairs the search
+    counted, a count that stops at _TIE_SOFT_CAP."""
+    kept, ties = len(report.witnesses), report.stats.get("ties", 0)
+    if ties > kept:
+        least = "at least " if ties >= _TIE_SOFT_CAP else ""
+        _say(f"witness list cut: kept {kept} of {least}{ties} optimal pairs")
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.method == "brute":
         result = brute_force_best(args.n, args.k, args.t, args.objective)
@@ -646,6 +641,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"{result.objective} optimum at (n,k,t)=({args.n},{args.k},{args.t}) "
         f"by {result.method}: {result.value} with {len(result.witnesses)} witness pair(s)"
     )
+    _say_witness_cut(result)
     return 0
 
 
@@ -792,6 +788,7 @@ def _cmd_verify_main_small(args: argparse.Namespace) -> int:
         f"optimum {report.value} vs star product {report.star_value} "
         f"(threshold n >= {report.threshold}); structures: {', '.join(report.structures)}"
     )
+    _say_witness_cut(report)
     failed = report.bound_confirmed is False or report.shift_ok is False
     if report.bound_confirmed is None:
         _say("n below the threshold: the star product is not claimed to be optimal")

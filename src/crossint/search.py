@@ -552,7 +552,10 @@ class MainTheoremReport(NamedTuple):
     (t+1)(k-t+1) (the bound is not claimed there), otherwise the exact truth
     of value == C(n-t,k-t)^2.  ``structures`` names each optimal pair after
     joint left compression: "star" (twin star on [t]), "window" (twin
-    (t+2)-window family), or "other".
+    (t+2)-window family), or "other".  ``all_star`` says whether every
+    optimal pair is a star when n is above the threshold and the bound
+    holds, and is None otherwise, or when the witness list is cut short of
+    the ``ties`` in ``stats``.
     """
 
     n: int
@@ -624,7 +627,8 @@ def verify_main_theorem_small(
         else:
             structures.append("full-layer")
     all_star: bool | None = None
-    if n > threshold and bound_confirmed:
+    # a witness list cut short of the ties names too few pairs to claim all
+    if n > threshold and bound_confirmed and stats["ties"] <= len(result.witnesses):
         all_star = all(s == "star" for s in structures)
 
     shift_ok: bool | None = None

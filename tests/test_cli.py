@@ -99,6 +99,23 @@ def test_search_genset_product(capsys, tmp_path) -> None:
         assert name in obj["stats"]
 
 
+def test_a_cut_witness_list_is_said(capsys, monkeypatch) -> None:
+    # 218 optimal pairs at (8,4,1), of which the JSON keeps MAX_WITNESSES
+    for command in ("search", "verify-main-small"):
+        assert main([command, "--n", "8", "--k", "4", "--t", "1", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["witnesses"]) == 64
+        assert "witness list cut: kept 64 of 218 optimal pairs\n" in captured.err
+    # the tie count stops at its cap, so a count there is a lower bound
+    monkeypatch.setattr(search, "_TIE_SOFT_CAP", 100)
+    monkeypatch.setattr(cli, "_TIE_SOFT_CAP", 100)
+    assert main(["search", "--n", "8", "--k", "4", "--t", "1", "--out", "-"]) == 0
+    assert "kept 64 of at least 100 optimal pairs\n" in capsys.readouterr().err
+    # a list that holds every optimal pair says nothing of a cut
+    assert main(["search", "--n", "8", "--k", "4", "--t", "3", "--out", "-"]) == 0
+    assert "cut" not in capsys.readouterr().err
+
+
 def test_search_brute_sum(capsys) -> None:
     rc = main(
         ["search", "--n", "5", "--k", "3", "--t", "2",
@@ -514,13 +531,13 @@ def test_resume_over_a_partial_tail_is_byte_identical(tmp_path) -> None:
 def test_resume_walks_the_grid_once(tmp_path, monkeypatch) -> None:
     # the reader checks the kept records against a fresh sweep of the grid,
     # and the sweep goes on from where that walk stands: the grid is stepped
-    # once, and each point evaluated once
+    # once, and each point evaluated and serialized once
     out = tmp_path / "walk.jsonl"
     assert _sweep_to(out) == 0
     lines = out.read_bytes().splitlines(keepends=True)
     out.write_bytes(b"".join(lines[:5]) + lines[5][:30])
-    walk, flat = inequalities._grid_points, inequalities.evaluate_point
-    steps, evaluated = [], []
+    walk, flat, render = inequalities._grid_points, inequalities.evaluate_point, cli.record_to_line
+    steps, evaluated, rendered = [], [], []
 
     def profile(frame, event, arg) -> None:
         # the walk's generator frame returns once per point it yields, under
@@ -532,7 +549,12 @@ def test_resume_walks_the_grid_once(tmp_path, monkeypatch) -> None:
         evaluated.append(point)
         return flat(*point)
 
+    def counting_render(record):
+        rendered.append(record.point)
+        return render(record)
+
     monkeypatch.setattr(inequalities, "evaluate_point", counting_evaluate)
+    monkeypatch.setattr(cli, "record_to_line", counting_render)
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -544,6 +566,9 @@ def test_resume_walks_the_grid_once(tmp_path, monkeypatch) -> None:
     # point once, the torn sixth's record written as computed there
     assert evaluated == [(n, k, s, i, t) for t, k, n, s, i in steps]
     assert len(steps) == len(lines) == 8
+    # the torn sixth's record is rendered once, to compare with its line and
+    # to be written, and the torn line itself is no record to write back
+    assert rendered == steps
 
 
 def test_resume_on_complete_stream_is_byte_identical(tmp_path) -> None:

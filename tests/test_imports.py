@@ -10,7 +10,7 @@ attribute or an imported name, somewhere in the package, its tests or the
 benchmark harness, outside its own definition.  And a package module opens
 a file for writing only in the two functions that are meant to:
 ``cli._replace_file``, the atomic writer behind every ``--out``, and
-``cli._cmd_sweep``, whose record stream is truncated and appended in place.
+``cli._cmd_sweep``, whose record stream is read, cut and written on one handle.
 No package module reads JSON: a record line is read back only when its
 writer writes the record read from it back byte for byte, and nothing else
 reads JSON.  And no

@@ -400,6 +400,16 @@ def test_main_theorem_above_threshold() -> None:
     assert report.shift_ok is True
 
 
+def test_main_theorem_claims_no_star_from_a_cut_witness_list(monkeypatch) -> None:
+    # with no witness kept, all() over the empty list of structures used to
+    # report every optimal pair a star, against a tie count of 1
+    monkeypatch.setattr(search, "MAX_WITNESSES", 0)
+    report = verify_main_theorem_small(9, 4, 3)
+    assert report.bound_confirmed is True
+    assert report.witnesses == () and report.stats["ties"] == 1
+    assert report.all_star is None
+
+
 def test_main_theorem_at_threshold_has_window_tie() -> None:
     report = verify_main_theorem_small(8, 4, 3)
     assert report.bound_confirmed is True
