@@ -55,6 +55,7 @@ from .gensets import (
     read_genset,
     size_from_genset,
     upset_k,
+    upset_size,
     write_genset,
 )
 from .records import CHECK_ORDER, STATUSES, VALUE_NAMES, Checks, Values, VerificationRecord
@@ -78,7 +79,9 @@ _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 
 
 class RecordDigest:
-    """Running totals over a stream of verification records.
+    """Running totals over a stream of verification records.  Only this
+    class knows its state: it writes and restores its half of a checkpoint, and
+    renders one per-check table as each of its summaries.
 
     Records share a handful of Checks, so the status counts are kept per
     Checks, next to what it implies: its violated check names, the lemmas
@@ -142,72 +145,102 @@ class RecordDigest:
             )
 
     @property
-    def min_ratio(self) -> Fraction | None:
-        """The least key ratio of a record whose thm32 is not excluded."""
-        if not self._ratio_den:
-            return None
-        return Fraction(self._ratio_num, self._ratio_den)
-
-    @property
-    def min_slack(self) -> dict[str, int]:
-        """lemma name -> least slack over the records that rank it."""
-        return {
-            name: low for name, low in zip(_LEMMAS, self._slack_min) if low is not None
-        }
-
-    @property
     def last_point(self) -> tuple[int, int, int, int, int] | None:
         return None if self._last is None else self._last.point
 
-    @property
-    def status_counts(self) -> dict[str, dict[str, int]]:
-        """check name -> status -> records, in first-seen order."""
-        counts: dict[str, dict[str, int]] = {}
+    def state_lines(self) -> list[str]:
+        """The digest's half of a checkpoint: one line each for the least
+        ratio, the slack minima (- for none), each Checks entry's count and
+        checks object, each violation and the last record."""
+        return [
+            f"ratio {self._ratio_num} {self._ratio_den}",
+            "slack " + " ".join("-" if low is None else str(low) for low in self._slack_min),
+            *(
+                f"checks {entry[0]} {_checks_json(checks)}"
+                for checks, entry in self._by_checks.items()
+            ),
+            *("violation {} {} {} {} {} {}".format(*v) for v in self.violations),
+            "last " + record_to_line(self._last),
+        ]
+
+    @classmethod
+    def from_state_lines(cls, records: int, lines: list[str]) -> RecordDigest:
+        """The digest of records records whose state_lines are lines, its
+        last record read by parse_record_line and each Checks entry, read
+        where _checks_json writes its statuses, built by _entry.  No piece
+        is checked for its form: a reader keeps the lines only when this
+        digest writes them back whole."""
+        ratio, slack, *entries, last = lines
+        digest = cls()
+        digest._ratio_num, digest._ratio_den = map(int, ratio.split(" ")[1:])
+        lows = slack.split(" ")[1:]
+        if len(lows) != len(_LEMMAS):
+            raise ValueError("a slack minimum per lemma")
+        digest._slack_min = [None if low == "-" else int(low) for low in lows]
+        for entry in entries:
+            key, *fields = entry.split(" ")
+            if key == "checks":
+                count, written = fields
+                checks = _checks_of(_CHECKS_STATUSES(written.translate(_PUNCTUATION).split()))
+                if checks is None:
+                    raise ValueError("not a checks object")
+                digest._entry(checks)[0] = int(count)
+            else:
+                n, k, s, i, t, names = fields
+                digest.violations.append((int(n), int(k), int(s), int(i), int(t), names))
+        if sum(entry[0] for entry in digest._by_checks.values()) != records:
+            raise ValueError("the Checks counts do not add up to the records")
+        digest.records = records
+        digest._last = parse_record_line(records, last.removeprefix("last "))
+        return digest
+
+    def _check_table(self) -> list[tuple[str, list[int], str]]:
+        """(check name, its records per status in STATUSES order, its least
+        value as text, "" for none) for each check, in CHECK_ORDER."""
+        counts = {name: [0] * len(STATUSES) for name in CHECK_ORDER}
         for checks, (records, *_) in self._by_checks.items():
             for name, status in zip(CHECK_ORDER, checks):
-                bucket = counts.setdefault(name, {})
-                bucket[status] = bucket.get(status, 0) + records
-        return counts
-
-    @property
-    def violation_count(self) -> int:
-        counts = 0
-        for bucket in self.status_counts.values():
-            counts += bucket.get("violated", 0)
-        return counts
-
-    def min_value_text(self, name: str) -> str:
-        if name == "thm32":
-            return "" if self.min_ratio is None else str(self.min_ratio)
-        if name in _LEMMAS and name in self.min_slack:
-            return str(self.min_slack[name])
-        return ""
+                counts[name][STATUSES.index(status)] += records
+        least = {name: str(low) for name, low in zip(_LEMMAS, self._slack_min) if low is not None}
+        if self._ratio_den:
+            least["thm32"] = str(Fraction(self._ratio_num, self._ratio_den))
+        return [(name, counts[name], least.get(name, "")) for name in CHECK_ORDER]
 
     def to_csv(self) -> str:
-        lines = ["check,holds,excluded,violated,skipped,min_value"]
-        lines.append(f"records,{self.records},,,,")
-        counts = self.status_counts
-        for name in CHECK_ORDER:
-            bucket = counts.get(name, {})
-            cells = ",".join(str(bucket.get(status, 0)) for status in STATUSES)
-            lines.append(f"{name},{cells},{self.min_value_text(name)}")
-        return "\n".join(lines) + "\n"
+        rows = [["check", *STATUSES, "min_value"], ["records", self.records, "", "", "", ""]]
+        rows += ([name, *counts, least] for name, counts, least in self._check_table())
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
     def to_json_obj(self) -> dict:
-        counts = self.status_counts
+        table = self._check_table()
+        least = {name: text for name, _, text in table if text}
         return {
             "records": self.records,
-            "checks": {
-                name: {status: counts.get(name, {}).get(status, 0) for status in STATUSES}
-                for name in CHECK_ORDER
-            },
-            "min_slack": {
-                name: str(value) for name, value in sorted(self.min_slack.items())
-            },
-            "thm32_min_ratio": None if self.min_ratio is None else str(self.min_ratio),
+            "checks": {name: dict(zip(STATUSES, counts)) for name, counts, _ in table},
+            "min_slack": {name: least[name] for name in _LEMMAS if name in least},
+            "thm32_min_ratio": least.get("thm32"),
             "violations": [list(v) for v in self.violations],
             "last_point": list(self.last_point) if self.last_point else None,
         }
+
+    def report_lines(self) -> list[str]:
+        """The summary a sweep says on standard error: each check that has
+        records with its nonzero status counts and its least value, then the
+        violated checks and the first 50 violations, or "no violations"."""
+        table = self._check_table()
+        lines = [
+            f"  {name}: "
+            + " ".join(f"{status}={count}" for status, count in zip(STATUSES, counts) if count)
+            + (f" min={least}" if least else "")
+            for name, counts, least in table
+            if any(counts)
+        ]
+        if not self.violations:
+            return lines + ["no violations"]
+        violated = sum(counts[STATUSES.index("violated")] for _, counts, _ in table)
+        lines.append(f"violations ({violated} check(s)):")
+        lines += ("  (n,k,s,i,t)=({},{},{},{},{}): {}".format(*v) for v in self.violations[:50])
+        return lines
 
 
 #: record_to_line's checks and values objects, their keys in sorted order,
@@ -350,22 +383,13 @@ def _checkpoint_text(
     """The checkpoint of a stream swept under the grid flags (t_min, t_max,
     k_span, n_span) whose first offset bytes, of zlib.crc32 crc, hold the
     records digest has absorbed: the version, the flags, the record count,
-    offset and crc, then the digest, one line each for the least ratio, the
-    slack minima (- for none), each Checks entry's count and checks object,
-    each violation and the last record.  The one writer of the format
-    _read_checkpoint reads."""
+    offset and crc, one line each, then the digest's state_lines.  The one
+    writer of the format _read_checkpoint reads."""
     lines = [
         f"crossint sweep-inequalities checkpoint {__version__}",
         "grid {} {} {} {}".format(*flags),
         f"stream {digest.records} {offset} {crc}",
-        f"ratio {digest._ratio_num} {digest._ratio_den}",
-        "slack " + " ".join("-" if low is None else str(low) for low in digest._slack_min),
-        *(
-            f"checks {entry[0]} {_checks_json(checks)}"
-            for checks, entry in digest._by_checks.items()
-        ),
-        *("violation {} {} {} {} {} {}".format(*v) for v in digest.violations),
-        "last " + record_to_line(digest._last),
+        *digest.state_lines(),
     ]
     return "\n".join(lines) + "\n"
 
@@ -378,38 +402,16 @@ def _read_checkpoint(
     version and these grid flags, and the stream still begins with the
     offset bytes it checksummed; otherwise an empty digest at offset 0, so
     that the whole stream is read, as when there is no checkpoint.  The
-    last record goes back through parse_record_line, and each Checks entry,
-    read where _checks_json writes its statuses, through RecordDigest._entry,
-    as absorbing builds it; no piece is checked for its form, since the text
-    is kept only when the digest read from it writes it back whole."""
+    digest is RecordDigest.from_state_lines of the lines after the stream
+    line, and the text is kept only when that digest writes it back whole."""
     from zlib import crc32
 
     try:
         with open(path + ".checkpoint", encoding="utf-8", newline="") as fh:
             text = fh.read()
-        _, _, stream, ratio, slack, *entries, last = text.split("\n")[:-1]
-        digest = RecordDigest()
+        _, _, stream, *state = text.split("\n")[:-1]
         records, offset, crc = map(int, stream.split(" ")[1:])
-        digest._ratio_num, digest._ratio_den = map(int, ratio.split(" ")[1:])
-        lows = slack.split(" ")[1:]
-        if len(lows) != len(_LEMMAS):
-            raise ValueError("a slack minimum per lemma")
-        digest._slack_min = [None if low == "-" else int(low) for low in lows]
-        for entry in entries:
-            key, *fields = entry.split(" ")
-            if key == "checks":
-                count, written = fields
-                checks = _checks_of(_CHECKS_STATUSES(written.translate(_PUNCTUATION).split()))
-                if checks is None:
-                    raise ValueError("not a checks object")
-                digest._entry(checks)[0] = int(count)
-            else:
-                n, k, s, i, t, names = fields
-                digest.violations.append((int(n), int(k), int(s), int(i), int(t), names))
-        if sum(entry[0] for entry in digest._by_checks.values()) != records:
-            raise ValueError("the Checks counts do not add up to the records")
-        digest.records = records
-        digest._last = parse_record_line(records, last.removeprefix("last "))
+        digest = RecordDigest.from_state_lines(records, state)
         if _checkpoint_text(flags, offset, crc, digest) != text:
             raise ValueError("not the checkpoint of this version and grid")
         # 64 KiB blocks: the prefix is most of the stream, and larger
@@ -495,7 +497,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reads the stream on the handle it writes: a line that is the bytes the
     loop serializes there is kept, its record digested; at the first other
     line, or the end of the grid, _cut_or_refuse refuses the stream or cuts
-    it there, and the loop writes on.  A fresh sweep has nothing to read."""
+    it there, and the loop writes on.  A fresh sweep has nothing to read.
+    The digest then renders the summary sidecars and the report said on
+    standard error."""
     from zlib import crc32
 
     # the one command that runs the inequality engine, so the one that imports it
@@ -569,26 +573,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"checked {digest.records} grid points "
         f"(t in [{args.t_min},{args.t_max}], k span {args.k_span}, n span {args.n_span})"
     )
-    status_counts = digest.status_counts
-    for name in CHECK_ORDER:
-        bucket = status_counts.get(name, {})
-        if not bucket:
-            continue
-        counts = " ".join(
-            f"{status}={bucket.get(status, 0)}"
-            for status in STATUSES
-            if bucket.get(status, 0)
-        )
-        extra = digest.min_value_text(name)
-        tail = f" min={extra}" if extra else ""
-        _say(f"  {name}: {counts}{tail}")
-    if digest.violations:
-        _say(f"violations ({digest.violation_count} check(s)):")
-        for n, k, s, i, t, names in digest.violations[:50]:
-            _say(f"  (n,k,s,i,t)=({n},{k},{s},{i},{t}): {names}")
-        return 2
-    _say("no violations")
-    return 0
+    _say("\n".join(digest.report_lines()))
+    return 2 if digest.violations else 0
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +693,19 @@ def _cmd_genset(args: argparse.Namespace) -> int:
         return 0
     family = read_family(sys.stdin.buffer if args.infile == "-" else args.infile)
     genset = minimal_genset(family)
-    counted = size_from_genset(genset)
+    try:
+        counted = upset_size(genset)
+    except CapacityError:
+        # generators past PROFILE_CAP: the cell count, exact when left-compressed
+        counted = size_from_genset(genset)
+        if counted != len(family) and not is_left_compressed(family):
+            raise UsageError(
+                "generators past the profile cap are counted by cells, which needs "
+                "a left-compressed family: run compress first"
+            )
     if counted != len(family):
         raise IntegrityError(
-            f"cell count {counted} disagrees with family size {len(family)}"
+            f"generated family size {counted} disagrees with family size {len(family)}"
         )
     _write_out(out, write_genset(genset))
     _say(

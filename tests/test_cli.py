@@ -2,8 +2,9 @@
 deterministic record stream with its crash-safe resume, and the summary
 emitters.
 
-Most tests drive ``main(argv)`` in-process; one test goes through the
-installed console script to pin the packaging entry point.
+Most tests drive ``main(argv)`` in-process; one test calls the console
+script's entry point, as pyproject.toml names it, in a child process, and
+the installed console script when there is one.
 """
 
 from __future__ import annotations
@@ -262,6 +263,43 @@ def test_genset_and_expand_invert(tmp_path) -> None:
     assert back_path.read_text() == fam_path.read_text()
 
 
+def _write_members(path: Path, n: int, k: int, members) -> None:
+    path.write_text(f"{n} {k}\n" + "".join(",".join(map(str, m)) + "\n" for m in members))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(3, 2), (20, 3)],
+    ids=["n3", "n20"],
+)
+def test_genset_of_a_family_that_is_not_left_compressed(tmp_path, n, k) -> None:
+    # the star through 2: generated by {2}, whose one cell misses the sets
+    # that hold 1 as well, so only a count of the whole up-set is its size
+    fam, gen, back = tmp_path / "star.txt", tmp_path / "gen.txt", tmp_path / "back.txt"
+    _write_members(fam, n, k, (m for m in itertools.combinations(range(1, n + 1), k) if 2 in m))
+    assert main(["genset", "--in", str(fam), "--out", str(gen)]) == 0
+    assert gen.read_text() == f"{n} {k}\n2\n"
+    assert main(["genset", "--in", str(gen), "--expand", "--out", str(back)]) == 0
+    assert read_family(str(back)) == read_family(str(fam))
+
+
+def test_genset_past_the_profile_cap_counts_cells(tmp_path, capsys) -> None:
+    # generators past [PROFILE_CAP] = [24] are counted by cells: the 25 first
+    # singletons of [26] are left-compressed, so their cells cover them
+    fam, gen = tmp_path / "fam.txt", tmp_path / "gen.txt"
+    _write_members(fam, 26, 1, ((x,) for x in range(1, 26)))
+    assert main(["genset", "--in", str(fam), "--out", str(gen)]) == 0
+    assert gen.read_text() == fam.read_text()
+    # the 3-sets of [26] holding 2 and 26 are generated by {2, 26}, whose
+    # cell holds none of them: not left-compressed, so a usage error
+    _write_members(fam, 26, 3, (sorted((2, 26, x)) for x in range(1, 26) if x != 2))
+    gen.unlink()
+    capsys.readouterr()
+    assert main(["genset", "--in", str(fam), "--out", str(gen)]) == 1
+    assert "run compress first" in capsys.readouterr().err
+    assert not gen.exists()
+
+
 def _refuse_replace(src, dst):
     raise OSError(f"no replace of {dst}")
 
@@ -465,6 +503,34 @@ def test_sidecars_agree_with_a_sweep_summary_of_the_same_records(tmp_path) -> No
     assert obj["violations"] == [list(v) for v in summary.violations]
     assert obj["violations"] == [[15, 6, 7, 5, 4, "lemma_g"]]
     assert obj["min_slack"] == {name: str(v) for name, v in summary.min_slack.items()}
+
+
+#: Standard error of the t = 4 sweep of two points, from its "checked" line on.
+_PIN_T4_REPORT = """\
+checked 2 grid points (t in [4,4], k span 2, n span 0)
+  thm32: holds=2 min=5684/5445
+  ratio_identity: holds=2
+  lemma_f: holds=1 excluded=1 min=12
+  lemma_g: holds=1 violated=1 min=0
+  lemma_h: holds=2 min=20
+  lemma_phi: holds=2 min=1
+  equa1: skipped=2
+  equac2: skipped=2
+  st: skipped=2
+  equac1: skipped=2
+  equac3: skipped=2
+  appendix: holds=1 skipped=1
+violations (1 check(s)):
+  (n,k,s,i,t)=(15,6,7,5,4): lemma_g
+"""
+
+
+def test_sweep_report_is_pinned(tmp_path, capsys) -> None:
+    argv = ["sweep-inequalities", "--t-min", "4", "--t-max", "4", "--k-span", "2",
+            "--n-span", "0", "--out", str(tmp_path / "t4.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err[err.index("checked "):] == _PIN_T4_REPORT
 
 
 def test_sweep_digests_each_record_once(tmp_path, monkeypatch) -> None:
@@ -932,6 +998,14 @@ def test_a_checkpoint_restores_the_digest_of_its_records(tmp_path, monkeypatch) 
     assert list(restored._by_checks.items()) == list(absorbed._by_checks.items())
     assert restored._last == absorbed._last
     assert cli._checkpoint_text((3, 4, 2, 2), offset, crc, restored).encode() == checkpoint
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    _, checkpoint = _checkpointed_sweep(tmp_path)
+    assert hashlib.sha256(checkpoint).hexdigest() == (
+        "48fe9f164eff83e07317d0c885624448391cbae87de59a217f31c36f2b44343a"
+    )
 
 
 def _flip(data: bytes, old: bytes, new: bytes) -> bytes:
@@ -1407,21 +1481,22 @@ def test_digest_of_a_read_back_stream_equals_the_fresh_one(tmp_path) -> None:
         parsed.absorb(record)
     assert parsed.to_csv() == fresh.to_csv()
     assert parsed.to_json_obj() == fresh.to_json_obj()
-    assert parsed.min_ratio == fresh.min_ratio == min(
+    obj = fresh.to_json_obj()
+    assert parsed.to_json_obj()["thm32_min_ratio"] == obj["thm32_min_ratio"] == str(min(
         Fraction(r.t_num, r.t_den) for r in records if r.checks.thm32 != "excluded"
-    )
+    ))
     assert parsed.last_point == fresh.last_point == records[-1].point
     assert fresh.violations == [(15, 6, 7, 5, 4, "lemma_g")]
-    assert fresh.min_slack == {
-        name: min(
+    assert obj["min_slack"] == {
+        name: str(min(
             getattr(r.values, name + "_slack")
             for r in records
             if getattr(r.checks, name) != "excluded"
-        )
+        ))
         for name in ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
     }
-    assert fresh.min_slack["lemma_g"] == 0
-    assert fresh.status_counts["lemma_f"]["excluded"] > 0
+    assert obj["min_slack"]["lemma_g"] == "0"
+    assert obj["checks"]["lemma_f"]["excluded"] > 0
 
 
 def test_emit_summary_empty_stream_is_zeroed() -> None:
@@ -1454,11 +1529,12 @@ def test_digest_counts_minima() -> None:
     digest = RecordDigest()
     digest.absorb(record)
     assert digest.records == 1
-    assert digest.min_ratio == Fraction(615, 572)
-    assert digest.violation_count == 0
+    obj = digest.to_json_obj()
+    assert obj["thm32_min_ratio"] == str(Fraction(615, 572))
+    assert sum(counts["violated"] for counts in obj["checks"].values()) == 0
     # lemma_f is excluded at this triple, so it contributes no slack minimum
-    assert "lemma_f" not in digest.min_slack
-    assert digest.min_slack["lemma_g"] == record.values.lemma_g_slack
+    assert "lemma_f" not in obj["min_slack"]
+    assert obj["min_slack"]["lemma_g"] == str(record.values.lemma_g_slack)
 
 
 def test_min_ratio_skips_excluded_points() -> None:
@@ -1466,9 +1542,9 @@ def test_min_ratio_skips_excluded_points() -> None:
     assert excluded.checks.thm32 == "excluded"
     digest = RecordDigest()
     digest.absorb(excluded)
-    assert digest.min_ratio is None
+    assert digest.to_json_obj()["thm32_min_ratio"] is None
     digest.absorb(evaluate_point(18, 7, 8, 6, 5))
-    assert digest.min_ratio == Fraction(615, 572)
+    assert digest.to_json_obj()["thm32_min_ratio"] == str(Fraction(615, 572))
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch) -> None:
@@ -1486,17 +1562,27 @@ def test_resolve_out_defaults_to_stdout_without_env(monkeypatch) -> None:
 
 
 def test_console_script_entry_point() -> None:
+    # the module:function pyproject.toml names, called in a child as the
+    # console script calls it, and the installed script when there is one
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        module, function = tomllib.load(fh)["project"]["scripts"]["crossint"].split(":")
+    code = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+    runs = [([sys.executable, "-c", code], dict(os.environ, PYTHONPATH=str(root / "src")))]
     exe = shutil.which("crossint")
-    if exe is None:
-        pytest.skip("console script not installed")
-    proc = subprocess.run(
-        [exe, "frankl", "--n", "8", "--k", "4", "--t", "3", "--out", "-"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[0] == "r,size,max,tie"
+    if exe is not None:
+        runs.append(([exe], None))
+    for command, env in runs:
+        proc = subprocess.run(
+            command + ["frankl", "--n", "8", "--k", "4", "--t", "3", "--out", "-"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "r,size,max,tie"
 
 
 #: Modules that only some commands need, and the commands that may import them.

@@ -15,7 +15,9 @@ No package module reads JSON: a record line is read back only when its
 writer writes the record read from it back byte for byte, and nothing else
 reads JSON.  And no
 package module imports ``io``: each text format has one writer that returns
-its text as a ``str``, so no text is built up in a stream buffer.
+its text as a ``str``, so no text is built up in a stream buffer.  Outside a
+class body, no package code reads or writes a single-underscore attribute
+of an object: a class's private state is known only to the class.
 """
 
 from __future__ import annotations
@@ -332,3 +334,64 @@ def test_dataclasses_import_rule() -> None:
         "    return replace\n"
     )
     assert module_imports("dataclasses", source) == [1, 2, 3, 8]
+
+
+#: The public methods of a NamedTuple, underscored only to keep clear of its
+#: field names.
+NAMEDTUPLE_METHODS = {"_make", "_asdict", "_fields", "_replace"}
+
+
+def private_accesses(source: str) -> list[tuple[str, int, str]]:
+    """(enclosing top-level definition or "<module>", line, attribute) of
+    each read or write of a single-underscore attribute in source outside
+    every class body, NamedTuple's methods aside."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            return
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and node.attr not in NAMEDTUPLE_METHODS
+        ):
+            found.append((where, node.lineno, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for top in ast.parse(source).body:
+        visit(top, getattr(top, "name", "<module>"))
+    return found
+
+
+def test_package_keeps_out_of_private_state() -> None:
+    accesses = [
+        f"{path.name}:{line}: {where} reaches {attr}"
+        for path in PACKAGE
+        for where, line, attr in private_accesses(path.read_text(encoding="utf-8"))
+    ]
+    assert accesses == []
+
+
+def test_private_access_rule() -> None:
+    source = (
+        "class Frozen:\n"
+        "    def __eq__(self, other):\n"
+        "        return self._key() == other._key()\n"
+        "def dump(digest, record):\n"
+        "    digest._last = record._replace(n=1)\n"
+        "    return digest._by_checks, record._asdict(), type(record).__name__\n"
+        "def outer():\n"
+        "    class Inner:\n"
+        "        def f(self, other):\n"
+        "            return other._state\n"
+        "    return Inner()._state\n"
+        "value = Frozen()._key\n"
+    )
+    assert private_accesses(source) == [
+        ("dump", 5, "_last"),
+        ("dump", 6, "_by_checks"),
+        ("outer", 11, "_state"),
+        ("<module>", 12, "_key"),
+    ]
