@@ -2,18 +2,21 @@
 
 ``verify_section4_constructions`` instantiates the explicit generating-set
 pairs used in the extremal analysis (layer-vs-block, star-with-fringe,
-window twins, and the six-point window splits), checks every printed size
-formula four ways (closed form, disjoint cells, profile count, and full
-enumeration at expansion scale), and evaluates every printed comparison with
-exact integers.  Comparisons proved under a hypothesis are guarded by it.
-Every such hypothesis is a bound on n, declared once as a ``Guard``: its
-printed text and the least n it holds for, so ``guard_met`` is n >= that
-bound; a guard that holds by construction (a case split on n, or on the
-window size) is its text alone.  An in-hypothesis failure is an integrity
-defect, an out-of-hypothesis row is recorded informationally.  Each check
-registers its construction, or a skip with its reason, on a
-``_ReportBuilder``, which raises IntegrityError on a failed row whose
-hypothesis holds and assembles the report once from what was registered.
+window twins, and the six-point window splits) and evaluates every printed
+comparison with exact integers.  Each construction registers its pair in one
+``generators`` call, which checks that both generating sets are antichains,
+every printed size formula four ways (closed form, disjoint cells, profile
+count, and full enumeration at expansion scale) and the pair cross-t, and
+expands each generating set at most once.  Comparisons proved under a
+hypothesis are guarded by it.  Every such hypothesis is a bound on n,
+declared once as a ``Guard``: its printed text and the least n it holds for,
+so ``guard_met`` is n >= that bound; a guard that holds by construction (a
+case split on n, or on the window size) is its text alone.  An
+in-hypothesis failure is an integrity defect, an out-of-hypothesis row is
+recorded informationally.  Each check registers its construction, or a skip
+with its reason, on a ``_ReportBuilder``, which raises IntegrityError on a
+failed row whose hypothesis holds and assembles the report once from what
+was registered.
 Only the ``verify-case4`` command imports this module.
 """
 
@@ -23,11 +26,12 @@ from math import comb
 from typing import Mapping, NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .families import WORD_CAP, enumerate_k_subsets, is_cross_t_intersecting
+from .families import WORD_CAP, UniformFamily, is_cross_t_intersecting
 from .frankl import FranklParams, frankl_size
 from .gensets import (
     GenSet,
     compact,
+    full_layer_genset,
     genset_cross_t,
     minimal_genset,
     perturb_pair,
@@ -138,11 +142,37 @@ class _ConstructionBuilder:
             )
         return holds
 
-    def family(self, label: str, genset: GenSet, printed: int) -> GenSet:
-        """Record a printed family size, checked four independent ways: the
-        closed form, disjoint cells, profile count and, at expansion scale,
-        full enumeration."""
-        n, k = genset.n, genset.k
+    def generators(
+        self, gen_a: GenSet, size_a: int, gen_b: GenSet | None = None, size_b: int = 0
+    ) -> tuple[UniformFamily, ...]:
+        """Register the construction's generating sets A and B, each with
+        its printed family size; with B omitted, A is paired with itself.
+
+        Each generating set must be an antichain, and its size is checked
+        four independent ways: the closed form, disjoint cells, profile
+        count and, at expansion scale, full enumeration.  The pair must be
+        cross-t at the report's t, on the generators and, at expansion
+        scale, on the families.  Returns the expanded families, one per
+        generating set, or () below expansion scale.
+        """
+        sides = [("A", gen_a, size_a)]
+        if gen_b is not None:
+            sides.append(("B", gen_b, size_b))
+        expansions = tuple(self._family(*side) for side in sides)
+        pair, t = f"({sides[0][0]}, {sides[-1][0]})", self.report.t
+        if not genset_cross_t(sides[0][1], sides[-1][1], t):
+            raise IntegrityError(f"{self.name}: {pair} generators are not cross-{t}")
+        if not self.report.expandable:
+            return ()
+        if not is_cross_t_intersecting(expansions[0], expansions[-1], t):
+            raise IntegrityError(f"{self.name}: {pair} expansions are not cross-{t}")
+        return expansions
+
+    def _family(self, label: str, genset: GenSet, printed: int) -> UniformFamily | None:
+        if any(a != b and a & b == a for a in genset for b in genset):
+            raise IntegrityError(
+                f"{self.name}: generators of {label} are not an antichain"
+            )
         by_cells = size_from_genset(genset)
         by_profile = upset_size(genset)
         if by_cells != printed or by_profile != printed:
@@ -150,32 +180,22 @@ class _ConstructionBuilder:
                 f"{self.name}: |{label}| printed {printed}, cells {by_cells}, "
                 f"profile {by_profile}"
             )
-        if self.report.expandable:
-            expansion = upset_k(genset)
-            if len(expansion) != printed:
-                raise IntegrityError(
-                    f"{self.name}: |{label}| printed {printed}, enumerated "
-                    f"{len(expansion)}"
-                )
-            if self.report.check_minimality:
-                recovered = minimal_genset(expansion)
-                if recovered.elements != genset.elements:
-                    raise IntegrityError(
-                        f"{self.name}: printed generators of {label} are not the "
-                        f"minimal generating set of the family they generate"
-                    )
-            self.expanded = True
         self.sizes[label] = printed
-        return genset
-
-    def cross_pair(self, gen_a: GenSet, gen_b: GenSet, t: int, label: str) -> None:
-        if not genset_cross_t(gen_a, gen_b, t):
-            raise IntegrityError(f"{self.name}: {label} generators are not cross-{t}")
-        if self.report.expandable:
-            if not is_cross_t_intersecting(upset_k(gen_a), upset_k(gen_b), t):
-                raise IntegrityError(
-                    f"{self.name}: {label} expansions are not cross-{t}"
-                )
+        if not self.report.expandable:
+            return None
+        expansion = upset_k(genset)
+        if len(expansion) != printed:
+            raise IntegrityError(
+                f"{self.name}: |{label}| printed {printed}, enumerated "
+                f"{len(expansion)}"
+            )
+        if self.report.check_minimality and minimal_genset(expansion) != genset:
+            raise IntegrityError(
+                f"{self.name}: printed generators of {label} are not the "
+                f"minimal generating set of the family they generate"
+            )
+        self.expanded = True
+        return expansion
 
 
 class _ReportBuilder:
@@ -242,15 +262,11 @@ def _check_layer_block(rb: _ReportBuilder, s: int) -> None:
     """
     n, k, t = rb.n, rb.k, rb.t
     c = rb.construction("layer-vs-block", s=s)
-    gen_a = GenSet.from_masks(
-        n, k, enumerate_k_subsets(s, t).members, minimal=True
-    )
-    gen_b = GenSet.from_masks(n, k, [(1 << s) - 1], minimal=True)
     size_a = sum(comb(s, j) * comb(n - s, k - j) for j in range(t, s + 1))
     size_b = comb(n - s, k - s)
-    c.family("A", gen_a, size_a)
-    c.family("B", gen_b, size_b)
-    c.cross_pair(gen_a, gen_b, t, "(A, B)")
+    c.generators(
+        full_layer_genset(n, k, s, t), size_a, full_layer_genset(n, k, s, s), size_b
+    )
 
     size_a1 = sum(comb(s - 1, j) * comb(n - s + 1, k - j) for j in range(t, s))
     size_b1 = comb(n - s + 1, k - s + 1)
@@ -332,17 +348,11 @@ def _check_star_fringe(rb: _ReportBuilder) -> None:
     c = rb.construction("star-fringe", s=t + 2)
     window = (1 << (t + 2)) - 1
     base = (1 << t) - 1
-    gen_a = GenSet.from_masks(
-        n, k, [base] + [window ^ (1 << i) for i in range(t)], minimal=True
-    )
-    gen_b = GenSet.from_masks(
-        n, k, [(1 << (t + 1)) - 1, window ^ (1 << t)], minimal=True
-    )
+    gen_a = GenSet.from_masks(n, k, [base] + [window ^ (1 << i) for i in range(t)])
+    gen_b = GenSet.from_masks(n, k, [(1 << (t + 1)) - 1, window ^ (1 << t)])
     size_a = comb(n - t, k - t) + t * comb(n - t - 2, k - t - 1)
     size_b = comb(n - t, k - t) - comb(n - t - 2, k - t)
-    c.family("A", gen_a, size_a)
-    c.family("B", gen_b, size_b)
-    c.cross_pair(gen_a, gen_b, t, "(A, B)")
+    c.generators(gen_a, size_a, gen_b, size_b)
 
     c.row(
         "fringe gain at most the star deficit",
@@ -368,12 +378,8 @@ def _check_window_twins(rb: _ReportBuilder) -> None:
     """
     n, k, t = rb.n, rb.k, rb.t
     c = rb.construction("window-twins", s=t + 2)
-    gen = GenSet.from_masks(
-        n, k, enumerate_k_subsets(t + 2, t + 1).members, minimal=True
-    )
     size = frankl_size(FranklParams(n=n, k=k, t=t, r=1))
-    c.family("A", gen, size)
-    c.cross_pair(gen, gen, t, "(A, A)")
+    c.generators(full_layer_genset(n, k, t + 2, t + 1), size)
     threshold = rb.regime.least_n
     if n == threshold:
         c.row(
@@ -419,14 +425,12 @@ def _check_pentad_pair(rb: _ReportBuilder) -> None:
     """
     n, k = rb.n, rb.k
     c = rb.construction("pentad-pair")
-    gen_a = compact("123,124,134,234,1256,1356,1456,2356,2456,3456", n, k, minimal=True)
-    gen_b = compact("12345,12346", n, k, minimal=True)
+    gen_a = compact("123,124,134,234,1256,1356,1456,2356,2456,3456", n, k)
+    gen_b = compact("12345,12346", n, k)
     b3, cc, d, e = _senary_binomials(n, k)
     size_a = 4 * comb(n - 4, k - 3) + comb(n - 4, k - 4) + 6 * cc
     size_b = 2 * d + e
-    c.family("A", gen_a, size_a)
-    c.family("B", gen_b, size_b)
-    c.cross_pair(gen_a, gen_b, 3, "(A, B)")
+    c.generators(gen_a, size_a, gen_b, size_b)
 
     size_a1 = comb(n - 4, k - 4) + 4 * comb(n - 4, k - 3)
     size_b1 = comb(n - 4, k - 4)
@@ -464,18 +468,13 @@ def _check_pentad_triple(rb: _ReportBuilder) -> None:
     n, k = rb.n, rb.k
     c = rb.construction("pentad-triple")
     gen_a = compact(
-        "123,1245,1246,1256,1345,1346,1356,1456,2345,2346,2356,2456,3456",
-        n,
-        k,
-        minimal=True,
+        "123,1245,1246,1256,1345,1346,1356,1456,2345,2346,2356,2456,3456", n, k
     )
-    gen_b = compact("12345,12346,12356", n, k, minimal=True)
+    gen_b = compact("12345,12346,12356", n, k)
     b3, cc, d, e = _senary_binomials(n, k)
     size_a = e + 6 * d + 15 * cc + b3
     size_b = e + 3 * d
-    c.family("A", gen_a, size_a)
-    c.family("B", gen_b, size_b)
-    c.cross_pair(gen_a, gen_b, 3, "(A, B)")
+    c.generators(gen_a, size_a, gen_b, size_b)
 
     size_a1 = comb(n - 5, k - 5) + 5 * comb(n - 5, k - 4) + comb(n - 5, k - 3)
     size_b1 = 2 * comb(n - 5, k - 4) + comb(n - 5, k - 5)
@@ -514,14 +513,12 @@ def _check_quad_pentad(rb: _ReportBuilder) -> None:
     """
     n, k = rb.n, rb.k
     c = rb.construction("quad-pentad")
-    gen_a = compact("123,1245,1246,1345,1346,2345,2346", n, k, minimal=True)
-    gen_b = compact("1234,12356", n, k, minimal=True)
+    gen_a = compact("123,1245,1246,1345,1346,2345,2346", n, k)
+    gen_b = compact("1234,12356", n, k)
     b3, cc, d, e = _senary_binomials(n, k)
     size_a = b3 + 9 * cc + 6 * d + e
     size_b = cc + 3 * d + e
-    c.family("A", gen_a, size_a)
-    c.family("B", gen_b, size_b)
-    c.cross_pair(gen_a, gen_b, 3, "(A, B)")
+    expansions = c.generators(gen_a, size_a, gen_b, size_b)
 
     size_a1 = size_a - 3 * cc
     size_b1 = size_b + cc
@@ -538,9 +535,8 @@ def _check_quad_pentad(rb: _ReportBuilder) -> None:
         size_a * size_b,
         guard=rb.six_window,
     )
-    if rb.expandable:
-        fam_a, fam_b = upset_k(gen_a), upset_k(gen_b)
-        moved = perturb_pair(fam_a, fam_b, gen_a, gen_b, i=4, t=3)
+    if expansions:
+        moved = perturb_pair(*expansions, gen_a, gen_b, i=4, t=3)
         new_a, new_b = moved.families
         if len(new_a) != size_a1 or len(new_b) != size_b1:
             raise IntegrityError(
@@ -560,15 +556,16 @@ def _check_quad_triple(rb: _ReportBuilder) -> None:
     """
     n, k = rb.n, rb.k
     c = rb.construction("quad-triple")
-    gen_a = compact("1234,1235,1236", n, k, minimal=True)
-    gen_b = compact("123,12456,13456,23456", n, k, minimal=True)
     b3, cc, d, e = _senary_binomials(n, k)
     star3 = comb(n - 3, k - 3)
     size_a = star3 - b3
     size_b = star3 + 3 * d
-    c.family("A", gen_a, size_a)
-    c.family("B", gen_b, size_b)
-    c.cross_pair(gen_a, gen_b, 3, "(A, B)")
+    c.generators(
+        compact("1234,1235,1236", n, k),
+        size_a,
+        compact("123,12456,13456,23456", n, k),
+        size_b,
+    )
 
     first_guard = _at_least("n-6 >= 4(k-3), i.e. n >=", 4 * k - 6)
     second_guard = _at_least("n-6 >= 4(k-4), i.e. n >=", 4 * k - 10)
@@ -605,15 +602,13 @@ def _check_senary_lopsided(rb: _ReportBuilder) -> None:
     """
     n, k = rb.n, rb.k
     c = rb.construction("senary-lopsided")
-    gen_a = GenSet.from_masks(n, k, enumerate_k_subsets(6, 4).members, minimal=True)
-    gen_b = GenSet.from_masks(n, k, enumerate_k_subsets(6, 5).members, minimal=True)
     b3, cc, d, e = _senary_binomials(n, k)
     window = frankl_size(FranklParams(n=n, k=k, t=3, r=1))
     size_a = 15 * cc + 6 * d + e
     size_b = 6 * d + e
-    c.family("A", gen_a, size_a)
-    c.family("B", gen_b, size_b)
-    c.cross_pair(gen_a, gen_b, 3, "(A, B)")
+    c.generators(
+        full_layer_genset(n, k, 6, 4), size_a, full_layer_genset(n, k, 6, 5), size_b
+    )
 
     c.row("window size in cells", window, "==", 5 * cc + 6 * d + e)
     c.row("A exceeds the window by ten cells", size_a, "==", window + 10 * cc)

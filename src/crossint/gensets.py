@@ -64,15 +64,15 @@ class GenSet(Frozen):
 
     Elements are nonempty subsets of [n] of size <= k, kept sorted by
     (size, word).  n is *not* capped: counting operations work at any scale,
-    only expansion requires n <= WORD_CAP.  When ``minimal`` is set the
-    elements must form an antichain.
+    only expansion requires n <= WORD_CAP.  A genset is its elements: whether
+    they form an antichain is a property of the builder that made them
+    (``minimal_genset`` and ``full_layer_genset`` make antichains), not a
+    field.
     """
 
-    _fields = __slots__ = ("n", "k", "elements", "minimal")
+    _fields = __slots__ = ("n", "k", "elements")
 
-    def __init__(
-        self, n: int, k: int, elements: tuple[int, ...], minimal: bool = False
-    ) -> None:
+    def __init__(self, n: int, k: int, elements: tuple[int, ...]) -> None:
         if n < 1:
             raise UsageError(f"ground set size must be positive, got {n}")
         if not 0 <= k <= n:
@@ -91,23 +91,15 @@ class GenSet(Frozen):
             if prev is not None and key <= prev:
                 raise UsageError("elements must be sorted by (size, word), no repeats")
             prev = key
-        if minimal:
-            for a in elements:
-                for b in elements:
-                    if a != b and a & b == a:
-                        raise UsageError(
-                            f"flagged minimal but {elements_of(a)} is contained "
-                            f"in {elements_of(b)}"
-                        )
-        self._init(n, k, elements, minimal)
+        self._init(n, k, elements)
 
     @classmethod
-    def from_masks(cls, n: int, k: int, masks, minimal: bool = False) -> "GenSet":
-        return cls(n, k, _sorted_elements(masks), minimal)
+    def from_masks(cls, n: int, k: int, masks) -> "GenSet":
+        return cls(n, k, _sorted_elements(masks))
 
     @classmethod
-    def from_sets(cls, n: int, k: int, sets, minimal: bool = False) -> "GenSet":
-        return cls.from_masks(n, k, (mask_of(s, n) for s in sets), minimal)
+    def from_sets(cls, n: int, k: int, sets) -> "GenSet":
+        return cls.from_masks(n, k, (mask_of(s, n) for s in sets))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -119,10 +111,12 @@ class GenSet(Frozen):
         return tuple(elements_of(m) for m in self.elements)
 
 
-def compact(text_elements: str, n: int, k: int, minimal: bool = False) -> GenSet:
+def compact(text_elements: str, n: int, k: int) -> GenSet:
     """Genset from single-digit element strings: compact("123,1256", 12, 6).
 
     Only for elements within [9]; used to transcribe small explicit gensets.
+    The elements are taken as written: whether they form an antichain is for
+    the caller to check (``verify-case4`` checks each construction's).
     """
     masks = []
     for token in text_elements.replace(" ", "").split(","):
@@ -131,7 +125,7 @@ def compact(text_elements: str, n: int, k: int, minimal: bool = False) -> GenSet
         if not token.isdigit() or "0" in token:
             raise UsageError(f"compact tokens are nonzero digit strings, got {token!r}")
         masks.append(mask_of((int(ch) for ch in token), n))
-    return GenSet.from_masks(n, k, masks, minimal)
+    return GenSet.from_masks(n, k, masks)
 
 
 def s_plus_mask(mask: int) -> int:
@@ -220,7 +214,7 @@ def minimal_genset(family: UniformFamily) -> GenSet:
                     seen.add(child)
                     stack.append(child)
     keep = [a for a in candidates if not any(b != a and a & b == b for b in candidates)]
-    return GenSet.from_masks(n, k, keep, minimal=True)
+    return GenSet.from_masks(n, k, keep)
 
 
 def cell_D(element_mask: int, n: int, k: int) -> UniformFamily:
@@ -364,7 +358,6 @@ def slice_top(genset: GenSet, i: int, top: int) -> GenSet:
         genset.n,
         genset.k,
         (m for m in genset.elements if m.bit_count() == i and m & bit),
-        minimal=genset.minimal,
     )
 
 
@@ -457,6 +450,4 @@ def full_layer_genset(n: int, k: int, s: int, size: int) -> GenSet:
     """The genset consisting of all size-`size` subsets of [s]."""
     if not 0 < size <= min(k, s):
         raise UsageError(f"layer size {size} outside [1, min({k}, {s})]")
-    return GenSet.from_masks(
-        n, k, (m for m in enumerate_k_subsets(s, size).members), minimal=True
-    )
+    return GenSet(n, k, enumerate_k_subsets(s, size).members)

@@ -534,7 +534,7 @@ def _materialize_genset_ties(
 
     def generators(bitmap: int) -> GenSet:
         safe = sized & ~downset_closure_bitmap(band & ~bitmap, s)
-        return GenSet.from_masks(n, k, _bitmap_minimal_elements(safe), minimal=True)
+        return GenSet.from_masks(n, k, _bitmap_minimal_elements(safe))
 
     pairs = [sorted(map(generators, pair), key=lambda g: g.elements) for pair in keys]
     pairs.sort(key=lambda pair: (pair[0].elements, pair[1].elements))

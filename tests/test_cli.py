@@ -995,8 +995,8 @@ def test_a_checkpoint_restores_the_digest_of_its_records(tmp_path, monkeypatch) 
     assert restored.violations == absorbed.violations == [(15, 6, 7, 5, 4, "lemma_g")]
     assert restored.to_csv() == absorbed.to_csv()
     assert restored.to_json_obj() == absorbed.to_json_obj()
-    assert list(restored._by_checks.items()) == list(absorbed._by_checks.items())
-    assert restored._last == absorbed._last
+    assert restored.state_lines() == absorbed.state_lines()
+    assert restored.last_point == absorbed.last_point
     assert cli._checkpoint_text((3, 4, 2, 2), offset, crc, restored).encode() == checkpoint
 
 
@@ -1437,13 +1437,28 @@ def test_parsed_and_fresh_records_share_digest_entries(tmp_path) -> None:
         fresh.absorb(record)
         both.absorb(record)
         both.absorb(parsed)
-    assert len(fresh._by_checks) > 1
-    assert list(both._by_checks) == list(fresh._by_checks)
-    for (records, *implied), (fresh_records, *fresh_implied) in zip(
-        both._by_checks.values(), fresh._by_checks.values()
-    ):
-        assert records == 2 * fresh_records
-        assert implied == fresh_implied
+
+    def entries(digest: RecordDigest) -> list[tuple[int, str]]:
+        return [
+            (int(count), checks)
+            for _, count, checks in (
+                line.split(" ", 2)
+                for line in digest.state_lines()
+                if line.startswith("checks ")
+            )
+        ]
+
+    assert len(entries(fresh)) > 1
+    assert entries(both) == [(2 * count, checks) for count, checks in entries(fresh)]
+    assert both.violations == [v for v in fresh.violations for _ in range(2)]
+    both_obj, fresh_obj = both.to_json_obj(), fresh.to_json_obj()
+    assert both_obj["checks"] == {
+        name: {status: 2 * count for status, count in counts.items()}
+        for name, counts in fresh_obj["checks"].items()
+    }
+    for field in ("min_slack", "thm32_min_ratio", "last_point"):
+        assert both_obj[field] == fresh_obj[field]
+    assert both.last_point == fresh.last_point
 
 
 def test_digest_of_a_parsed_record_equals_the_fresh_one() -> None:

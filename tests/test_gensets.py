@@ -23,6 +23,7 @@ from crossint.families import (
     mask_of,
 )
 from crossint.compression import left_compress
+from crossint.search import genset_search_best_product
 from crossint.gensets import (
     GenSet,
     cell_D,
@@ -58,8 +59,8 @@ def test_genset_validation() -> None:
         GenSet(5, 2, (0b111,))  # element larger than the layer
     with pytest.raises(UsageError):
         GenSet(5, 3, (0b11, 0b1))  # wrong sort order
-    with pytest.raises(UsageError):
-        GenSet(5, 3, (0b1, 0b11), minimal=True)  # not an antichain
+    # a genset is its elements: an antichain is the builder's to check
+    assert GenSet(5, 3, (0b1, 0b11)).elements == (0b1, 0b11)
 
 
 def test_compact_parser() -> None:
@@ -123,7 +124,7 @@ def test_cell_D_counts() -> None:
 
 
 def test_cells_are_disjoint_for_antichains_but_may_undercount() -> None:
-    g = GenSet.from_sets(5, 3, [[1, 4], [2, 3]], minimal=True)
+    g = GenSet.from_sets(5, 3, [[1, 4], [2, 3]])
     union = cells_union(g)
     assert len(union) == 3  # {145} from one cell, {234},{235} from the other
     assert len(upset_k(g)) == 6
@@ -160,7 +161,7 @@ def test_upset_size_matches_expansion_for_random_antichains() -> None:
         ]
         picked = rng.sample(pool, rng.randint(1, min(len(pool), 5)))
         minimal = [a for a in picked if not any(b != a and a & b == b for b in picked)]
-        g = GenSet.from_masks(n, k, minimal, minimal=True)
+        g = GenSet.from_masks(n, k, minimal)
         assert upset_size(g) == len(upset_k(g))
 
 
@@ -253,7 +254,7 @@ def test_cross_t_equivalence_randomized() -> None:
         def pick() -> GenSet:
             picked = rng.sample(pool, rng.randint(1, 4))
             minimal = [a for a in picked if not any(b != a and a & b == b for b in picked)]
-            return GenSet.from_masks(n, k, minimal, minimal=True)
+            return GenSet.from_masks(n, k, minimal)
 
         a, b = pick(), pick()
         assert genset_cross_t(a, b, t) == is_cross_t_intersecting(upset_k(a), upset_k(b), t)
@@ -273,8 +274,24 @@ def test_genset_text_roundtrip() -> None:
     g = compact("14,23,124", 7, 3)
     text = write_genset(g)
     assert text == "7 3\n2,3\n1,4\n1,2,4\n"  # elements by (size, word)
-    # the minimal flag is not serialized
-    assert read_genset(io.StringIO(text)) == GenSet(g.n, g.k, g.elements)
+    assert read_genset(io.StringIO(text)) == g
+    # a genset is its elements, so the antichains the builders make come
+    # back equal from their text
+    rng = random.Random(2024)
+    gensets = [full_layer_genset(9, 4, 5, 4), full_layer_genset(12, 6, 8, 3)]
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        k = rng.randint(1, n - 1)
+        layer = enumerate_k_subsets(n, k).members
+        gensets.append(
+            minimal_genset(
+                UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(1, len(layer))))
+            )
+        )
+    for gen_a, gen_b in genset_search_best_product(10, 5, 3).witnesses:
+        gensets += [gen_a, gen_b]
+    for built in gensets:
+        assert read_genset(io.StringIO(write_genset(built))) == built
 
 
 def test_read_genset_reports_line_numbers() -> None:

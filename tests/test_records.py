@@ -38,9 +38,9 @@ _VALUE_TYPES = [
     ),
     (
         GenSet,
-        (6, 3, (3, 5), True),
-        (6, 3, (3, 5), False),
-        "GenSet(n=6, k=3, elements=(3, 5), minimal=True)",
+        (6, 3, (3, 5)),
+        (6, 3, (3, 6)),
+        "GenSet(n=6, k=3, elements=(3, 5))",
     ),
     (FranklParams, (8, 4, 3, 1), (8, 4, 3, 2), "FranklParams(n=8, k=4, t=3, r=1)"),
     (

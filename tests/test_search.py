@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from crossint import search
+from crossint import constructions, search
 from crossint.errors import CapacityError, DomainError, IntegrityError, UsageError
 from crossint.families import (
     UniformFamily,
@@ -25,7 +25,7 @@ from crossint.families import (
 from crossint.compression import shift_family
 from crossint.constructions import verify_section4_constructions
 from crossint.frankl import FranklParams, frankl_size
-from crossint.gensets import compact, full_layer_genset, upset_size
+from crossint.gensets import compact, full_layer_genset, upset_k, upset_size
 from crossint.search import (
     BRUTE_CAP,
     SearchResult,
@@ -239,7 +239,7 @@ def test_genset_search_visits_only_shifted_pairs() -> None:
     """Every witness expands to a left-compressed pair whose minimal genset
     is the reported one, and the shifted scan stays small."""
     from crossint.compression import is_left_compressed
-    from crossint.gensets import minimal_genset, upset_k
+    from crossint.gensets import minimal_genset
 
     for n, k, t in ((8, 4, 3), (9, 5, 3), (10, 5, 3), (9, 4, 1), (8, 5, 3)):
         res = genset_search_best_product(n, k, t)
@@ -248,7 +248,7 @@ def test_genset_search_visits_only_shifted_pairs() -> None:
             for gen in (gen_a, gen_b):
                 family = upset_k(gen)
                 assert is_left_compressed(family), (n, k, t, gen.element_sets())
-                assert minimal_genset(family).elements == gen.elements
+                assert minimal_genset(family) == gen
         if (n, k, t) in ((9, 5, 3), (10, 5, 3)):
             assert res.stats["nodes"] < 5_000, (n, k, t, res.stats)
 
@@ -287,8 +287,6 @@ def test_genset_search_validation() -> None:
 def test_genset_witnesses_survive_joint_shifts() -> None:
     """Expanding an optimal genset pair and applying the same shift to both
     sides preserves cross-t and both sizes."""
-    from crossint.gensets import upset_k
-
     rng = random.Random(616)
     res = genset_search_best_product(8, 4, 3)
     for gen_a, gen_b in res.witnesses:
@@ -383,6 +381,31 @@ def test_section4_validation() -> None:
         verify_section4_constructions(10, 6, t=2)
     with pytest.raises(DomainError):
         verify_section4_constructions(5, 6)
+
+
+def test_section4_generators_must_be_antichains_at_any_n() -> None:
+    # at n = 40 nothing is expanded, so no minimality check could catch it
+    rb = constructions._ReportBuilder(40, 20, 3)
+    assert not rb.expandable
+    chain, star = compact("123,1234", 40, 20), compact("123", 40, 20)
+    with pytest.raises(IntegrityError, match=r"^chained: generators of A are not an antichain"):
+        rb.construction("chained").generators(chain, comb(37, 17))
+    with pytest.raises(IntegrityError, match=r"^chained: generators of B are not an antichain"):
+        rb.construction("chained").generators(star, comb(37, 17), chain, comb(37, 17))
+
+
+@pytest.mark.parametrize("n, k, families", [(16, 6, 19), (12, 5, 17)])
+def test_section4_expands_each_registered_family_once(monkeypatch, n, k, families) -> None:
+    calls = []
+
+    def counted(genset):
+        calls.append(genset)
+        return upset_k(genset)
+
+    monkeypatch.setattr(constructions, "upset_k", counted)
+    report = verify_section4_constructions(n, k, 3)
+    assert sum(len(check.sizes) for check in report.checks) == families
+    assert len(calls) == families
 
 
 # ---------------------------------------------------------------------------
