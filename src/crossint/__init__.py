@@ -7,8 +7,9 @@ regimes), records (the sweep's record schema and the base of the validated
 value types), inequalities (the exact big-integer inequality engine and grid
 sweeps), search (brute-force and generating-set extremal searches),
 constructions (the explicit construction checks, with their rows, sizes and
-reports), cli (the command line, which imports inequalities
-and constructions only for the commands that run them).
+reports), workers (the forked workers of the inequality sweep), cli (the
+command line, which imports inequalities, workers and constructions only
+for the commands that run them).
 """
 
 from .errors import (

@@ -22,7 +22,9 @@ violation, integrity failure, or capacity refusal.  Machine output goes to
 default to files under that directory); the human summary goes to standard
 error.  Record streams are deterministic: the same flags always produce
 byte-identical output, and a resumed sweep reproduces the fresh stream,
-re-reading only the records after its last checkpoint.
+re-reading only the records after its last checkpoint.  A sweep forks one
+worker per CPU it may run on, and its stream, sidecars, checkpoints, standard
+error and exit code do not depend on how many there are.
 """
 
 from __future__ import annotations
@@ -121,6 +123,28 @@ class RecordDigest:
             checks.thm32 != "excluded",
         ]
         return entry
+
+    def merge(self, other: RecordDigest) -> None:
+        """Add other, the digest of the records that follow this digest's,
+        as if each of its records were absorbed here in turn."""
+        self.records += other.records
+        for checks, entry in other._by_checks.items():
+            mine = self._by_checks.get(checks)
+            if mine is None:
+                self._by_checks[checks] = list(entry)
+            else:
+                mine[0] += entry[0]
+        # denominators are positive, or 0 for no ranked record yet, so
+        # cross-multiplying compares, and an equal ratio keeps the earlier one
+        if other._ratio_num * self._ratio_den < self._ratio_num * other._ratio_den:
+            self._ratio_num, self._ratio_den = other._ratio_num, other._ratio_den
+        slack_min = self._slack_min
+        for lemma, low in enumerate(other._slack_min):
+            if low is not None and (slack_min[lemma] is None or low < slack_min[lemma]):
+                slack_min[lemma] = low
+        self.violations += other.violations[: self.VIOLATION_CAP - len(self.violations)]
+        if other._last is not None:
+            self._last = other._last
 
     def absorb(self, record: VerificationRecord) -> None:
         self.records += 1
@@ -428,24 +452,30 @@ def _read_checkpoint(
 
 
 def _cut_or_refuse(
-    fh, path: str, digest: RecordDigest, raw: bytes, fresh: VerificationRecord | None
+    fh,
+    path: str,
+    kept: int,
+    kept_last: tuple[int, int, int, int, int] | None,
+    raw: bytes,
+    fresh: tuple[int, int, int, int, int] | None,
 ) -> None:
     """Settle a resumed stream at raw, the first line read from fh that is
     not the bytes a fresh sweep writes there (b"" at the stream's end),
-    where the grid's record is fresh (None past the grid's end).  From raw
-    on, a partial, blank or unreadable last line, or one whose record
-    differs from fresh at its point (an interrupted write, an edit), is cut
-    away; such damage before the last line, or a record out of order, is an
-    integrity error, and a record at another point than the grid's a usage
-    error naming the line, raised once the whole stream is read.  Lines
-    count from the start of the file.  No refusal writes; otherwise fh is
-    cut where raw starts, and the resume is said, or, with no record kept,
-    the old stream's checkpoint removed."""
-    cut, last = fh.tell() - len(raw), digest.last_point
+    after kept records, the last at kept_last, where the grid's point is
+    fresh (None past the grid's end).  From raw on, a partial, blank or
+    unreadable last line, or one whose record differs from the fresh one at
+    its point (an interrupted write, an edit), is cut away; such damage
+    before the last line, or a record out of order, is an integrity error,
+    and a record at another point than the grid's a usage error naming the
+    line, raised once the whole stream is read.  Lines count from the start
+    of the file.  No refusal writes; otherwise fh is cut where raw starts,
+    and the resume is said, or, with no record kept, the old stream's
+    checkpoint removed."""
+    cut, last = fh.tell() - len(raw), kept_last
     damage: IntegrityError | None = None
     refusal: UsageError | None = None
     lines = itertools.chain((raw,) if raw else (), fh)
-    for lineno, raw in enumerate(lines, start=digest.records + 1):
+    for lineno, raw in enumerate(lines, start=kept + 1):
         if damage is not None:
             raise damage  # a bad line with more after it is no torn tail
         try:
@@ -465,7 +495,7 @@ def _cut_or_refuse(
                     f"line {lineno}: record out of canonical order; stream corrupt"
                 )
             last = record.point
-            if refusal is None and fresh is not None and record.point == fresh.point:
+            if refusal is None and record.point == fresh:
                 damage = IntegrityError(
                     f"line {lineno}: the record at (t,k,n,s,i) = {record.point} is "
                     "not the one sweep-inequalities computes there"
@@ -474,7 +504,7 @@ def _cut_or_refuse(
                 grid = (
                     f"the grid has only {lineno - 1} points"
                     if fresh is None
-                    else f"the grid's point {lineno} is {fresh.point}"
+                    else f"the grid's point {lineno} is {fresh}"
                 )
                 refusal = UsageError(
                     f"--resume refused, {path} left unchanged: line {lineno} "
@@ -485,82 +515,116 @@ def _cut_or_refuse(
         raise refusal
     fh.seek(cut)
     fh.truncate()  # in place: the kept records stay as written
-    if digest.records:
-        _say(f"resuming after canonical point (t,k,n,s,i) = {digest.last_point}")
+    if kept:
+        _say(f"resuming after canonical point (t,k,n,s,i) = {kept_last}")
     else:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path + ".checkpoint")
 
 
+def _settle_block(fh, path: str, digest: RecordDigest, data: bytes) -> int:
+    """Settle a resumed stream inside a block: data, the record lines after
+    the records of digest, is not the stream's next bytes.  The lines the
+    stream holds as data does are kept, and at the first other one
+    _cut_or_refuse is given the points that data's lines hold there.  The
+    length of the kept lines."""
+    lines = data.splitlines(keepends=True)
+    kept = 0
+    for at, line in enumerate(lines):
+        raw = fh.readline()
+        if raw != line:
+            break
+        kept += len(line)
+
+    def point(at: int) -> tuple[int, int, int, int, int]:
+        return parse_record_line(digest.records + at + 1, lines[at][:-1].decode()).point
+
+    last = point(at - 1) if at else digest.last_point
+    _cut_or_refuse(fh, path, digest.records + at, last, raw, point(at))
+    return kept
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """One loop over the grid's records, each serialized once.  A resume
-    reads the stream on the handle it writes: a line that is the bytes the
-    loop serializes there is kept, its record digested; at the first other
-    line, or the end of the grid, _cut_or_refuse refuses the stream or cuts
-    it there, and the loop writes on.  A fresh sweep has nothing to read.
+    """The grid in blocks of records, each evaluated, serialized and
+    digested once by a worker (workers.sweep_blocks) and taken by this
+    process in grid order: its digest merged, its bytes checksummed once
+    and written once.  A resume reads the stream on the handle it writes:
+    a block that is the stream's next bytes is kept; in the first other
+    one, the lines the stream holds are kept, and at the first other line,
+    or at the end of the grid, _cut_or_refuse refuses the stream or cuts it
+    there, and the sweep writes on.  A fresh sweep has nothing to read.
     The digest then renders the summary sidecars and the report said on
     standard error."""
+    from math import gcd
     from zlib import crc32
 
-    # the one command that runs the inequality engine, so the one that imports it
-    from .inequalities import _grid_points, evaluate_points
+    # the one command that runs the inequality engine and the workers, so
+    # the one that imports them
+    from .inequalities import _grid_size
+    from .workers import SWEEP_BLOCK, sweep_blocks
 
     out = resolve_out(args.out, "sweep-records.jsonl")
     if args.resume and out == "-":
         raise UsageError("--resume needs --out pointing at a file")
     flags = (args.t_min, args.t_max, args.k_span, args.n_span)
-    points = _grid_points(*flags)
-    # one walk of the grid: a resume checks the stream against it, the sweep goes on
-    records = evaluate_points(points)
+    # counting the grid raises what its flags violate, before any worker is
+    # forked or --out opened
+    size = _grid_size(*flags)
     digest, offset, crc = RecordDigest(), 0, 0
     reading = args.resume and os.path.exists(out)
     if reading:
         digest, offset, crc = _read_checkpoint(out, flags)
-        # a checkpoint's records are the grid's first points: step past them
-        next(itertools.islice(points, digest.records, digest.records), None)
+    # blocks end at the multiples of their size after the checkpoint's
+    # records, and at the grid's end; every checkpoint falls at a block's end
+    every = CHECKPOINT_EVERY
+    step = gcd(SWEEP_BLOCK, every)
+    ends = [*range(digest.records // step * step + step, size, step), size]
+    blocks = [(lo, hi) for lo, hi in zip([digest.records, *ends], ends) if lo < hi]
 
-    # the first record is pulled before --out is opened, so that grid flags
-    # the grid walk refuses leave an existing stream untouched
-    first = next(records, None)
-    if reading:
-        fh = open(out, "r+b")  # read, cut and written on: the kept records stay
-        fh.seek(offset)
-    elif out == "-":
-        sys.stdout.flush()
-        fh = sys.stdout.buffer
-    else:
-        # a new stream: no checkpoint of the old one may outlive it
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(out + ".checkpoint")
-        fh = open(out, "wb")
-    try:
-        absorb, write, every = digest.absorb, fh.write, CHECKPOINT_EVERY
-        for record in itertools.chain(() if first is None else (first,), records):
-            line = (record_to_line(record) + "\n").encode()
-            if reading:
-                raw = fh.readline()
-                reading = raw == line
-                if not reading:
-                    _cut_or_refuse(fh, out, digest, raw, record)
-            absorb(record)
-            # the bytes checksummed are the bytes kept or written
-            crc = crc32(line, crc)
-            if reading:
-                continue
-            write(line)
-            # only at multiples, so a stream cut after one resumes from it
-            if not digest.records % every and out != "-":
-                fh.flush()
-                _replace_file(
-                    out + ".checkpoint", _checkpoint_text(flags, fh.tell(), crc, digest)
-                )
+    if out == "-":
+        sys.stdout.flush()  # before the fork: no worker holds unwritten output
+    with contextlib.closing(sweep_blocks(flags, blocks)) as frames:
+        # the first block is taken before --out is opened, so that an error
+        # at the grid's first point leaves an existing stream untouched
+        first = next(frames, None)
         if reading:
-            _cut_or_refuse(fh, out, digest, fh.readline(), None)
-    finally:
-        if out == "-":
-            fh.flush()
+            fh = open(out, "r+b")  # read, cut and written on: the kept records stay
+            fh.seek(offset)
+        elif out == "-":
+            fh = sys.stdout.buffer
         else:
-            fh.close()
+            # a new stream: no checkpoint of the old one may outlive it
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(out + ".checkpoint")
+            fh = open(out, "wb")
+        try:
+            for data, block in itertools.chain(() if first is None else (first,), frames):
+                kept = 0
+                if reading:
+                    stream = fh.read(len(data))
+                    reading = stream == data
+                    if not reading:
+                        fh.seek(-len(stream), os.SEEK_CUR)
+                        kept = _settle_block(fh, out, digest, data)
+                # the bytes checksummed are the bytes kept or written
+                crc = crc32(data, crc)
+                digest.merge(block)
+                if reading:
+                    continue
+                fh.write(memoryview(data)[kept:])
+                # only at multiples, so a stream cut after one resumes from it
+                if not digest.records % every and out != "-":
+                    fh.flush()
+                    _replace_file(
+                        out + ".checkpoint", _checkpoint_text(flags, fh.tell(), crc, digest)
+                    )
+            if reading:
+                _cut_or_refuse(fh, out, digest.records, digest.last_point, fh.readline(), None)
+        finally:
+            if out == "-":
+                fh.flush()
+            else:
+                fh.close()
 
     csv_text = digest.to_csv()
     json_text = json.dumps(digest.to_json_obj(), sort_keys=True, indent=2) + "\n"

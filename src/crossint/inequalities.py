@@ -497,10 +497,11 @@ def evaluate_point(n: int, k: int, s: int, i: int, t: int) -> VerificationRecord
     )
 
 
-def _grid_points(
+def _grid_rows(
     t_lo: int, t_hi: int, k_span: int, n_span: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """The canonical (t, k, n, s, i) tuples of the grid, in order."""
+) -> Iterator[tuple[int, int, range, list[tuple[int, int]]]]:
+    """The grid by (t, k), in canonical order: t, k, the range of n and the
+    (s, i) pairs, in order, each n of the range taking every pair."""
     if t_lo < 3:
         raise DomainError(f"t = {t_lo} < 3: engine restricted to t >= 3")
     if t_hi < t_lo or k_span < 0 or n_span < 0:
@@ -508,11 +509,27 @@ def _grid_points(
     for t in range(t_lo, t_hi + 1):
         for k in range(t, t + k_span + 1):
             n_base = (t + 1) * (k - t + 1)
-            for n in range(n_base, n_base + n_span + 1):
-                for s in range(t + 3, 2 * k - t + 1):
-                    lo, hi = max(t + 1, s + t - k), min(k, (s + t) // 2)
-                    for i in range(lo, hi + 1):
-                        yield (t, k, n, s, i)
+            pairs = [
+                (s, i)
+                for s in range(t + 3, 2 * k - t + 1)
+                for i in range(max(t + 1, s + t - k), min(k, (s + t) // 2) + 1)
+            ]
+            yield t, k, range(n_base, n_base + n_span + 1), pairs
+
+
+def _grid_size(t_lo: int, t_hi: int, k_span: int, n_span: int) -> int:
+    """The number of points of the grid, counted without a walk over them."""
+    return sum(len(ns) * len(pairs) for _, _, ns, pairs in _grid_rows(t_lo, t_hi, k_span, n_span))
+
+
+def _grid_points(
+    t_lo: int, t_hi: int, k_span: int, n_span: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The canonical (t, k, n, s, i) tuples of the grid, in order."""
+    for t, k, ns, pairs in _grid_rows(t_lo, t_hi, k_span, n_span):
+        for n in ns:
+            for s, i in pairs:
+                yield (t, k, n, s, i)
 
 
 def iter_grid(
@@ -595,8 +612,7 @@ def evaluate_points(
     points: Iterable[tuple[int, int, int, int, int]]
 ) -> Iterator[VerificationRecord]:
     """The record of each canonical (t, k, n, s, i) point, in order.  A
-    resumed sweep passes the grid's iterator after the checkpoint's records
-    and compares the records after them with the stream's lines, so each
-    point is walked once and evaluated at most once."""
+    sweep worker passes the points of each of its blocks in turn, so that
+    each point is evaluated once, by one worker."""
     for t, k, n, s, i in points:
         yield evaluate_point(n, k, s, i, t)

@@ -127,7 +127,7 @@ def _sha256_file(path) -> str:
 
 
 def test_default_stream_torn_near_its_end_resumes_from_its_checkpoint(
-    tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys, forked_calls
 ) -> None:
     # as after a crash in the last 64 records: the resume re-reads only the
     # records after the last checkpoint, and gives the fresh stream and
@@ -152,9 +152,9 @@ def test_default_stream_torn_near_its_end_resumes_from_its_checkpoint(
     monkeypatch.setattr(
         cli, "parse_record_line", lambda lineno, line: parsed.append(lineno) or parse(lineno, line)
     )
-    evaluate, evaluated = inequalities.evaluate_point, []
+    # counted across processes: the sweep's workers evaluate the points
     monkeypatch.setattr(
-        inequalities, "evaluate_point", lambda *point: evaluated.append(point) or evaluate(*point)
+        inequalities, "evaluate_point", forked_calls.wrap("evaluate", inequalities.evaluate_point)
     )
     capsys.readouterr()
     assert cli.main(["sweep-inequalities", "--out", str(out), "--resume"]) == 2
@@ -162,7 +162,8 @@ def test_default_stream_torn_near_its_end_resumes_from_its_checkpoint(
     assert 1 < len(parsed) <= cli.CHECKPOINT_EVERY + 64 + 1
     # each point after the last checkpoint is evaluated once: to compare
     # with its line, or to be written
-    assert len(evaluated) == 86_592 % cli.CHECKPOINT_EVERY
+    evaluated = forked_calls("evaluate")
+    assert len(evaluated) == len(set(evaluated)) == 86_592 % cli.CHECKPOINT_EVERY
     assert _sha256_file(out) == DEFAULT_STREAM_SHA256
     for suffix, expected in sidecars.items():
         assert (tmp_path / f"sweep.jsonl{suffix}").read_bytes() == expected

@@ -10,12 +10,14 @@ the installed console script when there is one.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import zlib
@@ -25,7 +27,7 @@ from typing import Iterator
 
 import pytest
 
-from crossint import cli, constructions, inequalities, search
+from crossint import cli, constructions, inequalities, search, workers
 from crossint.cli import (
     RecordDigest,
     main,
@@ -33,7 +35,7 @@ from crossint.cli import (
     record_to_line,
     resolve_out,
 )
-from crossint.errors import IntegrityError
+from crossint.errors import DomainError, IntegrityError
 from crossint.families import read_family
 from crossint.gensets import read_genset, upset_k
 from crossint.inequalities import SweepSummary, evaluate_point, iter_grid, sweep
@@ -533,26 +535,22 @@ def test_sweep_report_is_pinned(tmp_path, capsys) -> None:
     assert err[err.index("checked "):] == _PIN_T4_REPORT
 
 
-def test_sweep_digests_each_record_once(tmp_path, monkeypatch) -> None:
-    calls = {"digest": 0, "summary": 0}
-    digest_absorb, summary_absorb = RecordDigest.absorb, SweepSummary.absorb
-
-    def count(name, absorb):
-        def counted(self, record):
-            calls[name] += 1
-            absorb(self, record)
-        return counted
-
-    monkeypatch.setattr(RecordDigest, "absorb", count("digest", digest_absorb))
-    monkeypatch.setattr(SweepSummary, "absorb", count("summary", summary_absorb))
+def test_sweep_digests_each_record_once(tmp_path, monkeypatch, forked_calls) -> None:
+    # counted across processes: the sweep's workers digest the records
+    for label, owner in (("digest", RecordDigest), ("summary", SweepSummary)):
+        logged = forked_calls.wrap(label, owner.absorb, lambda digest, record: record.point)
+        monkeypatch.setattr(owner, "absorb", logged)
     out = tmp_path / "once.jsonl"
     assert _sweep_to(out) == 0
-    assert calls == {"digest": 8, "summary": 0}
-    # a resume digests the kept records as it reads them, the rest as it writes
+    grid = list(inequalities._grid_points(3, 3, 2, 3))
+    assert sorted(forked_calls("digest")) == grid and forked_calls("summary") == []
+    # with no checkpoint, a resume digests every record again: the kept
+    # records as they are compared, the rest as they are written
     lines = out.read_bytes().splitlines(keepends=True)
     out.write_bytes(b"".join(lines[:5]) + lines[5][:30])
     assert _sweep_to(out, resume=True) == 0
-    assert calls == {"digest": 16, "summary": 0}
+    assert sorted(forked_calls("digest")) == sorted(grid * 2)
+    assert forked_calls("summary") == []
 
 
 def test_sidecar_write_failure_keeps_the_previous_sidecar(
@@ -594,47 +592,53 @@ def test_resume_over_a_partial_tail_is_byte_identical(tmp_path) -> None:
     ).read_text()
 
 
-def test_resume_walks_the_grid_once(tmp_path, monkeypatch) -> None:
-    # the reader checks the kept records against a fresh sweep of the grid,
-    # and the sweep goes on from where that walk stands: the grid is stepped
-    # once, and each point evaluated and serialized once
+def test_resume_walks_the_grid_once(tmp_path, monkeypatch, forked_calls) -> None:
+    # the parent counts the grid without walking it, and each worker walks
+    # it once, up to its last block's end; each point is evaluated once, in
+    # one worker
+    monkeypatch.setattr(workers, "SWEEP_BLOCK", 3)
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 6)  # past the torn sixth line
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "walk.jsonl"
     assert _sweep_to(out) == 0
     lines = out.read_bytes().splitlines(keepends=True)
     out.write_bytes(b"".join(lines[:5]) + lines[5][:30])
     walk, flat, render = inequalities._grid_points, inequalities.evaluate_point, cli.record_to_line
-    steps, evaluated, rendered = [], [], []
+    step = forked_calls.wrap("step", lambda point: None, lambda point: (os.getpid(), point))
 
     def profile(frame, event, arg) -> None:
         # the walk's generator frame returns once per point it yields, under
         # whatever name the walk was called
         if event == "return" and frame.f_code is walk.__code__ and arg is not None:
-            steps.append(arg)
+            step(arg)
 
-    def counting_evaluate(*point):
-        evaluated.append(point)
-        return flat(*point)
-
-    def counting_render(record):
-        rendered.append(record.point)
-        return render(record)
-
-    monkeypatch.setattr(inequalities, "evaluate_point", counting_evaluate)
-    monkeypatch.setattr(cli, "record_to_line", counting_render)
+    monkeypatch.setattr(
+        inequalities,
+        "evaluate_point",
+        forked_calls.wrap("evaluate", flat, lambda n, k, s, i, t: (t, k, n, s, i)),
+    )
+    logged = forked_calls.wrap("render", render, lambda record: (os.getpid(), record.point))
+    monkeypatch.setattr(cli, "record_to_line", logged)
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         assert _sweep_to(out, resume=True) == 0
     finally:
         sys.setprofile(previous)
-    assert steps == list(walk(3, 3, 2, 3))
-    # the kept records are evaluated too, to compare with their lines: each
-    # point once, the torn sixth's record written as computed there
-    assert evaluated == [(n, k, s, i, t) for t, k, n, s, i in steps]
-    assert len(steps) == len(lines) == 8
-    # the torn sixth's record is rendered once, to compare with its line and
-    # to be written, and the torn line itself is no record to write back
-    assert rendered == steps
+    grid = list(walk(3, 3, 2, 3))
+    assert len(grid) == len(lines) == 8
+    walks: dict[int, list] = {}
+    for pid, point in forked_calls("step"):
+        walks.setdefault(pid, []).append(point)
+    assert os.getpid() not in walks
+    # blocks of 3: worker 0 takes points 1-3 and 7-8, worker 1 points 4-6
+    assert sorted(walks.values()) == [grid[:6], grid]
+    assert sorted(forked_calls("evaluate")) == grid
+    # the workers render each record once for its line, the torn sixth's
+    # too, and each block's last once more; the parent renders only the
+    # records it parses, each to compare with its line
+    rendered = [point for pid, point in forked_calls("render") if pid != os.getpid()]
+    assert sorted(rendered) == sorted(grid + [grid[2], grid[5], grid[7]])
 
 
 def test_resume_on_complete_stream_is_byte_identical(tmp_path) -> None:
@@ -906,27 +910,31 @@ def _resume_in(run_dir: Path, stream: bytes, checkpoint: bytes | None, capsys) -
 
 
 def _count_parsed_lines(monkeypatch) -> list[int]:
-    """The line numbers parse_record_line is called with, from now on."""
+    """The line numbers parse_record_line is called with, from now on, but
+    for the last record of each worker's block, parsed as _read_frame
+    restores the block's digest from the worker's state lines: a line of
+    the worker's, not of the stream."""
     parse, lines = cli.parse_record_line, []
 
     def counted(lineno: int, line: str):
-        lines.append(lineno)
+        if sys._getframe(2).f_code is not workers._read_frame.__code__:
+            lines.append(lineno)
         return parse(lineno, line)
 
     monkeypatch.setattr(cli, "parse_record_line", counted)
     return lines
 
 
-def _count_evaluated_points(monkeypatch) -> list[tuple[int, int, int, int, int]]:
-    """The (t, k, n, s, i) points evaluate_point is called at, from now on."""
-    evaluate, points = inequalities.evaluate_point, []
-
-    def counted(n: int, k: int, s: int, i: int, t: int):
-        points.append((t, k, n, s, i))
-        return evaluate(n, k, s, i, t)
-
-    monkeypatch.setattr(inequalities, "evaluate_point", counted)
-    return points
+def _count_evaluated_points(monkeypatch, forked_calls) -> None:
+    """Log to forked_calls, as "evaluate", the (t, k, n, s, i) point of each
+    evaluate_point call from now on, in the sweep's workers too."""
+    monkeypatch.setattr(
+        inequalities,
+        "evaluate_point",
+        forked_calls.wrap(
+            "evaluate", inequalities.evaluate_point, lambda n, k, s, i, t: (t, k, n, s, i)
+        ),
+    )
 
 
 def _checkpointed_sweep(tmp_path, *flags: str) -> tuple[bytes, bytes]:
@@ -942,15 +950,17 @@ def _checkpointed_sweep(tmp_path, *flags: str) -> tuple[bytes, bytes]:
     [
         # the checkpoint's last record, then, as the checkpoint lies past the
         # end, the whole stream; a line a fresh sweep writes there is not
-        # parsed, so only the torn one is
-        ("before", [10, 10]),
-        # its last record, then nothing, or the torn line after line 11
-        ("at", [10]),
-        ("after", [10, 12]),
+        # parsed, so only the torn one is, after the worker's line there,
+        # for its point
+        ("before", [10, 10, 10]),
+        # its last record, then the worker's line 11 at the stream's end, or
+        # the worker's line 12 and the torn one after line 11
+        ("at", [10, 11]),
+        ("after", [10, 12, 12]),
     ],
 )
 def test_resume_through_a_checkpoint_equals_a_full_read(
-    tmp_path, capsys, monkeypatch, tear, parsed
+    tmp_path, capsys, monkeypatch, forked_calls, tear, parsed
 ) -> None:
     monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
     stream, checkpoint = _checkpointed_sweep(tmp_path)
@@ -961,14 +971,14 @@ def test_resume_through_a_checkpoint_equals_a_full_read(
     assert checkpoint.split(b"\n")[2] == b"stream 10 %d %d" % (at, zlib.crc32(stream[:at]))
     cut = {"before": at - 7, "at": at, "after": len(stream) - 7}[tear]
     calls = _count_parsed_lines(monkeypatch)
-    evaluated = _count_evaluated_points(monkeypatch)
+    _count_evaluated_points(monkeypatch, forked_calls)
     through = _resume_in(tmp_path / "through", stream[:cut], checkpoint, capsys)
     assert calls == parsed
     # each point after the checkpoint's records is evaluated once, to
     # compare with its line or to be written; with the checkpoint past the
     # end, every point is
     grid = list(inequalities._grid_points(3, 4, 2, 2))
-    assert evaluated == grid[0 if tear == "before" else 10:]
+    assert sorted(forked_calls("evaluate")) == grid[0 if tear == "before" else 10:]
     full = _resume_in(tmp_path / "full", stream[:cut], None, capsys)
     assert through == full
     if tear == "before":
@@ -1034,7 +1044,7 @@ def _flip(data: bytes, old: bytes, new: bytes) -> bytes:
     ],
 )
 def test_an_unusable_checkpoint_falls_back_to_a_full_read(
-    tmp_path, capsys, monkeypatch, case
+    tmp_path, capsys, monkeypatch, forked_calls, case
 ) -> None:
     monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
     stream, checkpoint = _checkpointed_sweep(tmp_path)
@@ -1068,19 +1078,25 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
             "counts that do not add up": _flip(checkpoint, b"stream 10 ", b"stream 11 "),
             "unreadable last record": _flip(checkpoint, b'last {"T_den":"', b'last {"T_den":'),
         }[case]
-    parsed, evaluated = _count_parsed_lines(monkeypatch), _count_evaluated_points(monkeypatch)
+    parsed = _count_parsed_lines(monkeypatch)
+    _count_evaluated_points(monkeypatch, forked_calls)
     through = _resume_in(tmp_path / "through", torn, checkpoint, capsys)
-    parsed_through, evaluated_through = list(parsed), list(evaluated)
+    parsed_through, evaluated_through = list(parsed), sorted(forked_calls("evaluate"))
     parsed.clear()
-    evaluated.clear()
+    forked_calls.clear()
     full = _resume_in(tmp_path / "full", torn, None, capsys)
+    evaluated = sorted(forked_calls("evaluate"))
     assert through == full
     # every line of the stream was read, against the grid's points from the
     # first on; the checkpoint's last record may have been parsed before its
     # refusal
     assert parsed_through[len(parsed_through) - len(parsed):] == parsed
-    assert evaluated_through == evaluated
-    assert evaluated[0] == next(inequalities._grid_points(3, 4, 2, 2))
+    grid = list(inequalities._grid_points(3, 4, 2, 2))
+    for points in (evaluated_through, evaluated):
+        # each point at most once, from the grid's first on; every point,
+        # unless the stream is refused and the workers killed part way
+        assert points[0] == grid[0] and len(set(points)) == len(points)
+        assert points == grid or "checked 12 grid points" not in full[1]
 
 
 def test_a_fresh_sweep_replaces_a_stale_checkpoint(tmp_path, monkeypatch) -> None:
@@ -1102,6 +1118,134 @@ def test_a_fresh_sweep_replaces_a_stale_checkpoint(tmp_path, monkeypatch) -> Non
         assert main(argv + resume) == 2
         assert len(out.read_bytes().splitlines()) == 2
         assert not stale.exists()
+
+
+def _small_blocks(monkeypatch, cpus: int) -> None:
+    """CHECKPOINT_SWEEP's 12 points in blocks of 5, the last one partial,
+    with a checkpoint at 10, on cpus CPUs."""
+    monkeypatch.setattr(workers, "SWEEP_BLOCK", 5)
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _no_process_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _small_sweep(run_dir: Path, capsys, *flags: str) -> tuple:
+    """Exit code, standard error (run_dir as DIR) and files of a
+    CHECKPOINT_SWEEP to run_dir, made if it is not there."""
+    run_dir.mkdir(exist_ok=True)
+    capsys.readouterr()
+    rc = main(CHECKPOINT_SWEEP + ["--out", str(run_dir / "s.jsonl"), *flags])
+    return rc, capsys.readouterr().err.replace(str(run_dir), "DIR"), _snapshot(run_dir)
+
+
+def test_the_worker_count_changes_no_output(tmp_path, capsys, monkeypatch) -> None:
+    # the lemma_g equality at the 7th point: exit 2, whatever the workers
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = []
+    for cpus in (1, 2, 3, 4):
+        _small_blocks(monkeypatch, cpus)
+        forks.clear()
+        runs.append(_small_sweep(tmp_path / str(cpus), capsys))
+        assert len(forks) == min(cpus, 3)  # never more workers than blocks
+        _no_process_left()
+    assert all(run == runs[0] for run in runs)
+    rc, err, files = runs[0]
+    assert rc == 2 and "(n,k,s,i,t)=(15,6,7,5,4): lemma_g" in err
+    assert files["s.jsonl"] == "".join(
+        record_to_line(record) + "\n" for record in sweep(3, 4, 2, 2)
+    ).encode()
+    assert files["s.jsonl.checkpoint"].split(b"\n")[2].startswith(b"stream 10 ")
+
+
+def test_a_tear_anywhere_resumes_to_the_fresh_bytes(tmp_path, capsys, monkeypatch) -> None:
+    # at each line's start, one byte in, and one byte short of its end,
+    # before the checkpoint at 10, which is then not used, or after it
+    _small_blocks(monkeypatch, 2)
+    _, _, fresh = _small_sweep(tmp_path / "fresh", capsys)
+    stream = fresh["s.jsonl"]
+    ends = list(itertools.accumulate(map(len, stream.splitlines(keepends=True))))
+    cuts = sorted({0, 1, *ends, *(end + 1 for end in ends[:-1]), *(end - 1 for end in ends)})
+    for cut in cuts:
+        run_dir = tmp_path / f"cut-{cut}"
+        run_dir.mkdir()
+        (run_dir / "s.jsonl").write_bytes(stream[:cut])
+        (run_dir / "s.jsonl.checkpoint").write_bytes(fresh["s.jsonl.checkpoint"])
+        rc, _, files = _small_sweep(run_dir, capsys, "--resume")
+        assert (rc, files) == (2, fresh), cut
+    _no_process_left()
+
+
+def _fail_at(line: int, how):
+    """An evaluate_point that calls how(line) at the grid's point on that line."""
+    evaluate = inequalities.evaluate_point
+    at = list(inequalities._grid_points(3, 4, 2, 2))[line - 1]
+
+    def failing(n: int, k: int, s: int, i: int, t: int):
+        if (t, k, n, s, i) == at:
+            how(line)
+        return evaluate(n, k, s, i, t)
+
+    return failing
+
+
+def _inject(line: int) -> None:
+    raise IntegrityError(f"injected at line {line}")
+
+
+def _kill(line: int) -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "case, line, cpus, kept",
+    [
+        ("error", 1, 2, 0),  # at the first point: the old stream stays whole
+        ("error", 4, 2, 3),
+        ("error", 6, 3, 5),  # at the first point of a block
+        ("error", 12, 3, 11),  # after the checkpoint at 10
+        ("killed", 7, 2, 5),  # worker 1, in its block of lines 6-10
+        ("checkpoint write", None, 3, 10),
+    ],
+)
+def test_a_failed_sweep_keeps_the_records_before_it_and_no_worker(
+    tmp_path, capsys, monkeypatch, case, line, cpus, kept
+) -> None:
+    _small_blocks(monkeypatch, cpus)
+    _, _, fresh = _small_sweep(tmp_path / "fresh", capsys)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    previous = {"s.jsonl" + suffix: b"previous\n" for suffix in ("", ".checkpoint")}
+    previous.update((name, data) for name, data in fresh.items() if "summary" in name)
+    for name, data in previous.items():
+        (run_dir / name).write_bytes(data)
+    if case == "error":
+        monkeypatch.setattr(inequalities, "evaluate_point", _fail_at(line, _inject))
+        expected = 2, f"integrity: injected at line {line}\n"
+    elif case == "killed":
+        monkeypatch.setattr(inequalities, "evaluate_point", _fail_at(line, _kill))
+        expected = 2, "integrity: sweep worker 1 died or sent a short frame before line 6\n"
+    else:
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+        expected = 1, "error: no replace of DIR/s.jsonl.checkpoint\n"
+    rc, err, files = _small_sweep(run_dir, capsys)
+    _no_process_left()
+    assert (rc, err) == expected
+    # the records before the failure, the old sidecars, and a checkpoint
+    # only once 10 records were written
+    if kept == 0:
+        assert files == previous
+        return
+    stream = b"".join(fresh["s.jsonl"].splitlines(keepends=True)[:kept])
+    expected_files = {name: data for name, data in previous.items() if "summary" in name}
+    expected_files["s.jsonl"] = stream
+    if kept >= 10 and case == "error":
+        expected_files["s.jsonl.checkpoint"] = fresh["s.jsonl.checkpoint"]
+    assert files == expected_files
 
 
 @pytest.mark.parametrize(
@@ -1562,6 +1706,51 @@ def test_min_ratio_skips_excluded_points() -> None:
     assert digest.to_json_obj()["thm32_min_ratio"] == str(Fraction(615, 572))
 
 
+@pytest.mark.parametrize("cap", [1000, 5])
+def test_merged_digests_equal_the_digest_of_every_record(monkeypatch, cap) -> None:
+    # split in three anywhere: the parts' digests merged in order are the
+    # digest that absorbs every record, from its least ratio (the first of
+    # equal ones) and its slack minima to its capped violations and last
+    # record.  Each record is followed by a twin that writes its ratio with
+    # both terms doubled and violates lemma_h; the t = 3 points open with
+    # excluded key ratios, and t = 4 holds the lemma_g equality
+    monkeypatch.setattr(RecordDigest, "VIOLATION_CAP", cap)
+    records = []
+    for record in sweep(3, 4, 2, 2):
+        checks = record.checks._replace(lemma_h="violated")
+        records += [record, record._replace(t_num=2 * record.t_num, t_den=2 * record.t_den,
+                                            checks=checks)]
+    whole = RecordDigest()
+    for record in records:
+        whole.absorb(record)
+    assert len(whole.violations) == min(cap, 13)
+    for i, j in itertools.combinations_with_replacement(range(len(records) + 1), 2):
+        merged = RecordDigest()
+        for part in (records[:i], records[i:j], records[j:]):
+            digest = RecordDigest()
+            for record in part:
+                digest.absorb(record)
+            merged.merge(digest)
+        assert merged.records == whole.records
+        assert merged.state_lines() == whole.state_lines(), (i, j)
+        assert (merged.to_csv(), merged.to_json_obj()) == (whole.to_csv(), whole.to_json_obj())
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [b"", b"block 1 10", b"block 1 x 5\n", b"block 1 10 5\nabc", b"error 0 11 4\nDomainErr"],
+)
+def test_a_short_frame_is_an_integrity_error_naming_its_worker(frame) -> None:
+    message = "^sweep worker 3 died or sent a short frame before line 7$"
+    with pytest.raises(IntegrityError, match=message):
+        workers._read_frame(io.BytesIO(frame), 3, 7)
+
+
+def test_an_error_frame_raises_its_error() -> None:
+    with pytest.raises(DomainError, match="^t = 2 < 3$"):
+        workers._read_frame(io.BytesIO(b"error 0 11 9\nDomainErrort = 2 < 3"), 0, 1)
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch) -> None:
     monkeypatch.setenv("CROSSINT_OUT_DIR", str(tmp_path / "outputs"))
     assert main(["frankl", "--n", "8", "--k", "4", "--t", "3"]) == 0
@@ -1603,6 +1792,7 @@ def test_console_script_entry_point() -> None:
 #: Modules that only some commands need, and the commands that may import them.
 _HEAVY_MODULES = {
     "crossint.inequalities": {"sweep-inequalities"},
+    "crossint.workers": {"sweep-inequalities"},
     "crossint.constructions": {"verify-case4"},
     "dataclasses": set(),
 }
@@ -1709,9 +1899,11 @@ def test_traced_sweep_and_resume_repeat_their_counts(tmp_path) -> None:
     assert first == second
     (sweep_rc, _, _), (resume_rc, resume, _) = first
     assert sweep_rc == resume_rc == 2  # the lemma_g equality at (15,6,7,5,4)
-    # the checkpoint's last record and the torn one are parsed; line 11 is
-    # compared with its fresh line, and 11 and 12 are digested
-    assert resume["cli.parse_record_line"] == 2
+    # the tracer sees this process only, and the workers evaluate, render
+    # and digest the records: here the checkpoint's last record is parsed,
+    # and the last of each block after it, as its digest is restored, then
+    # the worker's line 12, where the stream parts from it, and the torn one
+    assert resume["cli.parse_record_line"] == 5
     assert resume["cli.record_to_line"] >= 2
-    assert resume["cli.digest_absorb"] == 2
-    assert resume["inequalities.evaluate_point"] == 2
+    assert "cli.digest_absorb" not in resume
+    assert "inequalities.evaluate_point" not in resume

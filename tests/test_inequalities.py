@@ -29,6 +29,7 @@ from crossint.inequalities import (
     SectionParams,
     SweepSummary,
     _grid_points,
+    _grid_size,
     appendix_case,
     basefact,
     chain_checks,
@@ -386,6 +387,16 @@ def test_iter_grid_canonical_order_and_validation() -> None:
         list(iter_grid(2, 3, 1, 1))
     with pytest.raises(UsageError):
         list(iter_grid(4, 3, 1, 1))
+
+
+@pytest.mark.parametrize("grid", [(3, 8, 12, 40), (3, 4, 2, 2), (4, 6, 0, 3), (3, 3, 1, 1)])
+def test_grid_size_counts_the_points_of_the_grid(grid) -> None:
+    # the default grid, a small one, one with no n span, and an empty one
+    assert _grid_size(*grid) == sum(1 for _ in _grid_points(*grid))
+    with pytest.raises(DomainError):
+        _grid_size(2, *grid[1:])
+    with pytest.raises(UsageError):
+        _grid_size(grid[0], grid[0] - 1, *grid[2:])
 
 
 def test_sweep_small_grid_frozen_summary() -> None:
