@@ -451,31 +451,33 @@ def _read_checkpoint(
     return digest, offset, crc
 
 
-def _cut_or_refuse(
-    fh,
-    path: str,
-    kept: int,
-    kept_last: tuple[int, int, int, int, int] | None,
-    raw: bytes,
-    fresh: tuple[int, int, int, int, int] | None,
-) -> None:
-    """Settle a resumed stream at raw, the first line read from fh that is
-    not the bytes a fresh sweep writes there (b"" at the stream's end),
-    after kept records, the last at kept_last, where the grid's point is
-    fresh (None past the grid's end).  From raw on, a partial, blank or
-    unreadable last line, or one whose record differs from the fresh one at
-    its point (an interrupted write, an edit), is cut away; such damage
-    before the last line, or a record out of order, is an integrity error,
-    and a record at another point than the grid's a usage error naming the
-    line, raised once the whole stream is read.  Lines count from the start
-    of the file.  No refusal writes; otherwise fh is cut where raw starts,
-    and the resume is said, or, with no record kept, the old stream's
-    checkpoint removed."""
-    cut, last = fh.tell() - len(raw), kept_last
+def _settle(fh, path: str, digest: RecordDigest, data: bytes) -> int:
+    """Settle a resumed stream read from fh after the records of digest
+    against data, the fresh record lines that follow those records (b""
+    past the grid's end).  The stream lines equal to data's are kept.  From
+    the first other line on, a partial, blank or unreadable last line, or
+    one whose record differs from the fresh one at its point (an
+    interrupted write, an edit), is cut away; such damage before the last
+    line, or a record out of order, is an integrity error, and a record at
+    another point than the grid's a usage error naming the line, raised
+    once the whole stream is read.  Lines count from the start of the file.
+    No refusal writes; otherwise fh is cut after the kept lines, and the
+    resume is said, or, with no record kept, the old stream's checkpoint
+    removed.  The length of the kept lines."""
+    lines = data.splitlines(keepends=True)
+    start, at, raw = fh.tell(), 0, fh.readline()
+    while at < len(lines) and raw == lines[at]:
+        at, raw = at + 1, fh.readline()
+
+    def point(index: int) -> tuple[int, int, int, int, int]:
+        return parse_record_line(digest.records + index + 1, lines[index][:-1].decode()).point
+
+    kept, cut = digest.records + at, fh.tell() - len(raw)
+    kept_last = last = point(at - 1) if at else digest.last_point
+    fresh = point(at) if at < len(lines) else None
     damage: IntegrityError | None = None
     refusal: UsageError | None = None
-    lines = itertools.chain((raw,) if raw else (), fh)
-    for lineno, raw in enumerate(lines, start=kept + 1):
+    for lineno, raw in enumerate(itertools.chain((raw,) if raw else (), fh), start=kept + 1):
         if damage is not None:
             raise damage  # a bad line with more after it is no torn tail
         try:
@@ -520,28 +522,7 @@ def _cut_or_refuse(
     else:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path + ".checkpoint")
-
-
-def _settle_block(fh, path: str, digest: RecordDigest, data: bytes) -> int:
-    """Settle a resumed stream inside a block: data, the record lines after
-    the records of digest, is not the stream's next bytes.  The lines the
-    stream holds as data does are kept, and at the first other one
-    _cut_or_refuse is given the points that data's lines hold there.  The
-    length of the kept lines."""
-    lines = data.splitlines(keepends=True)
-    kept = 0
-    for at, line in enumerate(lines):
-        raw = fh.readline()
-        if raw != line:
-            break
-        kept += len(line)
-
-    def point(at: int) -> tuple[int, int, int, int, int]:
-        return parse_record_line(digest.records + at + 1, lines[at][:-1].decode()).point
-
-    last = point(at - 1) if at else digest.last_point
-    _cut_or_refuse(fh, path, digest.records + at, last, raw, point(at))
-    return kept
+    return cut - start
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -549,10 +530,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     digested once by a worker (workers.sweep_blocks) and taken by this
     process in grid order: its digest merged, its bytes checksummed once
     and written once.  A resume reads the stream on the handle it writes:
-    a block that is the stream's next bytes is kept; in the first other
-    one, the lines the stream holds are kept, and at the first other line,
-    or at the end of the grid, _cut_or_refuse refuses the stream or cuts it
-    there, and the sweep writes on.  A fresh sweep has nothing to read.
+    a block that is the stream's next bytes is kept; at the first other
+    one, or at the end of the grid, _settle keeps the lines the stream
+    holds as the block does and refuses the stream or cuts it after them,
+    and the sweep writes on.  A fresh sweep has nothing to read.
     The digest then renders the summary sidecars and the report said on
     standard error."""
     from math import gcd
@@ -605,7 +586,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     reading = stream == data
                     if not reading:
                         fh.seek(-len(stream), os.SEEK_CUR)
-                        kept = _settle_block(fh, out, digest, data)
+                        kept = _settle(fh, out, digest, data)
                 # the bytes checksummed are the bytes kept or written
                 crc = crc32(data, crc)
                 digest.merge(block)
@@ -619,7 +600,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         out + ".checkpoint", _checkpoint_text(flags, fh.tell(), crc, digest)
                     )
             if reading:
-                _cut_or_refuse(fh, out, digest.records, digest.last_point, fh.readline(), None)
+                _settle(fh, out, digest, b"")
         finally:
             if out == "-":
                 fh.flush()

@@ -51,8 +51,6 @@ from math import comb
 EXPAND_CAP = 2_000_000
 # Profile counting enumerates 2^(s+) trace patterns.
 PROFILE_CAP = 24
-# size_from_genset cross-validates against expansion up to here.
-VALIDATE_CAP = 14
 
 
 def _sorted_elements(masks) -> tuple[int, ...]:
@@ -245,20 +243,11 @@ def size_from_genset(genset: GenSet) -> int:
 
     Exact when the cells cover the family (minimal genset of a left-compressed
     family); for other antichains the cells are merely disjoint and the sum
-    undercounts.  Whenever n <= VALIDATE_CAP the count is compared against
-    expansion, and a mismatch raises IntegrityError.
+    undercounts.
     """
-    total = sum(
+    return sum(
         comb(genset.n - s_plus_mask(m), genset.k - m.bit_count()) for m in genset.elements
     )
-    if genset.n <= VALIDATE_CAP:
-        true_size = len(upset_k(genset))
-        if true_size != total:
-            raise IntegrityError(
-                f"cell count {total} != generated family size {true_size}; "
-                "the cells of this genset do not cover its up-set"
-            )
-    return total
 
 
 def _periodic_bitmap(s: int, block: int, period: int) -> int:

@@ -808,6 +808,21 @@ def _grid_sweep(path, *flags: str) -> int:
     return main(argv + list(flags))
 
 
+def test_resume_names_the_last_record_it_keeps(tmp_path, capsys) -> None:
+    # the edited last record is read, then cut away: the resume is said at
+    # the record before it
+    out = tmp_path / "edited.jsonl"
+    assert _grid_sweep(out) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    edited = lines[-1].replace(b'"lemma_h_slack":"', b'"lemma_h_slack":"9')
+    out.write_bytes(b"".join(lines[:-1]) + edited)
+    capsys.readouterr()
+    assert _grid_sweep(out, "--resume") == 0
+    kept = parse_record_line(len(lines) - 1, lines[-2][:-1].decode()).point
+    err = capsys.readouterr().err
+    assert err.startswith(f"resuming after canonical point (t,k,n,s,i) = {kept}\n")
+
+
 def _snapshot(tmp_path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
 

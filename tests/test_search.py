@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from crossint import constructions, search
+from crossint import constructions, gensets, search
 from crossint.errors import CapacityError, DomainError, IntegrityError, UsageError
 from crossint.families import (
     UniformFamily,
@@ -25,7 +25,7 @@ from crossint.families import (
 from crossint.compression import shift_family
 from crossint.constructions import verify_section4_constructions
 from crossint.frankl import FranklParams, frankl_size
-from crossint.gensets import compact, full_layer_genset, upset_k, upset_size
+from crossint.gensets import GenSet, compact, full_layer_genset, upset_k, upset_size
 from crossint.search import (
     BRUTE_CAP,
     SearchResult,
@@ -394,6 +394,15 @@ def test_section4_generators_must_be_antichains_at_any_n() -> None:
         rb.construction("chained").generators(star, comb(37, 17), chain, comb(37, 17))
 
 
+def test_section4_refuses_generators_whose_cells_miss_part_of_their_up_set() -> None:
+    # {14} and {23} generate 6 sets on [5], but their cells hold only 3: the
+    # cell sum agrees with the printed size, and the profile count refuses it
+    rb = constructions._ReportBuilder(5, 3, 3)
+    uncovered = GenSet.from_sets(5, 3, [[1, 4], [2, 3]])
+    with pytest.raises(IntegrityError, match=r"^uncovered: \|A\| printed 3, cells 3, profile 6$"):
+        rb.construction("uncovered").generators(uncovered, 3)
+
+
 @pytest.mark.parametrize("n, k, families", [(16, 6, 19), (12, 5, 17)])
 def test_section4_expands_each_registered_family_once(monkeypatch, n, k, families) -> None:
     calls = []
@@ -402,7 +411,9 @@ def test_section4_expands_each_registered_family_once(monkeypatch, n, k, familie
         calls.append(genset)
         return upset_k(genset)
 
+    # through both names, so that an expansion inside gensets counts too
     monkeypatch.setattr(constructions, "upset_k", counted)
+    monkeypatch.setattr(gensets, "upset_k", counted)
     report = verify_section4_constructions(n, k, 3)
     assert sum(len(check.sizes) for check in report.checks) == families
     assert len(calls) == families
