@@ -32,14 +32,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
-import json
 import os
 import sys
-from fractions import Fraction
 from operator import itemgetter
 
-from . import __version__
 from .compression import is_left_compressed, left_compress
 from .errors import (
     CapacityError,
@@ -227,6 +223,8 @@ class RecordDigest:
                 counts[name][STATUSES.index(status)] += records
         least = {name: str(low) for name, low in zip(_LEMMAS, self._slack_min) if low is not None}
         if self._ratio_den:
+            from fractions import Fraction
+
             least["thm32"] = str(Fraction(self._ratio_num, self._ratio_den))
         return [(name, counts[name], least.get(name, "")) for name in CHECK_ORDER]
 
@@ -392,234 +390,25 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _json_text(obj) -> str:
+    """The JSON text of an --out report or a summary sidecar: keys sorted,
+    two-space indents, a final newline."""
+    # imported here, so that the commands that write no JSON do not load it
+    import json
+
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep-inequalities
 
 
-#: A sweep to a file replaces its checkpoint after every CHECKPOINT_EVERY
-#: records, so that a resume reads back only the records after the last one.
-CHECKPOINT_EVERY = 4096
-
-
-def _checkpoint_text(
-    flags: tuple[int, int, int, int], offset: int, crc: int, digest: RecordDigest
-) -> str:
-    """The checkpoint of a stream swept under the grid flags (t_min, t_max,
-    k_span, n_span) whose first offset bytes, of zlib.crc32 crc, hold the
-    records digest has absorbed: the version, the flags, the record count,
-    offset and crc, one line each, then the digest's state_lines.  The one
-    writer of the format _read_checkpoint reads."""
-    lines = [
-        f"crossint sweep-inequalities checkpoint {__version__}",
-        "grid {} {} {} {}".format(*flags),
-        f"stream {digest.records} {offset} {crc}",
-        *digest.state_lines(),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _read_checkpoint(
-    path: str, flags: tuple[int, int, int, int]
-) -> tuple[RecordDigest, int, int]:
-    """The digest, byte offset and crc32 of the checkpoint of the stream at
-    path, when it holds exactly the text _checkpoint_text writes for this
-    version and these grid flags, and the stream still begins with the
-    offset bytes it checksummed; otherwise an empty digest at offset 0, so
-    that the whole stream is read, as when there is no checkpoint.  The
-    digest is RecordDigest.from_state_lines of the lines after the stream
-    line, and the text is kept only when that digest writes it back whole."""
-    from zlib import crc32
-
-    try:
-        with open(path + ".checkpoint", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        _, _, stream, *state = text.split("\n")[:-1]
-        records, offset, crc = map(int, stream.split(" ")[1:])
-        digest = RecordDigest.from_state_lines(records, state)
-        if _checkpoint_text(flags, offset, crc, digest) != text:
-            raise ValueError("not the checkpoint of this version and grid")
-        # 64 KiB blocks: the prefix is most of the stream, and larger
-        # blocks raise the resume's peak resident set
-        left, prefix_crc = offset, 0
-        with open(path, "rb") as fh:
-            while left > 0 and (block := fh.read(min(left, 1 << 16))):
-                left, prefix_crc = left - len(block), crc32(block, prefix_crc)
-        if left or prefix_crc != crc:
-            raise ValueError("the stream no longer begins with the checkpointed bytes")
-    except (OSError, ValueError, IndexError, IntegrityError):
-        return RecordDigest(), 0, 0
-    return digest, offset, crc
-
-
-def _settle(fh, path: str, digest: RecordDigest, data: bytes) -> int:
-    """Settle a resumed stream read from fh after the records of digest
-    against data, the fresh record lines that follow those records (b""
-    past the grid's end).  The stream lines equal to data's are kept.  From
-    the first other line on, a partial, blank or unreadable last line, or
-    one whose record differs from the fresh one at its point (an
-    interrupted write, an edit), is cut away; such damage before the last
-    line, or a record out of order, is an integrity error, and a record at
-    another point than the grid's a usage error naming the line, raised
-    once the whole stream is read.  Lines count from the start of the file.
-    No refusal writes; otherwise fh is cut after the kept lines, and the
-    resume is said, or, with no record kept, the old stream's checkpoint
-    removed.  The length of the kept lines."""
-    lines = data.splitlines(keepends=True)
-    start, at, raw = fh.tell(), 0, fh.readline()
-    while at < len(lines) and raw == lines[at]:
-        at, raw = at + 1, fh.readline()
-
-    def point(index: int) -> tuple[int, int, int, int, int]:
-        return parse_record_line(digest.records + index + 1, lines[index][:-1].decode()).point
-
-    kept, cut = digest.records + at, fh.tell() - len(raw)
-    kept_last = last = point(at - 1) if at else digest.last_point
-    fresh = point(at) if at < len(lines) else None
-    damage: IntegrityError | None = None
-    refusal: UsageError | None = None
-    for lineno, raw in enumerate(itertools.chain((raw,) if raw else (), fh), start=kept + 1):
-        if damage is not None:
-            raise damage  # a bad line with more after it is no torn tail
-        try:
-            line = raw.decode("utf-8").removesuffix("\n")
-            if not line:
-                raise IntegrityError(f"line {lineno}: blank line inside record stream")
-            record = parse_record_line(lineno, line)
-        except UnicodeDecodeError as exc:
-            damage = IntegrityError(f"line {lineno}: not valid UTF-8: {exc.reason}")
-        except IntegrityError as exc:
-            damage = exc
-        else:
-            if not raw.endswith(b"\n"):
-                break  # complete-looking JSON but unterminated: treat as partial
-            if last is not None and record.point <= last:
-                raise IntegrityError(
-                    f"line {lineno}: record out of canonical order; stream corrupt"
-                )
-            last = record.point
-            if refusal is None and record.point == fresh:
-                damage = IntegrityError(
-                    f"line {lineno}: the record at (t,k,n,s,i) = {record.point} is "
-                    "not the one sweep-inequalities computes there"
-                )
-            elif refusal is None:
-                grid = (
-                    f"the grid has only {lineno - 1} points"
-                    if fresh is None
-                    else f"the grid's point {lineno} is {fresh}"
-                )
-                refusal = UsageError(
-                    f"--resume refused, {path} left unchanged: line {lineno} "
-                    f"holds {record.point}, but {grid}; were the grid flags "
-                    "changed since the stream was written?"
-                )
-    if refusal is not None:
-        raise refusal
-    fh.seek(cut)
-    fh.truncate()  # in place: the kept records stay as written
-    if kept:
-        _say(f"resuming after canonical point (t,k,n,s,i) = {kept_last}")
-    else:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path + ".checkpoint")
-    return cut - start
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """The grid in blocks of records, each evaluated, serialized and
-    digested once by a worker (workers.sweep_blocks) and taken by this
-    process in grid order: its digest merged, its bytes checksummed once
-    and written once.  A resume reads the stream on the handle it writes:
-    a block that is the stream's next bytes is kept; at the first other
-    one, or at the end of the grid, _settle keeps the lines the stream
-    holds as the block does and refuses the stream or cuts it after them,
-    and the sweep writes on.  A fresh sweep has nothing to read.
-    The digest then renders the summary sidecars and the report said on
-    standard error."""
-    from math import gcd
-    from zlib import crc32
+    # the one command that runs the inequality engine, the workers and the
+    # checkpoint, so the one that imports them
+    from .workers import run_sweep
 
-    # the one command that runs the inequality engine and the workers, so
-    # the one that imports them
-    from .inequalities import _grid_size
-    from .workers import SWEEP_BLOCK, sweep_blocks
-
-    out = resolve_out(args.out, "sweep-records.jsonl")
-    if args.resume and out == "-":
-        raise UsageError("--resume needs --out pointing at a file")
-    flags = (args.t_min, args.t_max, args.k_span, args.n_span)
-    # counting the grid raises what its flags violate, before any worker is
-    # forked or --out opened
-    size = _grid_size(*flags)
-    digest, offset, crc = RecordDigest(), 0, 0
-    reading = args.resume and os.path.exists(out)
-    if reading:
-        digest, offset, crc = _read_checkpoint(out, flags)
-    # blocks end at the multiples of their size after the checkpoint's
-    # records, and at the grid's end; every checkpoint falls at a block's end
-    every = CHECKPOINT_EVERY
-    step = gcd(SWEEP_BLOCK, every)
-    ends = [*range(digest.records // step * step + step, size, step), size]
-    blocks = [(lo, hi) for lo, hi in zip([digest.records, *ends], ends) if lo < hi]
-
-    if out == "-":
-        sys.stdout.flush()  # before the fork: no worker holds unwritten output
-    with contextlib.closing(sweep_blocks(flags, blocks)) as frames:
-        # the first block is taken before --out is opened, so that an error
-        # at the grid's first point leaves an existing stream untouched
-        first = next(frames, None)
-        if reading:
-            fh = open(out, "r+b")  # read, cut and written on: the kept records stay
-            fh.seek(offset)
-        elif out == "-":
-            fh = sys.stdout.buffer
-        else:
-            # a new stream: no checkpoint of the old one may outlive it
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(out + ".checkpoint")
-            fh = open(out, "wb")
-        try:
-            for data, block in itertools.chain(() if first is None else (first,), frames):
-                kept = 0
-                if reading:
-                    stream = fh.read(len(data))
-                    reading = stream == data
-                    if not reading:
-                        fh.seek(-len(stream), os.SEEK_CUR)
-                        kept = _settle(fh, out, digest, data)
-                # the bytes checksummed are the bytes kept or written
-                crc = crc32(data, crc)
-                digest.merge(block)
-                if reading:
-                    continue
-                fh.write(memoryview(data)[kept:])
-                # only at multiples, so a stream cut after one resumes from it
-                if not digest.records % every and out != "-":
-                    fh.flush()
-                    _replace_file(
-                        out + ".checkpoint", _checkpoint_text(flags, fh.tell(), crc, digest)
-                    )
-            if reading:
-                _settle(fh, out, digest, b"")
-        finally:
-            if out == "-":
-                fh.flush()
-            else:
-                fh.close()
-
-    csv_text = digest.to_csv()
-    json_text = json.dumps(digest.to_json_obj(), sort_keys=True, indent=2) + "\n"
-    if out != "-":
-        _replace_file(out + ".summary.csv", csv_text)
-        _replace_file(out + ".summary.json", json_text)
-        _say(f"records: {out}")
-        _say(f"summary: {out}.summary.csv, {out}.summary.json")
-    _say(
-        f"checked {digest.records} grid points "
-        f"(t in [{args.t_min},{args.t_max}], k span {args.k_span}, n span {args.n_span})"
-    )
-    _say("\n".join(digest.report_lines()))
-    return 2 if digest.violations else 0
+    return run_sweep(args)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +456,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     out = resolve_out(args.out, f"search-{args.n}-{args.k}-{args.t}.json")
     # the fields are the JSON keys; the exact value is a decimal string
     obj = dict(result._asdict(), value=str(result.value), witnesses=_witnesses_obj(result))
-    _write_out(out, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_out(out, _json_text(obj))
     _say(
         f"{result.objective} optimum at (n,k,t)=({args.n},{args.k},{args.t}) "
         f"by {result.method}: {result.value} with {len(result.witnesses)} witness pair(s)"
@@ -699,6 +488,8 @@ def _cmd_frankl(args: argparse.Namespace) -> int:
     except CrossIntError:
         _say("regime: out of scope (every pair of k-sets already meets in >= t points)")
     else:
+        from fractions import Fraction
+
         thr = Fraction(regime.threshold_num, regime.threshold_den)
         _say(f"regime: {regime.kind} r={regime.r} tied={regime.tied} threshold={thr}")
     return 0
@@ -789,7 +580,7 @@ def _cmd_verify_case4(args: argparse.Namespace) -> int:
 
     report = verify_section4_constructions(args.n, args.k, args.t)
     out = resolve_out(args.out, f"case4-{args.n}-{args.k}-{args.t}.json")
-    _write_out(out, json.dumps(_section4_json_obj(report), sort_keys=True, indent=2) + "\n")
+    _write_out(out, _json_text(_section4_json_obj(report)))
     for check in report.checks:
         if check.skipped:
             _say(f"  {check.name}: skipped ({check.skip_reason})")
@@ -823,7 +614,7 @@ def _cmd_verify_main_small(args: argparse.Namespace) -> int:
         star_value=str(report.star_value),
         witnesses=_witnesses_obj(report),
     )
-    _write_out(out, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_out(out, _json_text(obj))
     _say(
         f"optimum {report.value} vs star product {report.star_value} "
         f"(threshold n >= {report.threshold}); structures: {', '.join(report.structures)}"

@@ -9,14 +9,16 @@ computed exactly for unbounded n; expansion is offered at word scale.
 
 # No postponed annotations here: NamedTuple would compile each field's
 # annotation string into a ForwardRef at import.
-from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, OutOfScopeError, UsageError
 from .families import WORD_CAP, UniformFamily, mask_of
 from .records import Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FranklParams(Frozen):
@@ -111,8 +113,11 @@ class AKRegime(NamedTuple):
     threshold_den: int
 
 
-def ak_threshold(k: int, t: int, r: int) -> Fraction:
+def ak_threshold(k: int, t: int, r: int) -> "Fraction":
     """The n at which F(...,r) and F(...,r+1) have equal size."""
+    # imported here: of the commands, only frankl classifies a regime
+    from fractions import Fraction
+
     return (k - t + 1) * (2 + Fraction(t - 1, r + 1))
 
 

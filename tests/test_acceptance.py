@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from crossint import cli, inequalities
+from crossint import cli, inequalities, workers
 from crossint.cli import record_to_line
 from crossint.compression import shift_family
 from crossint.constructions import verify_section4_constructions
@@ -159,11 +159,11 @@ def test_default_stream_torn_near_its_end_resumes_from_its_checkpoint(
     capsys.readouterr()
     assert cli.main(["sweep-inequalities", "--out", str(out), "--resume"]) == 2
     assert "(n,k,s,i,t)=(15,6,7,5,4): lemma_g" in capsys.readouterr().err
-    assert 1 < len(parsed) <= cli.CHECKPOINT_EVERY + 64 + 1
+    assert 1 < len(parsed) <= workers.CHECKPOINT_EVERY + 64 + 1
     # each point after the last checkpoint is evaluated once: to compare
     # with its line, or to be written
     evaluated = forked_calls("evaluate")
-    assert len(evaluated) == len(set(evaluated)) == 86_592 % cli.CHECKPOINT_EVERY
+    assert len(evaluated) == len(set(evaluated)) == 86_592 % workers.CHECKPOINT_EVERY
     assert _sha256_file(out) == DEFAULT_STREAM_SHA256
     for suffix, expected in sidecars.items():
         assert (tmp_path / f"sweep.jsonl{suffix}").read_bytes() == expected

@@ -597,7 +597,7 @@ def test_resume_walks_the_grid_once(tmp_path, monkeypatch, forked_calls) -> None
     # it once, up to its last block's end; each point is evaluated once, in
     # one worker
     monkeypatch.setattr(workers, "SWEEP_BLOCK", 3)
-    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 6)  # past the torn sixth line
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 6)  # past the torn sixth line
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "walk.jsonl"
     assert _sweep_to(out) == 0
@@ -977,7 +977,7 @@ def _checkpointed_sweep(tmp_path, *flags: str) -> tuple[bytes, bytes]:
 def test_resume_through_a_checkpoint_equals_a_full_read(
     tmp_path, capsys, monkeypatch, forked_calls, tear, parsed
 ) -> None:
-    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
     stream, checkpoint = _checkpointed_sweep(tmp_path)
     lines = stream.splitlines(keepends=True)
     assert len(lines) == 12
@@ -1008,12 +1008,14 @@ def test_resume_through_a_checkpoint_equals_a_full_read(
 
 
 def test_a_checkpoint_restores_the_digest_of_its_records(tmp_path, monkeypatch) -> None:
-    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
     stream, checkpoint = _checkpointed_sweep(tmp_path)
     absorbed = RecordDigest()
     for lineno, line in enumerate(stream.decode().splitlines()[:10], start=1):
         absorbed.absorb(parse_record_line(lineno, line))
-    restored, offset, crc = cli._read_checkpoint(str(tmp_path / "fresh.jsonl"), (3, 4, 2, 2))
+    restored, offset, crc = workers._read_checkpoint(
+        str(tmp_path / "fresh.jsonl"), (3, 4, 2, 2)
+    )
     assert restored.records == 10
     assert offset == len(b"".join(stream.splitlines(keepends=True)[:10]))
     assert crc == zlib.crc32(stream[:offset])
@@ -1022,11 +1024,11 @@ def test_a_checkpoint_restores_the_digest_of_its_records(tmp_path, monkeypatch) 
     assert restored.to_json_obj() == absorbed.to_json_obj()
     assert restored.state_lines() == absorbed.state_lines()
     assert restored.last_point == absorbed.last_point
-    assert cli._checkpoint_text((3, 4, 2, 2), offset, crc, restored).encode() == checkpoint
+    assert workers._checkpoint_text((3, 4, 2, 2), offset, crc, restored).encode() == checkpoint
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path, monkeypatch) -> None:
-    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
     _, checkpoint = _checkpointed_sweep(tmp_path)
     assert hashlib.sha256(checkpoint).hexdigest() == (
         "48fe9f164eff83e07317d0c885624448391cbae87de59a217f31c36f2b44343a"
@@ -1061,12 +1063,12 @@ def _flip(data: bytes, old: bytes, new: bytes) -> bytes:
 def test_an_unusable_checkpoint_falls_back_to_a_full_read(
     tmp_path, capsys, monkeypatch, forked_calls, case
 ) -> None:
-    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
     stream, checkpoint = _checkpointed_sweep(tmp_path)
     lines = stream.splitlines(keepends=True)
     torn = b"".join(lines[:11]) + lines[11][:30]
     if case == "version":
-        monkeypatch.setattr(cli, "__version__", "0.1.1")
+        monkeypatch.setattr(workers, "__version__", "0.1.1")
     elif case == "grid flags":
         # the checkpoint of the 6-point t = 3 grid, whose stream is a prefix
         stream, checkpoint = _checkpointed_sweep(tmp_path / "t3", "--t-max", "3")
@@ -1115,7 +1117,7 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
 
 
 def test_a_fresh_sweep_replaces_a_stale_checkpoint(tmp_path, monkeypatch) -> None:
-    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
     _, expected = _checkpointed_sweep(tmp_path / "clean")
     stale = tmp_path / "fresh.jsonl.checkpoint"
     stale.write_bytes(_checkpointed_sweep(tmp_path / "t3", "--t-max", "3")[1])
@@ -1139,7 +1141,7 @@ def _small_blocks(monkeypatch, cpus: int) -> None:
     """CHECKPOINT_SWEEP's 12 points in blocks of 5, the last one partial,
     with a checkpoint at 10, on cpus CPUs."""
     monkeypatch.setattr(workers, "SWEEP_BLOCK", 5)
-    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 10)
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 10)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -1279,7 +1281,7 @@ def test_an_os_error_is_one_error_line(tmp_path, capsys, monkeypatch, case) -> N
         path.mkdir()
         argv = SMALL_SWEEP + ["--out", str(path), "--resume"]
     else:
-        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 5)
+        monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
         path = tmp_path / "s.jsonl.checkpoint"
         path.mkdir()
         argv = SMALL_SWEEP + ["--out", str(tmp_path / "s.jsonl")]
@@ -1810,6 +1812,8 @@ _HEAVY_MODULES = {
     "crossint.workers": {"sweep-inequalities"},
     "crossint.constructions": {"verify-case4"},
     "dataclasses": set(),
+    "fractions": {"frankl", "sweep-inequalities"},
+    "json": {"verify-main-small", "sweep-inequalities"},
 }
 
 
@@ -1883,8 +1887,8 @@ def test_traced_sweep_and_resume_repeat_their_counts(tmp_path) -> None:
         f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
         "import tracing\n"
         "tracer = tracing.install()\n"
-        "from crossint import cli\n"
-        "cli.CHECKPOINT_EVERY = 5\n"
+        "from crossint import cli, workers\n"
+        "workers.CHECKPOINT_EVERY = 5\n"
         "argv = sys.argv[1:] + ['--out', 's.jsonl']\n"
         "def calls():\n"
         "    return {name: span[0] for name, span in tracer.spans.items()}\n"

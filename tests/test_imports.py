@@ -10,7 +10,7 @@ attribute or an imported name, somewhere in the package, its tests or the
 benchmark harness, outside its own definition.  And a package module opens
 a file for writing, by ``open`` or ``os.fdopen``, only in the two functions
 that are meant to: ``cli._replace_file``, the atomic writer behind every
-``--out``, and ``cli._cmd_sweep``, whose record stream is read, cut and
+``--out``, and ``workers.run_sweep``, whose record stream is read, cut and
 written on one handle; a sweep worker writes its pipe with ``os.write``.
 No package module reads JSON: a record line is read back only when its
 writer writes the record read from it back byte for byte, and nothing else
@@ -169,7 +169,7 @@ def test_unread_definition_rule() -> None:
 
 #: (module file, top-level function) of each place in the package that may
 #: open a file to write.
-WRITE_OPENERS = {("cli.py", "_replace_file"), ("cli.py", "_cmd_sweep")}
+WRITE_OPENERS = {("cli.py", "_replace_file"), ("workers.py", "run_sweep")}
 
 
 def _opener(func: ast.expr) -> bool:
