@@ -78,28 +78,28 @@ _LEMMAS = ("lemma_f", "lemma_g", "lemma_h", "lemma_phi")
 
 class RecordDigest:
     """Running totals over a stream of verification records.  Only this
-    class knows its state: it writes and restores its half of a checkpoint, and
-    renders one per-check table as each of its summaries.
+    class knows its state: it writes and adds back its half of a checkpoint
+    or a frame, in numbers and status words, and renders one per-check
+    table as each of its summaries.
 
     Records share a handful of Checks, so the status counts are kept per
     Checks, next to what it implies: its violated check names, the lemmas
     whose slack enters the minima with the positions of those slacks, and
     whether the key ratio does.  The least key ratio is kept as its two
-    ints and the last point as the last record, so absorbing a record
-    builds no object."""
+    ints and the last record as its point."""
 
     VIOLATION_CAP = 1000
 
     def __init__(self) -> None:
         self.records = 0
         self.violations: list[tuple[int, int, int, int, int, str]] = []
+        self.last_point: tuple[int, int, int, int, int] | None = None
         # the least key ratio so far as (numerator, denominator); 1/0 stands
         # above every ratio until a ranked record comes
         self._ratio_num, self._ratio_den = 1, 0
         # each lemma's least slack so far, by _LEMMAS position; None until a
         # record that ranks the lemma comes
         self._slack_min: list[int | None] = [None] * len(_LEMMAS)
-        self._last: VerificationRecord | None = None
         # Checks -> [records, violated names, (lemma position, slack position)
         # pairs, ranked]
         self._by_checks: dict[Checks, list] = {}
@@ -120,31 +120,9 @@ class RecordDigest:
         ]
         return entry
 
-    def merge(self, other: RecordDigest) -> None:
-        """Add other, the digest of the records that follow this digest's,
-        as if each of its records were absorbed here in turn."""
-        self.records += other.records
-        for checks, entry in other._by_checks.items():
-            mine = self._by_checks.get(checks)
-            if mine is None:
-                self._by_checks[checks] = list(entry)
-            else:
-                mine[0] += entry[0]
-        # denominators are positive, or 0 for no ranked record yet, so
-        # cross-multiplying compares, and an equal ratio keeps the earlier one
-        if other._ratio_num * self._ratio_den < self._ratio_num * other._ratio_den:
-            self._ratio_num, self._ratio_den = other._ratio_num, other._ratio_den
-        slack_min = self._slack_min
-        for lemma, low in enumerate(other._slack_min):
-            if low is not None and (slack_min[lemma] is None or low < slack_min[lemma]):
-                slack_min[lemma] = low
-        self.violations += other.violations[: self.VIOLATION_CAP - len(self.violations)]
-        if other._last is not None:
-            self._last = other._last
-
     def absorb(self, record: VerificationRecord) -> None:
         self.records += 1
-        self._last = record
+        self.last_point = record.point
         checks = record.checks
         entry = self._by_checks.get(checks)
         if entry is None:
@@ -164,55 +142,60 @@ class RecordDigest:
                 (record.n, record.k, record.s, record.i, record.t, violated)
             )
 
-    @property
-    def last_point(self) -> tuple[int, int, int, int, int] | None:
-        return None if self._last is None else self._last.point
-
     def state_lines(self) -> list[str]:
-        """The digest's half of a checkpoint: one line each for the least
-        ratio, the slack minima (- for none), each Checks entry's count and
-        checks object, each violation and the last record."""
+        """The digest's half of a checkpoint or a frame: one line each for
+        the least ratio, the slack minima (- for none), each Checks entry's
+        count and statuses in CHECK_ORDER, each violation and the last point."""
         return [
             f"ratio {self._ratio_num} {self._ratio_den}",
             "slack " + " ".join("-" if low is None else str(low) for low in self._slack_min),
             *(
-                f"checks {entry[0]} {_checks_json(checks)}"
+                f"checks {entry[0]} {' '.join(checks)}"
                 for checks, entry in self._by_checks.items()
             ),
             *("violation {} {} {} {} {} {}".format(*v) for v in self.violations),
-            "last " + record_to_line(self._last),
+            "last {} {} {} {} {}".format(*self.last_point),
         ]
 
-    @classmethod
-    def from_state_lines(cls, records: int, lines: list[str]) -> RecordDigest:
-        """The digest of records records whose state_lines are lines, its
-        last record read by parse_record_line and each Checks entry, read
-        where _checks_json writes its statuses, built by _entry.  No piece
-        is checked for its form: a reader keeps the lines only when this
-        digest writes them back whole."""
+    def add_state_lines(self, records: int, lines: list[str]) -> None:
+        """Add the digest of the records records that follow this digest's,
+        written as state_lines, as if each were absorbed here in turn.  Every
+        line is read before the digest changes; one out of form, or Checks
+        counts that do not add up to records, is a ValueError."""
+
+        def words(line: str, key: str, count: int) -> list[str]:
+            first, *rest = line.split(" ")
+            if first != key or len(rest) != count:
+                raise ValueError(f"not a {key} line: {line!r}")
+            return rest
+
         ratio, slack, *entries, last = lines
-        digest = cls()
-        digest._ratio_num, digest._ratio_den = map(int, ratio.split(" ")[1:])
-        lows = slack.split(" ")[1:]
-        if len(lows) != len(_LEMMAS):
-            raise ValueError("a slack minimum per lemma")
-        digest._slack_min = [None if low == "-" else int(low) for low in lows]
-        for entry in entries:
-            key, *fields = entry.split(" ")
-            if key == "checks":
-                count, written = fields
-                checks = _checks_of(_CHECKS_STATUSES(written.translate(_PUNCTUATION).split()))
-                if checks is None:
-                    raise ValueError("not a checks object")
-                digest._entry(checks)[0] = int(count)
+        ratio_num, ratio_den = map(int, words(ratio, "ratio", 2))
+        lows = [None if low == "-" else int(low) for low in words(slack, "slack", len(_LEMMAS))]
+        counts, violations = {}, []
+        for line in entries:
+            if line.startswith("checks "):
+                count, *statuses = words(line, "checks", 1 + len(CHECK_ORDER))
+                counts[_checks_of(tuple(statuses))] = int(count)
             else:
-                n, k, s, i, t, names = fields
-                digest.violations.append((int(n), int(k), int(s), int(i), int(t), names))
-        if sum(entry[0] for entry in digest._by_checks.values()) != records:
+                *point, names = words(line, "violation", 6)
+                violations.append((*map(int, point), names))
+        last_point = tuple(map(int, words(last, "last", 5)))
+        if sum(counts.values()) != records:
             raise ValueError("the Checks counts do not add up to the records")
-        digest.records = records
-        digest._last = parse_record_line(records, last.removeprefix("last "))
-        return digest
+        self.records += records
+        for checks, count in counts.items():
+            (self._by_checks.get(checks) or self._entry(checks))[0] += count
+        # denominators are positive, or 0 for no ranked record yet, so
+        # cross-multiplying compares, and an equal ratio keeps the earlier one
+        if ratio_num * self._ratio_den < self._ratio_num * ratio_den:
+            self._ratio_num, self._ratio_den = ratio_num, ratio_den
+        slack_min = self._slack_min
+        for lemma, low in enumerate(lows):
+            if low is not None and (slack_min[lemma] is None or low < slack_min[lemma]):
+                slack_min[lemma] = low
+        self.violations += violations[: self.VIOLATION_CAP - len(self.violations)]
+        self.last_point = last_point
 
     def _check_table(self) -> list[tuple[str, list[int], str]]:
         """(check name, its records per status in STATUSES order, its least
@@ -309,23 +292,22 @@ _NAMED = VerificationRecord(
 
 #: Where the words of a record line hold its ints (n, k, s, i, t, T_num,
 #: T_den, then the values in Values order) and its statuses (in
-#: CHECK_ORDER), and where a checks object's words hold its statuses.
-_LINE_INTS, _LINE_STATUSES, _CHECKS_STATUSES = (
-    itemgetter(*map(text.translate(_PUNCTUATION).split().index, fields))
-    for text, fields in (
-        (record_to_line(_NAMED), _NAMED[:7] + _NAMED.values),
-        (record_to_line(_NAMED), _NAMED.checks),
-        (_checks_json(_NAMED.checks), _NAMED.checks),
-    )
+#: CHECK_ORDER).
+_LINE_INTS, _LINE_STATUSES = (
+    itemgetter(*map(record_to_line(_NAMED).translate(_PUNCTUATION).split().index, fields))
+    for fields in (_NAMED[:7] + _NAMED.values, _NAMED.checks)
 )
 
 
 @functools.lru_cache(maxsize=1024)
-def _checks_of(statuses: tuple[str, ...]) -> Checks | None:
-    """The Checks of statuses, or None when one is not in STATUSES.  Cached,
-    since a stream's records share a handful of them; the tuple is
-    immutable, so every record of one checks text shares one Checks."""
-    return Checks._make(statuses) if all(status in STATUSES for status in statuses) else None
+def _checks_of(statuses: tuple[str, ...]) -> Checks:
+    """The Checks of statuses, one per check; a ValueError when one is not in
+    STATUSES.  Cached, since a stream's records share a handful of them; the
+    tuple is immutable, so every record of one checks text shares one
+    Checks."""
+    if not all(status in STATUSES for status in statuses):
+        raise ValueError(f"not a status in {statuses}")
+    return Checks._make(statuses)
 
 
 def parse_record_line(lineno: int, line: str) -> VerificationRecord:
@@ -738,4 +720,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # the sweep's workers module imports this one as crossint.cli: it must
+    # find this module there, not compile and run a second copy
+    sys.modules.setdefault("crossint.cli", sys.modules[__name__])
     sys.exit(main())

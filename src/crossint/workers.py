@@ -8,8 +8,9 @@ sweep_blocks forks one worker per CPU the process may run on, never more
 than there are blocks; with K workers, worker w evaluates blocks w, w + K,
 ..., renders each record with the record_to_line of cli and digests the
 block in a fresh cli.RecordDigest, and writes the block to its pipe as one
-frame.  The parent reads the blocks back in grid order, so what it writes
-does not depend on K.
+frame.  The parent reads the blocks back in grid order and adds each
+block's state lines to its own digest (RecordDigest.add_state_lines), so
+what it writes does not depend on K.
 
 A frame is a header line, "<kind> <records> <bytes> <bytes>", then its two
 parts of those sizes:
@@ -25,7 +26,8 @@ CHECKPOINT_EVERY records.  A resume restores the digest of the last
 checkpoint it can verify (_read_checkpoint), compares each block with the
 stream's next bytes, and settles the stream where they part (_settle).
 The stream's records are read and written by cli.parse_record_line and
-cli.record_to_line, looked up in cli at each call.
+cli.record_to_line, looked up in cli at each call: in this process by
+_settle alone, which reads the lines it compares.
 """
 
 from __future__ import annotations
@@ -86,19 +88,19 @@ def _sweep_worker(fd: int, flags: tuple[int, int, int, int], blocks) -> None:
             return
 
 
-def _read_frame(reader, worker: int, lineno: int) -> tuple[bytes, cli.RecordDigest]:
-    """The record lines and digest of the next frame sweep worker worker
-    wrote to reader, its first record at line lineno of the stream.  An
-    error frame raises its error; a frame cut short, as by the worker's
-    death, is an IntegrityError naming the worker."""
+def _read_frame(reader, worker: int, lineno: int) -> tuple[bytes, int, list[str]]:
+    """The record lines, record count and digest state lines of the next
+    frame sweep worker worker wrote to reader, its first record at line
+    lineno of the stream.  An error frame raises its error; a frame cut
+    short, as by the worker's death, is an IntegrityError naming the
+    worker."""
     kind, *sizes = reader.readline().split() or [b""]
     if kind in (b"block", b"error") and len(sizes) == 3 and all(map(bytes.isdigit, sizes)):
         records, first_size, second_size = map(int, sizes)
         first, second = reader.read(first_size), reader.read(second_size)
         if (len(first), len(second)) == (first_size, second_size):
             if kind == b"block":
-                state = second.decode().split("\n")[:-1]
-                return first, cli.RecordDigest.from_state_lines(records, state)
+                return first, records, second.decode().split("\n")[:-1]
             raise getattr(errors, first.decode())(second.decode())
     raise errors.IntegrityError(
         f"sweep worker {worker} died or sent a short frame before line {lineno}"
@@ -106,11 +108,11 @@ def _read_frame(reader, worker: int, lineno: int) -> tuple[bytes, cli.RecordDige
 
 
 def sweep_blocks(flags: tuple[int, int, int, int], blocks: list[tuple[int, int]]):
-    """The record lines and RecordDigest of each (lo, hi) of blocks, the
-    grid's points lo + 1 to hi, in order, from the workers (_sweep_worker)
-    that this generator forks when it starts.  A block comes as two frames
-    when a worker stops at an error.  However the generator ends, each
-    worker is killed and reaped."""
+    """The record lines, record count and digest state lines of each
+    (lo, hi) of blocks, the grid's points lo + 1 to hi, in order, from the
+    workers (_sweep_worker) that this generator forks when it starts.  A
+    block comes as two frames when a worker stops at an error.  However the
+    generator ends, each worker is killed and reaped."""
     workers = min(len(os.sched_getaffinity(0)), len(blocks))
     pids, readers = [], []
     try:
@@ -138,9 +140,9 @@ def sweep_blocks(flags: tuple[int, int, int, int], blocks: list[tuple[int, int]]
             readers.append(os.fdopen(read_end, "rb"))
         for index, (lo, hi) in enumerate(blocks):
             while lo < hi:
-                data, block = _read_frame(readers[index % workers], index % workers, lo + 1)
-                yield data, block
-                lo += block.records
+                frame = _read_frame(readers[index % workers], index % workers, lo + 1)
+                yield frame
+                lo += frame[1]
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -179,14 +181,15 @@ def _read_checkpoint(
     version and these grid flags, and the stream still begins with the
     offset bytes it checksummed; otherwise an empty digest at offset 0, so
     that the whole stream is read, as when there is no checkpoint.  The
-    digest is RecordDigest.from_state_lines of the lines after the stream
-    line, and the text is kept only when that digest writes it back whole."""
+    lines after the stream line are added to an empty digest, and the text
+    is kept only when that digest writes it back whole."""
     try:
         with open(path + ".checkpoint", encoding="utf-8", newline="") as fh:
             text = fh.read()
         _, _, stream, *state = text.split("\n")[:-1]
         records, offset, crc = map(int, stream.split(" ")[1:])
-        digest = cli.RecordDigest.from_state_lines(records, state)
+        digest = cli.RecordDigest()
+        digest.add_state_lines(records, state)
         if _checkpoint_text(flags, offset, crc, digest) != text:
             raise ValueError("not the checkpoint of this version and grid")
         # 64 KiB blocks: the prefix is most of the stream, and larger
@@ -197,7 +200,7 @@ def _read_checkpoint(
                 left, prefix_crc = left - len(block), crc32(block, prefix_crc)
         if left or prefix_crc != crc:
             raise ValueError("the stream no longer begins with the checkpointed bytes")
-    except (OSError, ValueError, IndexError, errors.IntegrityError):
+    except (OSError, ValueError):
         return cli.RecordDigest(), 0, 0
     return digest, offset, crc
 
@@ -279,13 +282,13 @@ def _settle(fh, path: str, digest: cli.RecordDigest, data: bytes) -> int:
 def run_sweep(args) -> int:
     """sweep-inequalities with the parsed args: the grid in blocks of
     records, each evaluated, serialized and digested once by a worker
-    (sweep_blocks) and taken by this process in grid order: its digest
-    merged, its bytes checksummed once and written once.  A resume reads
-    the stream on the handle it writes: a block that is the stream's next
-    bytes is kept; at the first other one, or at the end of the grid,
-    _settle keeps the lines the stream holds as the block does and refuses
-    the stream or cuts it after them, and the sweep writes on.  A fresh
-    sweep has nothing to read.  The digest then renders the summary
+    (sweep_blocks) and taken by this process in grid order: its digest's
+    state lines added, its bytes checksummed once and written once.  A
+    resume reads the stream on the handle it writes: a block that is the
+    stream's next bytes is kept; at the first other one, or at the end of
+    the grid, _settle keeps the lines the stream holds as the block does
+    and refuses the stream or cuts it after them, and the sweep writes on.
+    A fresh sweep has nothing to read.  The digest then renders the summary
     sidecars and the report said on standard error."""
     out = resolve_out(args.out, "sweep-records.jsonl")
     if args.resume and out == "-":
@@ -322,7 +325,7 @@ def run_sweep(args) -> int:
                 os.remove(out + ".checkpoint")
             fh = open(out, "wb")
         try:
-            for data, block in itertools.chain(() if first is None else (first,), frames):
+            for data, records, state in itertools.chain(() if first is None else (first,), frames):
                 kept = 0
                 if reading:
                     stream = fh.read(len(data))
@@ -332,7 +335,7 @@ def run_sweep(args) -> int:
                         kept = _settle(fh, out, digest, data)
                 # the bytes checksummed are the bytes kept or written
                 crc = crc32(data, crc)
-                digest.merge(block)
+                digest.add_state_lines(records, state)
                 if reading:
                     continue
                 fh.write(memoryview(data)[kept:])

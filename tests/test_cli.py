@@ -634,11 +634,33 @@ def test_resume_walks_the_grid_once(tmp_path, monkeypatch, forked_calls) -> None
     # blocks of 3: worker 0 takes points 1-3 and 7-8, worker 1 points 4-6
     assert sorted(walks.values()) == [grid[:6], grid]
     assert sorted(forked_calls("evaluate")) == grid
-    # the workers render each record once for its line, the torn sixth's
-    # too, and each block's last once more; the parent renders only the
-    # records it parses, each to compare with its line
+    # the workers render each record once, for its line, the torn sixth's
+    # too; the parent renders only the records it parses, each to compare
+    # with its line
     rendered = [point for pid, point in forked_calls("render") if pid != os.getpid()]
-    assert sorted(rendered) == sorted(grid + [grid[2], grid[5], grid[7]])
+    assert sorted(rendered) == grid
+
+
+def test_a_fresh_sweep_reads_and_writes_no_record_line_in_its_parent(
+    tmp_path, monkeypatch
+) -> None:
+    # the workers render the records; the parent adds each block's digest
+    # and writes each checkpoint from state lines of numbers and status
+    # words, so it neither parses nor renders a record line
+    monkeypatch.setattr(workers, "SWEEP_BLOCK", 3)
+    monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 6)
+    calls = []
+    for name in ("parse_record_line", "record_to_line"):
+        def counted(*args, _name=name, _call=getattr(cli, name)):
+            calls.append(_name)  # the workers' calls land in their own copies
+            return _call(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "fresh.jsonl"
+    assert main(CHECKPOINT_SWEEP + ["--out", str(out)]) == 2
+    assert len(out.read_bytes().splitlines()) == 12
+    assert (tmp_path / "fresh.jsonl.checkpoint").exists()
+    assert calls == []
 
 
 def test_resume_on_complete_stream_is_byte_identical(tmp_path) -> None:
@@ -925,15 +947,12 @@ def _resume_in(run_dir: Path, stream: bytes, checkpoint: bytes | None, capsys) -
 
 
 def _count_parsed_lines(monkeypatch) -> list[int]:
-    """The line numbers parse_record_line is called with, from now on, but
-    for the last record of each worker's block, parsed as _read_frame
-    restores the block's digest from the worker's state lines: a line of
-    the worker's, not of the stream."""
+    """The line numbers parse_record_line is called with in this process,
+    from now on."""
     parse, lines = cli.parse_record_line, []
 
     def counted(lineno: int, line: str):
-        if sys._getframe(2).f_code is not workers._read_frame.__code__:
-            lines.append(lineno)
+        lines.append(lineno)
         return parse(lineno, line)
 
     monkeypatch.setattr(cli, "parse_record_line", counted)
@@ -963,15 +982,14 @@ def _checkpointed_sweep(tmp_path, *flags: str) -> tuple[bytes, bytes]:
 @pytest.mark.parametrize(
     "tear, parsed",
     [
-        # the checkpoint's last record, then, as the checkpoint lies past the
-        # end, the whole stream; a line a fresh sweep writes there is not
-        # parsed, so only the torn one is, after the worker's line there,
-        # for its point
-        ("before", [10, 10, 10]),
-        # its last record, then the worker's line 11 at the stream's end, or
-        # the worker's line 12 and the torn one after line 11
-        ("at", [10, 11]),
-        ("after", [10, 12, 12]),
+        # the checkpoint lies past the end, so the whole stream is read; a
+        # line a fresh sweep writes there is not parsed, so only the torn
+        # one is, after the worker's line there, for its point
+        ("before", [10, 10]),
+        # the worker's line 11 at the stream's end, or the worker's line 12
+        # and the torn one after line 11
+        ("at", [11]),
+        ("after", [12, 12]),
     ],
 )
 def test_resume_through_a_checkpoint_equals_a_full_read(
@@ -1031,13 +1049,27 @@ def test_checkpoint_bytes_are_pinned(tmp_path, monkeypatch) -> None:
     monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
     _, checkpoint = _checkpointed_sweep(tmp_path)
     assert hashlib.sha256(checkpoint).hexdigest() == (
-        "48fe9f164eff83e07317d0c885624448391cbae87de59a217f31c36f2b44343a"
+        "4f85ae1193ad2189d7bfd1c7dbb6f9a476fd7732977328aafd5ded2e4badcbc3"
     )
 
 
 def _flip(data: bytes, old: bytes, new: bytes) -> bytes:
     assert old in data
     return data.replace(old, new, 1)
+
+
+def _with_record_text(checkpoint: bytes, last: bytes) -> bytes:
+    """checkpoint as the sweep wrote it while its digest lines embedded the
+    record line's format: each checks entry's statuses as the line's checks
+    object, and "last" followed by last, the whole last record line."""
+    lines = checkpoint.decode().split("\n")
+    for at, line in enumerate(lines):
+        if line.startswith("checks "):
+            _, count, *statuses = line.split(" ")
+            lines[at] = f"checks {count} {cli._checks_json(Checks._make(statuses))}"
+        elif line.startswith("last "):
+            lines[at] = "last " + last.decode().removesuffix("\n")
+    return "\n".join(lines).encode()
 
 
 @pytest.mark.parametrize(
@@ -1058,6 +1090,8 @@ def _flip(data: bytes, old: bytes, new: bytes) -> bytes:
         "three slack minima",
         "counts that do not add up",
         "unreadable last record",
+        "the parent's format",
+        "eleven statuses",
     ],
 )
 def test_an_unusable_checkpoint_falls_back_to_a_full_read(
@@ -1081,8 +1115,13 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
         # the same flags, but the stream of a grid grown in n: it parts from
         # the checkpointed bytes at line 7
         torn, _ = _checkpointed_sweep(tmp_path / "grown", "--n-span", "5")
+    elif case == "the parent's format":
+        checkpoint = _with_record_text(checkpoint, lines[9])
+        assert hashlib.sha256(checkpoint).hexdigest() == (
+            "48fe9f164eff83e07317d0c885624448391cbae87de59a217f31c36f2b44343a"
+        )
     else:
-        ratio, slack = checkpoint.split(b"\n")[3:5]
+        ratio, slack, entry = checkpoint.split(b"\n")[3:6]
         checkpoint = {
             "empty": b"",
             "not UTF-8": b"\xff" + checkpoint,
@@ -1090,10 +1129,11 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
             "carriage returns": checkpoint.replace(b"\n", b"\r\n"),
             "extra line": checkpoint.replace(ratio, ratio + b"\n" + ratio),
             "signed number": _flip(checkpoint, b"stream 10 ", b"stream +10 "),
-            "unknown status": _flip(checkpoint, b'"thm32":"holds"', b'"thm32":"holdz"'),
+            "unknown status": _flip(checkpoint, b"checks 2 holds", b"checks 2 holdz"),
             "three slack minima": _flip(checkpoint, slack, slack.rsplit(b" ", 1)[0]),
             "counts that do not add up": _flip(checkpoint, b"stream 10 ", b"stream 11 "),
-            "unreadable last record": _flip(checkpoint, b'last {"T_den":"', b'last {"T_den":'),
+            "unreadable last record": _flip(checkpoint, b"\nlast 4 ", b"\nlast four "),
+            "eleven statuses": _flip(checkpoint, entry, entry.rsplit(b" ", 1)[0]),
         }[case]
     parsed = _count_parsed_lines(monkeypatch)
     _count_evaluated_points(monkeypatch, forked_calls)
@@ -1105,9 +1145,8 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
     evaluated = sorted(forked_calls("evaluate"))
     assert through == full
     # every line of the stream was read, against the grid's points from the
-    # first on; the checkpoint's last record may have been parsed before its
-    # refusal
-    assert parsed_through[len(parsed_through) - len(parsed):] == parsed
+    # first on
+    assert parsed_through == parsed
     grid = list(inequalities._grid_points(3, 4, 2, 2))
     for points in (evaluated_through, evaluated):
         # each point at most once, from the grid's first on; every point,
@@ -1639,8 +1678,8 @@ def test_digest_of_a_parsed_record_equals_the_fresh_one() -> None:
 
 
 def test_digest_of_a_read_back_stream_equals_the_fresh_one(tmp_path) -> None:
-    # the digest keeps its least key ratio as two ints and its last point as
-    # its last record: over every line of a sweep with lemma exclusions and
+    # the digest keeps its least key ratio as two ints and its last record
+    # as its point: over every line of a sweep with lemma exclusions and
     # the lemma_g equality point, the parsed records give the digest of the
     # fresh ones, and both give the minima of the records themselves
     out = tmp_path / "t4.jsonl"
@@ -1725,10 +1764,11 @@ def test_min_ratio_skips_excluded_points() -> None:
 
 @pytest.mark.parametrize("cap", [1000, 5])
 def test_merged_digests_equal_the_digest_of_every_record(monkeypatch, cap) -> None:
-    # split in three anywhere: the parts' digests merged in order are the
-    # digest that absorbs every record, from its least ratio (the first of
-    # equal ones) and its slack minima to its capped violations and last
-    # record.  Each record is followed by a twin that writes its ratio with
+    # split in three anywhere: the state lines of the parts' digests added
+    # in order give the digest that absorbs every record, from its least
+    # ratio (the first of equal ones) and its slack minima to its capped
+    # violations and last point; an empty part has no last point, and so
+    # no state lines.  Each record is followed by a twin that writes its ratio with
     # both terms doubled and violates lemma_h; the t = 3 points open with
     # excluded key ratios, and t = 4 holds the lemma_g equality
     monkeypatch.setattr(RecordDigest, "VIOLATION_CAP", cap)
@@ -1747,7 +1787,8 @@ def test_merged_digests_equal_the_digest_of_every_record(monkeypatch, cap) -> No
             digest = RecordDigest()
             for record in part:
                 digest.absorb(record)
-            merged.merge(digest)
+            if part:
+                merged.add_state_lines(len(part), digest.state_lines())
         assert merged.records == whole.records
         assert merged.state_lines() == whole.state_lines(), (i, j)
         assert (merged.to_csv(), merged.to_json_obj()) == (whole.to_csv(), whole.to_json_obj())
@@ -1860,6 +1901,27 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv) -> None:
     assert unwanted == []
 
 
+def test_running_cli_as_a_module_imports_it_once(tmp_path) -> None:
+    # python -m runs cli.py as __main__; the sweep's workers module imports
+    # crossint.cli, which must be that module, not a second copy of it
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "crossint.cli", "sweep-inequalities",
+         "--t-max", "3", "--k-span", "2", "--n-span", "2", "--out", "s.jsonl"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "crossint.workers" in imported
+    assert "crossint.cli" not in imported
+    assert len((tmp_path / "s.jsonl").read_bytes().splitlines()) > 0
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps() -> None:
     # perfbench/tracing.py wraps package functions and methods by name; a
     # rename or deletion must fail here, not only under `run.py --trace 1`
@@ -1916,13 +1978,15 @@ def test_traced_sweep_and_resume_repeat_their_counts(tmp_path) -> None:
     assert proc.returncode == 0, proc.stderr
     first, second = json.loads(proc.stdout)
     assert first == second
-    (sweep_rc, _, _), (resume_rc, resume, _) = first
+    (sweep_rc, sweep, _), (resume_rc, resume, _) = first
     assert sweep_rc == resume_rc == 2  # the lemma_g equality at (15,6,7,5,4)
     # the tracer sees this process only, and the workers evaluate, render
-    # and digest the records: here the checkpoint's last record is parsed,
-    # and the last of each block after it, as its digest is restored, then
-    # the worker's line 12, where the stream parts from it, and the torn one
-    assert resume["cli.parse_record_line"] == 5
-    assert resume["cli.record_to_line"] >= 2
+    # and digest the records: the sweep reads and writes no record line
+    # itself, and the resume parses the worker's line 12, where the stream
+    # parts from it, rendered back to compare, and the torn one, too short
+    # to be rendered back
+    assert "cli.parse_record_line" not in sweep and "cli.record_to_line" not in sweep
+    assert resume["cli.parse_record_line"] == 2
+    assert resume["cli.record_to_line"] == 1
     assert "cli.digest_absorb" not in resume
     assert "inequalities.evaluate_point" not in resume
