@@ -34,6 +34,7 @@ import contextlib
 import functools
 import os
 import sys
+from math import gcd
 from operator import itemgetter
 
 from .compression import is_left_compressed, left_compress
@@ -206,9 +207,11 @@ class RecordDigest:
                 counts[name][STATUSES.index(status)] += records
         least = {name: str(low) for name, low in zip(_LEMMAS, self._slack_min) if low is not None}
         if self._ratio_den:
-            from fractions import Fraction
-
-            least["thm32"] = str(Fraction(self._ratio_num, self._ratio_den))
+            # the text str(Fraction(num, den)) writes, without importing
+            # fractions: lowest terms, and no denominator when it is 1
+            g = gcd(self._ratio_num, self._ratio_den)
+            num, den = self._ratio_num // g, self._ratio_den // g
+            least["thm32"] = f"{num}/{den}" if den != 1 else str(num)
         return [(name, counts[name], least.get(name, "")) for name in CHECK_ORDER]
 
     def to_csv(self) -> str:

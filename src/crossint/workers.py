@@ -161,16 +161,17 @@ def _checkpoint_text(
 ) -> str:
     """The checkpoint of a stream swept under the grid flags (t_min, t_max,
     k_span, n_span) whose first offset bytes, of zlib.crc32 crc, hold the
-    records digest has absorbed: the version, the flags, the record count,
-    offset and crc, one line each, then the digest's state_lines.  The one
-    writer of the format _read_checkpoint reads."""
-    lines = [
-        f"crossint sweep-inequalities checkpoint {__version__}",
-        "grid {} {} {} {}".format(*flags),
-        f"stream {digest.records} {offset} {crc}",
-        *digest.state_lines(),
-    ]
-    return "\n".join(lines) + "\n"
+    records digest has absorbed: the version, the flags, then the record
+    count, offset, crc and the zlib.crc32 of the state text on one line,
+    then the state text, the digest's state_lines.  The one writer of the
+    format _read_checkpoint reads."""
+    state = "".join(line + "\n" for line in digest.state_lines())
+    return (
+        f"crossint sweep-inequalities checkpoint {__version__}\n"
+        + "grid {} {} {} {}\n".format(*flags)
+        + f"stream {digest.records} {offset} {crc} {crc32(state.encode())}\n"
+        + state
+    )
 
 
 def _read_checkpoint(
@@ -182,12 +183,13 @@ def _read_checkpoint(
     offset bytes it checksummed; otherwise an empty digest at offset 0, so
     that the whole stream is read, as when there is no checkpoint.  The
     lines after the stream line are added to an empty digest, and the text
-    is kept only when that digest writes it back whole."""
+    is kept only when that digest writes it back whole, its state text's
+    checksum included, so that an edited value is caught too."""
     try:
         with open(path + ".checkpoint", encoding="utf-8", newline="") as fh:
             text = fh.read()
         _, _, stream, *state = text.split("\n")[:-1]
-        records, offset, crc = map(int, stream.split(" ")[1:])
+        records, offset, crc, _ = map(int, stream.split(" ")[1:])
         digest = cli.RecordDigest()
         digest.add_state_lines(records, state)
         if _checkpoint_text(flags, offset, crc, digest) != text:

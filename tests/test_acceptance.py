@@ -30,16 +30,14 @@ from crossint.families import (
 )
 from crossint.frankl import FranklParams, frankl_family, frankl_size, valid_r_range
 from crossint.gensets import compact, full_layer_genset
-from crossint.inequalities import (
-    SPECIAL_TRIPLES,
+from crossint.inequalities import SPECIAL_TRIPLES, SweepSummary, sweep
+from crossint.reference import (
     SectionParams,
-    SweepSummary,
     appendix_case,
     basefact,
     check_key_inequality,
     eval_core,
     key_ratio,
-    sweep,
 )
 from crossint.search import (
     brute_force_best,

@@ -1000,8 +1000,10 @@ def test_resume_through_a_checkpoint_equals_a_full_read(
     lines = stream.splitlines(keepends=True)
     assert len(lines) == 12
     at = len(b"".join(lines[:10]))
-    # only at multiples of 5, so not at the end
-    assert checkpoint.split(b"\n")[2] == b"stream 10 %d %d" % (at, zlib.crc32(stream[:at]))
+    # only at multiples of 5, so not at the end; the state lines follow the
+    # stream line, which ends in their crc32
+    _, _, line, state = checkpoint.split(b"\n", 3)
+    assert line == b"stream 10 %d %d %d" % (at, zlib.crc32(stream[:at]), zlib.crc32(state))
     cut = {"before": at - 7, "at": at, "after": len(stream) - 7}[tear]
     calls = _count_parsed_lines(monkeypatch)
     _count_evaluated_points(monkeypatch, forked_calls)
@@ -1049,7 +1051,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path, monkeypatch) -> None:
     monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
     _, checkpoint = _checkpointed_sweep(tmp_path)
     assert hashlib.sha256(checkpoint).hexdigest() == (
-        "4f85ae1193ad2189d7bfd1c7dbb6f9a476fd7732977328aafd5ded2e4badcbc3"
+        "d427c54b73beeadbcea4e39f65812286ca87caccfd476db166f6334330a804c0"
     )
 
 
@@ -1058,11 +1060,19 @@ def _flip(data: bytes, old: bytes, new: bytes) -> bytes:
     return data.replace(old, new, 1)
 
 
+def _without_state_crc(checkpoint: bytes) -> bytes:
+    """checkpoint as the sweep wrote it before its stream line ended in the
+    crc32 of the state lines."""
+    lines = checkpoint.split(b"\n")
+    lines[2] = lines[2].rsplit(b" ", 1)[0]
+    return b"\n".join(lines)
+
+
 def _with_record_text(checkpoint: bytes, last: bytes) -> bytes:
     """checkpoint as the sweep wrote it while its digest lines embedded the
     record line's format: each checks entry's statuses as the line's checks
     object, and "last" followed by last, the whole last record line."""
-    lines = checkpoint.decode().split("\n")
+    lines = _without_state_crc(checkpoint).decode().split("\n")
     for at, line in enumerate(lines):
         if line.startswith("checks "):
             _, count, *statuses = line.split(" ")
@@ -1092,6 +1102,9 @@ def _with_record_text(checkpoint: bytes, last: bytes) -> bytes:
         "unreadable last record",
         "the parent's format",
         "eleven statuses",
+        "no state checksum",
+        "edited ratio",
+        "edited slack",
     ],
 )
 def test_an_unusable_checkpoint_falls_back_to_a_full_read(
@@ -1120,6 +1133,11 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
         assert hashlib.sha256(checkpoint).hexdigest() == (
             "48fe9f164eff83e07317d0c885624448391cbae87de59a217f31c36f2b44343a"
         )
+    elif case == "no state checksum":
+        checkpoint = _without_state_crc(checkpoint)
+        assert hashlib.sha256(checkpoint).hexdigest() == (
+            "4f85ae1193ad2189d7bfd1c7dbb6f9a476fd7732977328aafd5ded2e4badcbc3"
+        )
     else:
         ratio, slack, entry = checkpoint.split(b"\n")[3:6]
         checkpoint = {
@@ -1134,6 +1152,10 @@ def test_an_unusable_checkpoint_falls_back_to_a_full_read(
             "counts that do not add up": _flip(checkpoint, b"stream 10 ", b"stream 11 "),
             "unreadable last record": _flip(checkpoint, b"\nlast 4 ", b"\nlast four "),
             "eleven statuses": _flip(checkpoint, entry, entry.rsplit(b" ", 1)[0]),
+            # lines in form, whose digest writes them back whole: only the
+            # state's checksum on the stream line tells them from the sweep's
+            "edited ratio": _flip(checkpoint, ratio, b"ratio 1 2"),
+            "edited slack": _flip(checkpoint, slack, b"slack -1" + slack[slack.index(b" ", 6):]),
         }[case]
     parsed = _count_parsed_lines(monkeypatch)
     _count_evaluated_points(monkeypatch, forked_calls)
@@ -1762,6 +1784,31 @@ def test_min_ratio_skips_excluded_points() -> None:
     assert digest.to_json_obj()["thm32_min_ratio"] == str(Fraction(615, 572))
 
 
+def test_an_absorbed_ratio_is_written_as_fractions_writes_it() -> None:
+    # the digest renders its least key ratio with integer arithmetic, so a
+    # sweep never imports fractions; a record's ratio is in lowest terms
+    ranked = [r for r in sweep(3, 4, 3, 3) if r.checks.thm32 != "excluded"]
+    assert len(ranked) == 48
+    for record in ranked:
+        digest = RecordDigest()
+        digest.absorb(record)
+        text = str(Fraction(record.t_num, record.t_den))
+        assert digest.to_json_obj()["thm32_min_ratio"] == text
+        assert f"thm32,1,0,0,0,{text}" in digest.to_csv().splitlines()
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(615, 572), (1230, 1144), (4, 6), (7, 1), (12, 3), (0, 1), (0, 5), (-3, 9), (-615, 572)],
+)
+def test_an_added_ratio_is_written_as_fractions_writes_it(num, den) -> None:
+    # state lines may carry a ratio in any terms: it is written in lowest
+    # terms, with no denominator when that is 1, and the sign on the numerator
+    digest = RecordDigest()
+    digest.add_state_lines(0, [f"ratio {num} {den}", "slack - - - -", "last 3 3 4 6 4"])
+    assert digest.to_json_obj()["thm32_min_ratio"] == str(Fraction(num, den))
+
+
 @pytest.mark.parametrize("cap", [1000, 5])
 def test_merged_digests_equal_the_digest_of_every_record(monkeypatch, cap) -> None:
     # split in three anywhere: the state lines of the parts' digests added
@@ -1852,8 +1899,10 @@ _HEAVY_MODULES = {
     "crossint.inequalities": {"sweep-inequalities"},
     "crossint.workers": {"sweep-inequalities"},
     "crossint.constructions": {"verify-case4"},
+    "crossint.reference": set(),
     "dataclasses": set(),
-    "fractions": {"frankl", "sweep-inequalities"},
+    "decimal": {"frankl"},
+    "fractions": {"frankl"},
     "json": {"verify-main-small", "sweep-inequalities"},
 }
 

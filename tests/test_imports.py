@@ -18,7 +18,9 @@ reads JSON.  And no
 package module imports ``io``: each text format has one writer that returns
 its text as a ``str``, so no text is built up in a stream buffer.  Nor does
 one import ``multiprocessing``, ``concurrent`` or ``threading``: the sweep
-forks its workers itself.  Outside a
+forks its workers itself.  Nor does one import ``fractions``, ``decimal`` or
+``numbers`` at module level: a Fraction is built only where it is printed
+or compared, and the sweep builds none.  Outside a
 class body, no package code reads or writes a single-underscore attribute
 of an object: a class's private state is known only to the class.
 """
@@ -356,6 +358,67 @@ def test_dataclasses_import_rule() -> None:
         "    return replace\n"
     )
     assert module_imports("dataclasses", source) == [1, 2, 3, 8]
+
+
+#: Modules no package module imports at module level: importing fractions
+#: imports decimal and numbers too, about 0.5 MB of a sweep's peak resident
+#: set, for the few places that build a Fraction (frankl's threshold, the
+#: reference API's ratios), which each import it where they use it.
+EXACT_NUMBER_MODULES = ("fractions", "decimal", "numbers")
+
+
+def module_level_imports(module: str, source: str) -> list[int]:
+    """Line of each import of module_imports that runs when source is
+    imported: outside every function body and every ``if TYPE_CHECKING:``
+    body (its ``else`` runs)."""
+    deferred = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            deferred.update(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(node, ast.If) and (
+            getattr(node.test, "id", None) == "TYPE_CHECKING"
+            or getattr(node.test, "attr", None) == "TYPE_CHECKING"
+        ):
+            deferred.update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+    return [line for line in module_imports(module, source) if line not in deferred]
+
+
+def test_package_imports_no_exact_number_module_at_module_level() -> None:
+    imports = [
+        f"{path.name}:{line}: {module}"
+        for path in PACKAGE
+        for module in EXACT_NUMBER_MODULES
+        for line in module_level_imports(module, path.read_text(encoding="utf-8"))
+    ]
+    assert imports == []
+
+
+def test_exact_number_import_rule() -> None:
+    source = (
+        "from fractions import Fraction\n"
+        "import numbers, decimal\n"
+        "import typing\n"
+        "if TYPE_CHECKING:\n"
+        "    from fractions import Fraction\n"
+        "else:\n"
+        "    import fractions\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "    return Fraction(1, 2)\n"
+        "class C:\n"
+        "    import fractions\n"
+        "    def g(self):\n"
+        "        import decimal\n"
+        "try:\n"
+        "    import decimal\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "import fractionsx\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    import numbers\n"
+    )
+    found = {module: module_level_imports(module, source) for module in EXACT_NUMBER_MODULES}
+    assert found == {"fractions": [1, 7, 12], "decimal": [2, 16], "numbers": [2]}
 
 
 #: Modules no package module imports: the sweep forks its workers with

@@ -1,8 +1,10 @@
-"""The exact big-integer inequality engine.
+"""The exact big-integer inequality engine and its per-point reference API.
 
 Everything here is integer or Fraction arithmetic: the key two-sided ratio,
 the margin lemmas with their exclusion triples, the reduction-chain checks,
-the specialized per-triple polynomial forms, and the record/sweep plumbing.
+the specialized per-triple polynomial forms, and the record/sweep plumbing,
+along both routes: the flat evaluate_point of inequalities and the result
+objects of reference, held to the same values.
 Two large randomized suites pin the elementary facts the engine leans on:
 the product-versus-ratio equivalence and the dual algebraic forms of the
 core quantities.
@@ -26,27 +28,29 @@ from crossint.inequalities import (
     G_LEMMA_EXCLUSIONS,
     SPECIAL_TRIPLES,
     _SPECIAL_FORMS,
-    SectionParams,
     SweepSummary,
     _grid_points,
     _grid_size,
+    evaluate_point,
+    evaluate_points,
+    iter_grid,
+    sweep,
+)
+from crossint.records import CHECK_ORDER, VALUE_NAMES, Checks, Values
+from crossint.reference import (
+    SectionParams,
     appendix_case,
     basefact,
     chain_checks,
     check_key_inequality,
     check_ratio_identity,
     eval_core,
-    evaluate_point,
-    evaluate_points,
-    iter_grid,
     key_ratio,
     lemma_f,
     lemma_g,
     lemma_h,
     lemma_phi,
-    sweep,
 )
-from crossint.records import CHECK_ORDER, VALUE_NAMES, Checks, Values
 
 
 #: Off-grid points as (n, k, s, i, t), each violating one constraint.

@@ -18,14 +18,14 @@ from crossint.constructions import ComparisonRow, ConstructionCheck, Section4Rep
 from crossint.families import UniformFamily
 from crossint.frankl import AKRegime, FranklMax, FranklParams
 from crossint.gensets import GenSet, PerturbResult
-from crossint.inequalities import (
+from crossint.records import CHECK_ORDER, VALUE_NAMES, Checks, Values, VerificationRecord
+from crossint.reference import (
     AppendixResult,
     CoreQuantities,
     KeyIneqResult,
     LemmaResult,
     SectionParams,
 )
-from crossint.records import CHECK_ORDER, VALUE_NAMES, Checks, Values, VerificationRecord
 from crossint.search import MainTheoremReport, SearchResult
 
 #: (class, field values, other field values, repr of the first).
