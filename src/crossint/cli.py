@@ -359,15 +359,19 @@ def _write_out(path: str, text: str) -> None:
 def _replace_file(path: str, text: str) -> None:
     """Write text to path through a temporary file in the same directory and
     os.replace: a reader sees the old file or the new one, and a failed
-    write leaves the old one whole and no temporary file behind."""
+    write leaves the old one whole and no temporary file behind.  An
+    OSError on the temporary file is raised again naming path, with the
+    same errno and text."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -486,12 +490,13 @@ def _cmd_frankl(args: argparse.Namespace) -> int:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     family = read_family(sys.stdin.buffer if args.infile == "-" else args.infile)
-    already = is_left_compressed(family)
     compressed = left_compress(family)
     if len(compressed) != len(family):
         raise IntegrityError(
             f"compression changed the family size: {len(family)} -> {len(compressed)}"
         )
+    # the sweep moves nothing exactly when the family is left-compressed
+    already = compressed.members == family.members
     out = resolve_out(args.out, "compressed-family.txt")
     _write_out(out, write_family(compressed))
     _say(

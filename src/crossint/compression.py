@@ -17,6 +17,12 @@ mover's image.  A membership test against the partly updated set therefore
 gives the same answer as one against the original table, and each swap of a
 mover for its image keeps the size.  `left_compress` copies the members into
 one set, sweeps it, and builds and validates one `UniformFamily` at the end.
+
+The sweep moves nothing exactly when the family is left-compressed: every
+d_ij fixes a left-compressed family, and what the sweep leaves is
+left-compressed.  So `crossint compress` reads its verdict off the result,
+whose members equal the input's iff it was already left-compressed, and
+builds no membership table for `is_left_compressed`.
 """
 
 from __future__ import annotations

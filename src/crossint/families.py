@@ -15,6 +15,8 @@ F are cross-t-intersecting (A = B included, so a nonempty family needs k >= t).
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import ne
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, UsageError
@@ -79,7 +81,9 @@ class UniformFamily(Frozen):
 
     @classmethod
     def from_masks(cls, n: int, k: int, masks: Iterable[int]) -> "UniformFamily":
-        return cls(n, k, tuple(sorted(set(masks))))
+        # one sorted copy; a mask equal to the one before it is a duplicate
+        ordered = sorted(masks)
+        return cls(n, k, tuple(compress(ordered, map(ne, ordered, chain((None,), ordered)))))
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "UniformFamily":

@@ -37,6 +37,7 @@ from .errors import CapacityError, IntegrityError, UsageError
 from .families import (
     WORD_CAP,
     UniformFamily,
+    bottom_mask,
     elements_of,
     enumerate_k_subsets,
     mask_of,
@@ -166,28 +167,38 @@ def minimal_genset(family: UniformFamily) -> GenSet:
     k-supersets lie in the family.  Every genset of the family consists of
     such sets, so this is the coarsest antichain generating it.
 
-    Counted level by level, from the members at level k down to level 1
-    (the empty set is no element): a (j-1)-set is safe exactly when all
-    n-j+1 of its one-larger supersets are safe, that is, when that many safe
-    j-sets drop one of their points onto it.  A safe set is minimal when
-    none of its one-smaller subsets is safe.  Only the safe sets of two
-    levels and one count per subset of a safe set are held at a time, never
-    a set outside the family's down-set: on the 5,655-member (18,7) family
-    of the benchmark, a tracemalloc peak of 1.8 MB."""
+    Found level by level, from the members at level k down to level 1 (the
+    empty set is no element): a (j-1)-set B is safe exactly when all n-j+1
+    of its one-larger supersets are safe.  B is tested once, from its
+    canonical parent B + x, x the least point absent from B: a safe j-set A
+    is the canonical parent of A - x for the points x of A below A's least
+    absent point, and a B whose canonical parent is not safe is not safe
+    either.  A safe set is minimal when none of its one-smaller subsets is
+    safe.  Only the safe sets of two levels are held at a time, never a set
+    outside the family's down-set: on the 5,655-member (18,7) family of the
+    benchmark, a tracemalloc peak of 0.73 MB."""
     n, k = family.n, family.k
+    full = bottom_mask(n)
     minimal: list[int] = []
-    safe = family.member_set
-    for j in range(k, 1, -1):
-        # j-sets over each (j-1)-set, counted from the safe j-sets
-        over: dict[int, int] = {}
+    safe = set(family.members)
+    for _ in range(k, 1, -1):
+        lower = set()
         for mask in safe:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
+            absent = full & ~mask
+            # the points of mask below its least absent point
+            prefix = (mask ^ (mask + 1)) >> 1
+            while prefix:
+                low = prefix & -prefix
+                prefix ^= low
                 below = mask ^ low
-                over[below] = over.get(below, 0) + 1
-        lower = {below for below, count in over.items() if count == n - j + 1}
+                rest = absent
+                while rest:
+                    y = rest & -rest
+                    rest ^= y
+                    if below | y not in safe:
+                        break
+                else:
+                    lower.add(below)
         for mask in safe:
             rest = mask
             while rest:

@@ -35,8 +35,9 @@ from crossint.cli import (
     record_to_line,
     resolve_out,
 )
+from crossint.compression import is_left_compressed, left_compress
 from crossint.errors import DomainError, IntegrityError
-from crossint.families import read_family
+from crossint.families import UniformFamily, enumerate_k_subsets, read_family, write_family
 from crossint.gensets import read_genset, upset_k
 from crossint.inequalities import SweepSummary, evaluate_point, iter_grid, sweep
 from crossint.records import CHECK_ORDER, STATUSES, VALUE_NAMES, Checks, Values, VerificationRecord
@@ -198,6 +199,27 @@ def test_compress_roundtrip(tmp_path, capsys) -> None:
     assert capsys.readouterr().err == (
         "family n=5 k=3 members=2: already left-compressed\n"
     )
+
+
+def test_compress_verdict_is_is_left_compressed(tmp_path, capsys) -> None:
+    # the verdict is read off the compression: the members stay as they
+    # are exactly when the family is left-compressed
+    rng = random.Random(31)
+    src, out = tmp_path / "fam.txt", tmp_path / "compressed.txt"
+    verdicts = set()
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n)
+        layer = enumerate_k_subsets(n, k).members
+        family = UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(0, len(layer))))
+        for fam in (family, left_compress(family)):
+            src.write_text(write_family(fam))
+            assert main(["compress", "--in", str(src), "--out", str(out)]) == 0
+            already = is_left_compressed(fam)
+            verdict = "already left-compressed" if already else "compressed"
+            assert capsys.readouterr().err.endswith(f": {verdict}\n"), fam
+            verdicts.add(already)
+    assert verdicts == {False, True}
 
 
 def test_compress_in_place_replaces_the_file_whole(tmp_path) -> None:
@@ -1327,7 +1349,8 @@ def test_a_failed_sweep_keeps_the_records_before_it_and_no_worker(
 
 
 @pytest.mark.parametrize(
-    "case", ["missing input", "missing directory", "directory stream", "checkpoint write"]
+    "case",
+    ["missing input", "missing directory", "directory stream", "checkpoint write", "sidecar write"],
 )
 def test_an_os_error_is_one_error_line(tmp_path, capsys, monkeypatch, case) -> None:
     # each of these used to end in a traceback; the exit code stays 1
@@ -1341,14 +1364,25 @@ def test_an_os_error_is_one_error_line(tmp_path, capsys, monkeypatch, case) -> N
         path = tmp_path / "dir"
         path.mkdir()
         argv = SMALL_SWEEP + ["--out", str(path), "--resume"]
-    else:
+    elif case == "checkpoint write":
         monkeypatch.setattr(workers, "CHECKPOINT_EVERY", 5)
         path = tmp_path / "s.jsonl.checkpoint"
+        path.mkdir()
+        argv = SMALL_SWEEP + ["--out", str(tmp_path / "s.jsonl")]
+    else:
+        path = tmp_path / "s.jsonl.summary.csv"
         path.mkdir()
         argv = SMALL_SWEEP + ["--out", str(tmp_path / "s.jsonl")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    # a failed write names the file asked for, not the temporary file it
+    # was written through
+    assert ".tmp" not in err
+    if case == "missing directory":
+        assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    elif case == "sidecar write":
+        assert err == f"error: [Errno 21] Is a directory: {str(path)!r}\n"
     assert not list(tmp_path.rglob("*.tmp"))
 
 

@@ -60,6 +60,19 @@ def test_uniform_family_from_masks_sorts_and_dedupes() -> None:
     assert 0b0101 not in fam
 
 
+def test_from_masks_is_the_sorted_set_of_its_input() -> None:
+    # lists with duplicates, sets and generators, each read once
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        k = rng.randint(0, n)
+        layer = enumerate_k_subsets(n, k).members
+        masks = [rng.choice(layer) for _ in range(rng.randint(0, 2 * len(layer)))]
+        expected = tuple(sorted(set(masks)))
+        for source in (masks, set(masks), (m for m in masks)):
+            assert UniformFamily.from_masks(n, k, source).members == expected
+
+
 def test_uniform_family_rejects_wrong_member_size() -> None:
     with pytest.raises(UsageError):
         UniformFamily(4, 2, (0b0111,))
