@@ -349,23 +349,25 @@ def resolve_out(out: str | None, default_name: str) -> str:
     return "-"
 
 
-def _write_out(path: str, text: str) -> None:
-    if path == "-":
+def _write_out(path: str, text) -> None:
+    if path != "-":
+        _replace_file(path, text)
+    elif isinstance(text, str):
         sys.stdout.write(text)
     else:
-        _replace_file(path, text)
+        sys.stdout.writelines(text)
 
 
-def _replace_file(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same directory and
-    os.replace: a reader sees the old file or the new one, and a failed
-    write leaves the old one whole and no temporary file behind.  An
-    OSError on the temporary file is raised again naming path, with the
-    same errno and text."""
+def _replace_file(path: str, text) -> None:
+    """Write text, a str or an iterable of str pieces, to path through a
+    temporary file in the same directory and os.replace: a reader sees the
+    old file or the new one, and a failed write leaves the old one whole
+    and no temporary file behind.  An OSError on the temporary file is
+    raised again naming path, with the same errno and text."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
@@ -409,12 +411,12 @@ def _side_obj(side, n: int, k: int) -> dict:
         obj: dict = {
             "kind": "genset",
             "elements": [list(elements_of(m)) for m in side.elements],
-            "genset": write_genset(side),
+            "genset": "".join(write_genset(side)),
         }
         if expandable(n, k):
-            obj["family"] = write_family(upset_k(side))
+            obj["family"] = "".join(write_family(upset_k(side)))
         return obj
-    return {"kind": "family", "family": write_family(side)}
+    return {"kind": "family", "family": "".join(write_family(side))}
 
 
 def _witnesses_obj(report: SearchResult | MainTheoremReport) -> list[dict]:

@@ -9,14 +9,17 @@ d_ij in lexicographic order (1,2), (1,3), ..., (n-1,n) yields a family that
 every d_ij with i < j fixes, the left-compressed normal form on which
 generating-set arguments operate (the proof is in `left_compress`).
 
-One routine, `_shift_in_place`, applies d_ij to a mutable set of incidence
-words, and both `shift_family` and `left_compress` use it.  Doing it in place
-gives the simultaneous shift: only members holding j and not i move, and an
-image holds i and not j, so it never moves again and never equals another
-mover's image.  A membership test against the partly updated set therefore
-gives the same answer as one against the original table, and each swap of a
-mover for its image keeps the size.  `left_compress` copies the members into
-one set, sweeps it, and builds and validates one `UniformFamily` at the end.
+One routine, `_shift_in_place`, applies d_ij to an ascending list of
+incidence words, and both `shift_family` and `left_compress` use it.  A
+mover, a member holding j and not i, moves when its image (j replaced by i)
+is absent from the list as it was before the pass, which is the
+simultaneous shift.  The images ascend as the movers do, so one scan of the
+list tells whether all of them are members, and most passes of a sweep end
+there; otherwise each image is searched for by bisection, and the movers
+are replaced and the list sorted again.  An image holds i and not j, so no
+two movers share one and the size is kept.  `left_compress` copies the
+members into one list, sweeps it, and builds and validates one
+`UniformFamily` at the end: no table over the whole family is built.
 
 The sweep moves nothing exactly when the family is left-compressed: every
 d_ij fixes a left-compressed family, and what the sweep leaves is
@@ -27,8 +30,12 @@ builds no membership table for `is_left_compressed`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import repeat
+from operator import contains, xor
+
 from .errors import UsageError
-from .families import UniformFamily
+from .families import UniformFamily, in_sorted
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -38,31 +45,37 @@ def _check_pair(n: int, i: int, j: int) -> None:
         raise UsageError(f"shift indices must differ, got i = j = {i}")
 
 
-def _shift_in_place(members: set[int], bit_i: int, bit_j: int) -> None:
-    """Apply d_ij to the incidence words in members."""
+def _shift_in_place(members: list[int], bit_i: int, bit_j: int) -> None:
+    """Apply d_ij to the ascending incidence words in members, which stay
+    ascending."""
     both = bit_i | bit_j
     movers = [m for m in members if m & both == bit_j]
-    for m in movers:
-        image = m ^ both
-        if image not in members:
-            members.remove(m)
-            members.add(image)
+    # an image is its mover plus bit_i minus bit_j, so the images ascend as
+    # the movers do, and all are members iff they are a subsequence of the
+    # members: one scan of the members, which settles most passes
+    if all(map(contains, repeat(iter(members)), map(xor, movers, repeat(both)))):
+        return
+    moved = [m for m in movers if not in_sorted(members, m ^ both)]
+    # in ascending order, each search starts past the words replaced
+    at = -1
+    for m in moved:
+        at = bisect_left(members, m, at + 1)
+        members[at] ^= both
+    members.sort()
 
 
 def shift_family(family: UniformFamily, i: int, j: int) -> UniformFamily:
     """D_ij applied to every member simultaneously; size is preserved."""
     _check_pair(family.n, i, j)
-    members = set(family.members)
+    members = list(family.members)
     _shift_in_place(members, 1 << (i - 1), 1 << (j - 1))
-    shifted = UniformFamily.from_masks(family.n, family.k, members)
-    assert len(shifted) == len(family), "shift must be injective on the family"
-    return shifted
+    return UniformFamily(family.n, family.k, tuple(members))
 
 
 def is_left_compressed(family: UniformFamily) -> bool:
     """True iff every d_ij with i < j fixes the family."""
-    members = family.member_set
-    for m in family.members:
+    members = family.members
+    for m in members:
         rest = m
         while rest:
             low = rest & -rest
@@ -73,7 +86,7 @@ def is_left_compressed(family: UniformFamily) -> bool:
             while absent_below:
                 i_bit = absent_below & -absent_below
                 absent_below ^= i_bit
-                if (m & ~j_bit) | i_bit not in members:
+                if not in_sorted(members, (m & ~j_bit) | i_bit):
                     return False
     return True
 
@@ -92,10 +105,8 @@ def left_compress(family: UniformFamily) -> UniformFamily:
     under all of them, and a second sweep would move nothing.
     """
     n = family.n
-    members = set(family.members)
+    members = list(family.members)
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             _shift_in_place(members, 1 << (i - 1), 1 << (j - 1))
-    compressed = UniformFamily.from_masks(n, family.k, members)
-    assert len(compressed) == len(family), "compression must preserve the family size"
-    return compressed
+    return UniformFamily(n, family.k, tuple(members))

@@ -15,9 +15,10 @@ F are cross-t-intersecting (A = B included, so a nonempty family needs k >= t).
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import ne
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from itertools import chain, compress, islice
+from operator import eq, ne
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, UsageError
 from .records import Frozen
@@ -56,8 +57,7 @@ def bottom_mask(m: int) -> int:
 class UniformFamily(Frozen):
     """A duplicate-free family of k-subsets of [n], members sorted numerically."""
 
-    _fields = ("n", "k", "members")
-    __slots__ = _fields + ("_member_set",)
+    _fields = __slots__ = ("n", "k", "members")
 
     def __init__(self, n: int, k: int, members: tuple[int, ...]) -> None:
         if n < 1:
@@ -89,16 +89,6 @@ class UniformFamily(Frozen):
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "UniformFamily":
         return cls.from_masks(n, k, (mask_of(s, n) for s in sets))
 
-    @property
-    def member_set(self) -> frozenset[int]:
-        """The members as a frozenset, built on first use."""
-        try:
-            return self._member_set
-        except AttributeError:
-            members = frozenset(self.members)
-            object.__setattr__(self, "_member_set", members)
-            return members
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -106,7 +96,14 @@ class UniformFamily(Frozen):
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self.member_set
+        return in_sorted(self.members, mask)
+
+
+def in_sorted(masks: Sequence[int], mask: int) -> bool:
+    """Whether mask is in masks, an ascending sequence: a binary search, so
+    no table over the sequence is built."""
+    at = bisect_left(masks, mask)
+    return at != len(masks) and masks[at] == mask
 
 
 def enumerate_k_subsets(n: int, k: int) -> UniformFamily:
@@ -160,22 +157,29 @@ def shade(family: UniformFamily) -> UniformFamily:
 # ---------------------------------------------------------------------------
 # Set-list text, shared by families and generating sets: header "n k", then
 # one set per line, comma-separated ascending elements.  '#' starts a comment;
-# blank lines are skipped.  write_sets is the one writer and returns the whole
-# text as a str; read_sets is the one reader.
+# blank lines are skipped; a set may appear only once.  write_sets is the one
+# writer and yields the text line by line, so that no copy of the whole text
+# is held; read_sets is the one reader.
 # ---------------------------------------------------------------------------
 
 
-def write_sets(n: int, k: int, masks: Iterable[int]) -> str:
-    """The set-list text: the "n k" header and one set per line."""
-    lines = [f"{n} {k}"]
-    lines.extend(",".join(map(str, elements_of(m))) for m in masks)
-    return "\n".join(lines) + "\n"
+def _set_text(mask: int) -> str:
+    return ",".join(map(str, elements_of(mask)))
+
+
+def write_sets(n: int, k: int, masks: Iterable[int]) -> Iterator[str]:
+    """The set-list text, one line at a time: the "n k" header, then one set
+    per line, each line ending in a newline."""
+    yield f"{n} {k}\n"
+    for m in masks:
+        yield _set_text(m) + "\n"
 
 
 def read_sets(source) -> tuple[int, int, list[int]]:
-    """The (n, k, incidence words) of the set-list text in a path, a binary or
-    text file object, or an iterable of lines.  Malformed input, bytes that
-    are not UTF-8 included, raises UsageError naming the line."""
+    """The (n, k, ascending incidence words) of the set-list text in a path,
+    a binary or text file object, or an iterable of lines.  Malformed input,
+    bytes that are not UTF-8 included, raises UsageError naming the line; a
+    set given twice raises UsageError naming the set."""
     if isinstance(source, (str, bytes)):
         with open(source, "rb") as fh:
             return read_sets(fh)
@@ -209,11 +213,16 @@ def read_sets(source) -> tuple[int, int, list[int]]:
             raise UsageError(f"line {lineno}: {exc}") from None
     if header is None:
         raise UsageError("empty input: missing 'n k' header")
+    masks.sort()
+    # a word equal to the one after it is a repeat
+    repeated = next(compress(masks, map(eq, masks, islice(masks, 1, None))), None)
+    if repeated is not None:
+        raise UsageError(f"set {_set_text(repeated)} appears more than once in the input")
     return header[0], header[1], masks
 
 
-def write_family(family: UniformFamily) -> str:
-    """The family's set-list text."""
+def write_family(family: UniformFamily) -> Iterator[str]:
+    """The family's set-list text, one line at a time."""
     return write_sets(family.n, family.k, family.members)
 
 
@@ -221,6 +230,6 @@ def read_family(source) -> UniformFamily:
     """Read a family from a path, binary or text file object, or lines."""
     n, k, masks = read_sets(source)
     try:
-        return UniformFamily.from_masks(n, k, masks)
+        return UniformFamily(n, k, tuple(masks))
     except UsageError as exc:
         raise UsageError(f"invalid family in input: {exc}") from None

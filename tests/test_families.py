@@ -73,6 +73,20 @@ def test_from_masks_is_the_sorted_set_of_its_input() -> None:
             assert UniformFamily.from_masks(n, k, source).members == expected
 
 
+def test_membership_is_a_search_of_the_members() -> None:
+    rng = random.Random(33)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, n)
+        layer = enumerate_k_subsets(n, k).members
+        fam = UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(0, len(layer))))
+        assert all(m in fam for m in fam.members)
+        assert not any(m in fam for m in set(layer).difference(fam.members))
+        top = fam.members[-1] if fam.members else 0
+        for mask in (0, top + 1, top << 1, 1 << n, 1 << 64):
+            assert mask not in fam, (fam, mask)
+
+
 def test_uniform_family_rejects_wrong_member_size() -> None:
     with pytest.raises(UsageError):
         UniformFamily(4, 2, (0b0111,))
@@ -193,7 +207,7 @@ def test_normalized_matching_cross_multiplied() -> None:
 
 def test_family_text_roundtrip() -> None:
     fam = UniformFamily.from_sets(6, 3, [[1, 2, 3], [2, 4, 6], [1, 5, 6]])
-    text = write_family(fam)
+    text = "".join(write_family(fam))
     assert text.splitlines()[0] == "6 3"
     assert read_family(io.StringIO(text)) == fam
 
@@ -217,6 +231,15 @@ def test_read_family_reports_line_numbers() -> None:
         read_family(io.StringIO(""))
 
 
+def test_read_family_refuses_a_repeated_set_naming_it() -> None:
+    # the same set twice, whatever the order of its elements or what lies
+    # between; UniformFamily.from_masks still folds repeats
+    for text in ("5 3\n1,2,3\n1,2,3\n", "5 3\n3,2,1\n2,4,5\n# again\n\n1,3,2\n"):
+        with pytest.raises(UsageError, match="^set 1,2,3 appears more than once in the input$"):
+            read_family(io.StringIO(text))
+    assert len(read_family(io.StringIO("5 3\n1,2,3\n1,2,4\n"))) == 2
+
+
 def test_read_family_rejects_wrong_member_size() -> None:
     with pytest.raises(UsageError, match="invalid family"):
         read_family(io.StringIO("5 2\n1,2,3\n"))
@@ -225,12 +248,37 @@ def test_read_family_rejects_wrong_member_size() -> None:
 def test_read_family_accepts_path(tmp_path) -> None:
     fam = enumerate_k_subsets(5, 2)
     path = tmp_path / "layer.fam"
-    path.write_text(write_family(fam), encoding="utf-8")
+    path.write_text("".join(write_family(fam)), encoding="utf-8")
     assert read_family(str(path)) == fam
 
 
+def _former_text(n: int, k: int, masks) -> str:
+    """The set-list text as the writer built it whole before it streamed."""
+    lines = [f"{n} {k}"]
+    lines.extend(",".join(map(str, elements_of(m))) for m in masks)
+    return "\n".join(lines) + "\n"
+
+
+def test_written_lines_join_to_the_former_text() -> None:
+    rng = random.Random(3301)
+    families = [UniformFamily(4, 2, ()), UniformFamily(3, 0, (0,))]
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        k = rng.randint(0, n)
+        layer = enumerate_k_subsets(n, k).members
+        families.append(
+            UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(0, len(layer))))
+        )
+    for fam in families:
+        pieces = list(write_family(fam))
+        assert "".join(pieces) == _former_text(fam.n, fam.k, fam.members), fam
+        assert len(pieces) == 1 + len(fam)
+        assert all(piece.count("\n") == 1 and piece.endswith("\n") for piece in pieces)
+
+
 def test_write_family_returns_the_text() -> None:
-    # the header, then one member per line in incidence-word order
+    # the header, then one member per line in incidence-word order, each
+    # line one piece
     fam = UniformFamily.from_sets(4, 2, [[1, 4], [2, 3]])
-    assert write_family(fam) == "4 2\n2,3\n1,4\n"
-    assert write_family(UniformFamily(4, 2, ())) == "4 2\n"
+    assert list(write_family(fam)) == ["4 2\n", "2,3\n", "1,4\n"]
+    assert "".join(write_family(UniformFamily(4, 2, ()))) == "4 2\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import random
 import tracemalloc
+from collections import deque
 from itertools import combinations
 from math import comb
 
@@ -23,6 +24,7 @@ from crossint.families import (
     enumerate_k_subsets,
     is_cross_t_intersecting,
     mask_of,
+    write_family,
 )
 from crossint.compression import is_left_compressed, left_compress
 from crossint.search import genset_search_best_product
@@ -203,27 +205,34 @@ def _peak_bytes(call, *args) -> int:
 
 
 def test_minimal_genset_peak_memory() -> None:
-    # testing each subset once, from its canonical parent, holds the safe
-    # sets of two levels: 0.73 MB of tracemalloc peak here, 0.52 MB of it
-    # the set of the 5,655 members; counting the safe sets over every
-    # subset of a safe set peaks at 1.76 MB, and a walk that caches the
-    # safety of every subset of a member and of its one-larger supersets at
-    # 6.0 MB
+    # testing each subset once, from its canonical parent, against the
+    # ascending safe sets of the level above, by bisection: the members
+    # themselves are the first level, so no copy and no hash table of them
+    # is made, 0.12 MB of tracemalloc peak here; a set of the 5,655 members
+    # alone is 0.52 MB, and with one the peak was 0.73 MB
     family = _relabelled_upset(18, 7, ((1, 2), (3, 4, 5)), list(range(1, 19)))
-    assert _peak_bytes(minimal_genset, family) < 1_000_000
+    assert _peak_bytes(minimal_genset, family) < 400_000
 
 
 def test_left_compress_and_upset_k_peak_memory() -> None:
-    # each holds one set of the 5,655 members and builds the family from it
-    # without a second set: 0.75-0.79 MB and 0.81 MB of tracemalloc peak
-    # here, against 0.98-1.02 MB and 1.03 MB with a second set
+    # left_compress sweeps one ascending list of the 5,655 members, searched
+    # by bisection, and upset_k lists the k-supersets for from_masks to sort
+    # and fold: 0.27-0.31 MB and 0.33 MB of tracemalloc peak here, against
+    # 0.76-0.79 MB and 0.81 MB with a set of the members
     label = list(range(1, 19))
     random.Random(18).shuffle(label)
     generators = ((1, 2), (3, 4, 5))
     family = _relabelled_upset(18, 7, generators, label)
     genset = GenSet.from_sets(18, 7, [[label[e - 1] for e in g] for g in generators])
-    assert _peak_bytes(left_compress, family) < 900_000
-    assert _peak_bytes(upset_k, genset) < 900_000
+    assert _peak_bytes(left_compress, family) < 400_000
+    assert _peak_bytes(upset_k, genset) < 400_000
+
+
+def test_writing_a_family_peak_memory() -> None:
+    # the writer yields one line at a time: 2 KB of tracemalloc peak to
+    # write the 5,655 members, against 0.61 MB for their whole text
+    family = _relabelled_upset(18, 7, ((1, 2), (3, 4, 5)), list(range(1, 19)))
+    assert _peak_bytes(lambda fam: deque(write_family(fam), 0), family) < 50_000
 
 
 def test_cell_D_counts() -> None:
@@ -378,7 +387,7 @@ def test_full_layer_genset() -> None:
 
 def test_genset_text_roundtrip() -> None:
     g = compact("14,23,124", 7, 3)
-    text = write_genset(g)
+    text = "".join(write_genset(g))
     assert text == "7 3\n2,3\n1,4\n1,2,4\n"  # elements by (size, word)
     assert read_genset(io.StringIO(text)) == g
     # a genset is its elements, so the antichains the builders make come
@@ -397,7 +406,28 @@ def test_genset_text_roundtrip() -> None:
     for gen_a, gen_b in genset_search_best_product(10, 5, 3).witnesses:
         gensets += [gen_a, gen_b]
     for built in gensets:
-        assert read_genset(io.StringIO(write_genset(built))) == built
+        assert read_genset(write_genset(built)) == built
+
+
+def test_written_genset_lines_join_to_the_former_text() -> None:
+    rng = random.Random(3302)
+    gensets = [GenSet(6, 3, ())]
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, n - 1)
+        layer = enumerate_k_subsets(n, k).members
+        family = UniformFamily.from_masks(n, k, rng.sample(layer, rng.randint(1, len(layer))))
+        gensets.append(minimal_genset(family))
+    for gen in gensets:
+        former = "\n".join([f"{gen.n} {gen.k}"] + [",".join(map(str, s)) for s in gen.element_sets()])
+        assert "".join(write_genset(gen)) == former + "\n", gen
+
+
+def test_read_genset_refuses_a_repeated_set_naming_it() -> None:
+    with pytest.raises(UsageError, match="^set 1,2 appears more than once in the input$"):
+        read_genset(io.StringIO("5 3\n1,2\n2,1\n"))
+    with pytest.raises(UsageError, match="^set 3 appears more than once in the input$"):
+        read_genset(io.StringIO("5 3\n3\n1,2\n3\n"))
 
 
 def test_read_genset_reports_line_numbers() -> None:

@@ -94,12 +94,12 @@ def test_value_types_repr_names_class_and_fields(cls, fields, other, text) -> No
     assert repr(cls(*fields)) == str(cls(*fields)) == text
 
 
-def test_member_set_is_built_once_and_kept() -> None:
+def test_a_family_holds_only_its_fields() -> None:
     family = UniformFamily(5, 2, (3, 5, 6))
-    assert family.member_set == frozenset({3, 5, 6})
-    assert family.member_set is family.member_set
+    assert set(family.members) == {3, 5, 6}
     assert 5 in family and 9 not in family
-    # the cache is no field: it changes neither equality nor the repr
+    # membership is a search of the members: no table is kept beside them
+    assert UniformFamily.__slots__ == UniformFamily._fields
     assert family == UniformFamily(5, 2, (3, 5, 6))
     assert repr(family) == "UniformFamily(n=5, k=2, members=(3, 5, 6))"
 
