@@ -8,9 +8,11 @@ value types), inequalities (the exact big-integer inequality engine and grid
 sweeps), reference (the engine's per-point reference API, which only the
 tests import), search (brute-force and generating-set extremal searches),
 constructions (the explicit construction checks, with their rows, sizes and
-reports), workers (the forked workers of the inequality sweep), cli (the
-command line, which imports inequalities, workers and constructions only
-for the commands that run them).
+reports), workers (the sweep's driver, checkpoint and resume, and its
+forked workers), stream (the sweep's record line writer and reader and the
+digest of its records, imported by workers alone), cli (the command line,
+which imports no layer at module level: each command imports only the
+modules it runs).
 """
 
 from .errors import (

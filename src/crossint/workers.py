@@ -1,16 +1,18 @@
 """The sweep-inequalities command: its driver, checkpoint and resume, and
 the forked workers that evaluate its grid and the frames they send it.
 
-Only the sweep imports this module, so no other command compiles it.
+Only the sweep imports this module, and with it crossint.stream, the
+record line's reader and writer and the digest, so no other command
+compiles either.
 
 The sweep splits its grid into blocks of at most SWEEP_BLOCK points.
 sweep_blocks forks one worker per CPU the process may run on, never more
 than there are blocks; with K workers, worker w evaluates blocks w, w + K,
-..., renders each record with the record_to_line of cli and digests the
-block in a fresh cli.RecordDigest, and writes the block to its pipe as one
-frame.  The parent reads the blocks back in grid order and adds each
-block's state lines to its own digest (RecordDigest.add_state_lines), so
-what it writes does not depend on K.
+..., renders each record with record_to_line and digests the block in a
+fresh RecordDigest, and writes the block to its pipe as one frame.  The
+parent reads the blocks back in grid order and adds each block's state
+lines to its own digest (RecordDigest.add_state_lines), so what it writes
+does not depend on K.
 
 A frame is a header line, "<kind> <records> <bytes> <bytes>", then its two
 parts of those sizes:
@@ -25,9 +27,14 @@ checksummed, with a checkpoint (_checkpoint_text) after every
 CHECKPOINT_EVERY records.  A resume restores the digest of the last
 checkpoint it can verify (_read_checkpoint), compares each block with the
 stream's next bytes, and settles the stream where they part (_settle).
-The stream's records are read and written by cli.parse_record_line and
-cli.record_to_line, looked up in cli at each call: in this process by
-_settle alone, which reads the lines it compares.
+In this process only _settle reads or renders a record line, for the lines
+it compares.
+
+record_to_line and parse_record_line belong to crossint.stream, but this
+module looks both up in cli at each call, cli.record_to_line and
+cli.parse_record_line: the benchmark's tracer wraps them there, and so do
+tests that count their calls.  That ends when the tracer wraps each name
+in its owner (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from zlib import crc32
 from . import __version__, cli, errors
 from .cli import _json_text, _replace_file, _say, resolve_out
 from .inequalities import _grid_points, _grid_size, evaluate_points
+from .stream import RecordDigest
 
 #: Points a sweep worker evaluates, renders and digests before it writes
 #: them to the parent as one frame.  Larger blocks raise the parent's peak
@@ -67,7 +75,7 @@ def _sweep_worker(fd: int, flags: tuple[int, int, int, int], blocks) -> None:
 
     grid, walked = _grid_points(*flags), 0
     for lo, hi in blocks:
-        digest, lines, error = cli.RecordDigest(), [], None
+        digest, lines, error = RecordDigest(), [], None
         try:
             for record in evaluate_points(itertools.islice(grid, lo - walked, hi - walked)):
                 digest.absorb(record)
@@ -157,7 +165,7 @@ CHECKPOINT_EVERY = 4096
 
 
 def _checkpoint_text(
-    flags: tuple[int, int, int, int], offset: int, crc: int, digest: cli.RecordDigest
+    flags: tuple[int, int, int, int], offset: int, crc: int, digest: RecordDigest
 ) -> str:
     """The checkpoint of a stream swept under the grid flags (t_min, t_max,
     k_span, n_span) whose first offset bytes, of zlib.crc32 crc, hold the
@@ -176,7 +184,7 @@ def _checkpoint_text(
 
 def _read_checkpoint(
     path: str, flags: tuple[int, int, int, int]
-) -> tuple[cli.RecordDigest, int, int]:
+) -> tuple[RecordDigest, int, int]:
     """The digest, byte offset and crc32 of the checkpoint of the stream at
     path, when it holds exactly the text _checkpoint_text writes for this
     version and these grid flags, and the stream still begins with the
@@ -190,7 +198,7 @@ def _read_checkpoint(
             text = fh.read()
         _, _, stream, *state = text.split("\n")[:-1]
         records, offset, crc, _ = map(int, stream.split(" ")[1:])
-        digest = cli.RecordDigest()
+        digest = RecordDigest()
         digest.add_state_lines(records, state)
         if _checkpoint_text(flags, offset, crc, digest) != text:
             raise ValueError("not the checkpoint of this version and grid")
@@ -203,11 +211,11 @@ def _read_checkpoint(
         if left or prefix_crc != crc:
             raise ValueError("the stream no longer begins with the checkpointed bytes")
     except (OSError, ValueError):
-        return cli.RecordDigest(), 0, 0
+        return RecordDigest(), 0, 0
     return digest, offset, crc
 
 
-def _settle(fh, path: str, digest: cli.RecordDigest, data: bytes) -> int:
+def _settle(fh, path: str, digest: RecordDigest, data: bytes) -> int:
     """Settle a resumed stream read from fh after the records of digest
     against data, the fresh record lines that follow those records (b""
     past the grid's end).  The stream lines equal to data's are kept.  From
@@ -299,7 +307,7 @@ def run_sweep(args) -> int:
     # counting the grid raises what its flags violate, before any worker is
     # forked or --out opened
     size = _grid_size(*flags)
-    digest, offset, crc = cli.RecordDigest(), 0, 0
+    digest, offset, crc = RecordDigest(), 0, 0
     reading = args.resume and os.path.exists(out)
     if reading:
         digest, offset, crc = _read_checkpoint(out, flags)

@@ -18,7 +18,6 @@ from math import comb
 import pytest
 
 from crossint import cli, inequalities, workers
-from crossint.cli import record_to_line
 from crossint.compression import shift_family
 from crossint.constructions import verify_section4_constructions
 from crossint.families import (
@@ -45,6 +44,7 @@ from crossint.search import (
     genset_search_best_product,
     validate_result,
 )
+from crossint.stream import record_to_line
 
 
 #: sha256 of the default record stream, one `record_to_line` per record.

@@ -28,19 +28,14 @@ from typing import Iterator
 import pytest
 
 from crossint import cli, constructions, inequalities, search, workers
-from crossint.cli import (
-    RecordDigest,
-    main,
-    parse_record_line,
-    record_to_line,
-    resolve_out,
-)
+from crossint.cli import main, resolve_out
 from crossint.compression import is_left_compressed, left_compress
 from crossint.errors import DomainError, IntegrityError
 from crossint.families import UniformFamily, enumerate_k_subsets, read_family, write_family
 from crossint.gensets import read_genset, upset_k
 from crossint.inequalities import SweepSummary, evaluate_point, iter_grid, sweep
 from crossint.records import CHECK_ORDER, STATUSES, VALUE_NAMES, Checks, Values, VerificationRecord
+from crossint.stream import RecordDigest, _checks_json, parse_record_line, record_to_line
 
 
 SMALL_SWEEP = [
@@ -110,9 +105,9 @@ def test_a_cut_witness_list_is_said(capsys, monkeypatch) -> None:
         captured = capsys.readouterr()
         assert len(json.loads(captured.out)["witnesses"]) == 64
         assert "witness list cut: kept 64 of 218 optimal pairs\n" in captured.err
-    # the tie count stops at its cap, so a count there is a lower bound
+    # the tie count stops at its cap, so a count there is a lower bound; cli
+    # reads the cap from search when it says the cut
     monkeypatch.setattr(search, "_TIE_SOFT_CAP", 100)
-    monkeypatch.setattr(cli, "_TIE_SOFT_CAP", 100)
     assert main(["search", "--n", "8", "--k", "4", "--t", "1", "--out", "-"]) == 0
     assert "kept 64 of at least 100 optimal pairs\n" in capsys.readouterr().err
     # a list that holds every optimal pair says nothing of a cut
@@ -1145,7 +1140,7 @@ def _with_record_text(checkpoint: bytes, last: bytes) -> bytes:
     for at, line in enumerate(lines):
         if line.startswith("checks "):
             _, count, *statuses = line.split(" ")
-            lines[at] = f"checks {count} {cli._checks_json(Checks._make(statuses))}"
+            lines[at] = f"checks {count} {_checks_json(Checks._make(statuses))}"
         elif line.startswith("last "):
             lines[at] = "last " + last.decode().removesuffix("\n")
     return "\n".join(lines).encode()
@@ -1975,10 +1970,17 @@ def test_console_script_entry_point() -> None:
         assert proc.stdout.splitlines()[0] == "r,size,max,tie"
 
 
+#: The commands that run the searches.
+_SEARCHING = {"search", "verify-main-small", "verify-case4"}
+
 #: Modules that only some commands need, and the commands that may import them.
 _HEAVY_MODULES = {
     "crossint.inequalities": {"sweep-inequalities"},
     "crossint.workers": {"sweep-inequalities"},
+    "crossint.stream": {"sweep-inequalities"},
+    "crossint.search": _SEARCHING,
+    "crossint.frankl": {"frankl"} | _SEARCHING,
+    "crossint.gensets": {"genset"} | _SEARCHING,
     "crossint.constructions": {"verify-case4"},
     "crossint.reference": set(),
     "dataclasses": set(),
@@ -2031,6 +2033,37 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv) -> None:
     assert unwanted == []
 
 
+def test_importing_cli_loads_no_layer_and_lends_each_traced_name() -> None:
+    # importing cli compiles neither a layer nor the record stream; each name
+    # the benchmark's tracer wraps in cli is its owner's object, imported on
+    # first use, and any other name is missing as usual
+    code = (
+        "import importlib, sys\n"
+        "before = set(sys.modules)\n"
+        "from crossint import cli\n"
+        "print(*sorted(name for name in set(sys.modules) - before if 'crossint' in name))\n"
+        "for name, owner in cli._OWNERS.items():\n"
+        "    assert getattr(cli, name) is getattr(importlib.import_module('crossint.' + owner), name), name\n"
+        "from crossint import compression, stream\n"
+        "from crossint.cli import record_to_line\n"
+        "assert record_to_line is stream.record_to_line\n"
+        "assert cli.left_compress is compression.left_compress\n"
+        "assert cli.RecordDigest is stream.RecordDigest\n"
+        "assert not hasattr(cli, 'no_such_name')\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["crossint", "crossint.cli", "crossint.errors"]
+    assert set(cli._OWNERS.values()) == {"compression", "families", "gensets", "search", "stream"}
+
+
 def test_running_cli_as_a_module_imports_it_once(tmp_path) -> None:
     # python -m runs cli.py as __main__; the sweep's workers module imports
     # crossint.cli, which must be that module, not a second copy of it
@@ -2066,6 +2099,69 @@ def test_benchmark_tracer_finds_every_name_it_wraps() -> None:
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: The calls of each span the benchmark's tracer wraps in cli, by command,
+#: on the family and genset files of _TRACED_FILES.
+_TRACED_CLI_CALLS = {
+    "compress": {"cli": 1, "families.text_io": 2, "compression.left_compress": 1},
+    "genset": {"cli": 1, "families.text_io": 1, "gensets.minimal_genset": 1, "gensets.text_io": 1},
+    "genset --expand": {"cli": 1, "gensets.text_io": 1, "gensets.upset_k": 1, "families.text_io": 1},
+}
+_TRACED_FILES = {"family.txt": "5 3\n1,2,3\n1,2,4\n1,3,5\n", "genset.txt": "5 3\n1,2\n"}
+
+
+def test_every_span_the_tracer_wraps_in_cli_records_its_calls(tmp_path) -> None:
+    # the tracer wraps layer functions in cli's namespace; a handler that
+    # reached one by another route would skip the wrapper, and its span
+    # would read 0 on working code
+    commands = [
+        ["compress", "--in", "family.txt"],
+        ["genset", "--in", "family.txt"],
+        ["genset", "--expand", "--in", "genset.txt"],
+        ["verify-main-small", "--n", "8", "--k", "4", "--t", "3", "--shift-trials", "5"],
+    ]
+    for name, text in _TRACED_FILES.items():
+        (tmp_path / name).write_text(text)
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import tracing\n"
+        "tracer = tracing.install()\n"
+        "from crossint import cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    before = {name: span[0] for name, span in tracer.spans.items()}\n"
+        "    rc = cli.main(argv + ['--out', 'out.txt'])\n"
+        "    after = {name: span[0] for name, span in tracer.spans.items()}\n"
+        "    runs.append([rc, {n: c - before.get(n, 0) for n, c in after.items()}])\n"
+        "print(json.dumps(runs))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [rc for rc, _ in runs] == [0, 0, 0, 0]
+    wrapped_in_cli = {
+        "cli", "families.text_io", "gensets.text_io", "compression.left_compress",
+        "compression.is_left_compressed", "gensets.minimal_genset",
+        "gensets.size_from_genset", "gensets.upset_k", "search.verify_main",
+    }
+    for label, (_, calls) in zip(_TRACED_CLI_CALLS, runs):
+        used = {name: count for name, count in calls.items() if count and name in wrapped_in_cli}
+        assert used == _TRACED_CLI_CALLS[label], label
+    # verify-main-small renders its witness pairs through cli's writers
+    verify = runs[3][1]
+    assert verify["search.verify_main"] == 1
+    for name in ("families.text_io", "gensets.text_io", "gensets.upset_k"):
+        assert verify.get(name, 0) >= 1, name
 
 
 def test_traced_sweep_and_resume_repeat_their_counts(tmp_path) -> None:
